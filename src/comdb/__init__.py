@@ -21,10 +21,8 @@ from .evaluate import (
     score_mapping,
 )
 from .ingest import (
-    IngestSource,
     build_database,
     introspect_database,
-    load_schema,
     parse_annotations,
     parse_ddl,
     parse_fixture,
@@ -46,17 +44,14 @@ from .llm import (
     PromptBundle,
     build_integration_prompt,
     build_join_prompt,
-    complete,
     extract_sql,
     parse_mapping_response,
 )
-from .mapping import HeaderMapping, MappingEntry, parse_map_text, render_map_text
+from .mapping import HeaderMapping, MappingEntry, parse_map_text
 from .nl import (
-    NLSchemaDocument,
     StyleFlags,
     emit_base_schema,
     emit_contextual_schema,
-    emit_document,
     parse_base_schema,
     parse_contextual_schema,
 )

@@ -104,11 +104,18 @@ def cmd_emit(args) -> int:
     return 0
 
 
-def _integration_fixtures(args):
-    schema_path = args.schema or fixtures.fixture_path(fixtures.PATIENTS_SCHEMA)
-    ctx_path = args.ctx or fixtures.fixture_path(fixtures.PATIENTS_CONTEXT)
+def _task_fixtures(args, default_schema: str, default_ctx: str):
+    """The validated schema and annotations named by --schema and --ctx,
+    or the bundled defaults given."""
+    schema_path = args.schema or fixtures.fixture_path(default_schema)
+    ctx_path = args.ctx or fixtures.fixture_path(default_ctx)
     schema = validate_schema(_load_schema_file(str(schema_path), args.schema_format))
     ann = validate_annotations(parse_annotations(_read_text(str(ctx_path))), schema)
+    return schema, ann
+
+
+def _integration_fixtures(args):
+    schema, ann = _task_fixtures(args, fixtures.PATIENTS_SCHEMA, fixtures.PATIENTS_CONTEXT)
     names = [t.name for t in schema.tables]
     name_a = args.table_a or names[0]
     name_b = args.table_b or names[1 if len(names) > 1 else 0]
@@ -116,11 +123,7 @@ def _integration_fixtures(args):
 
 
 def _joining_fixtures(args):
-    schema_path = args.schema or fixtures.fixture_path(fixtures.SYNTHEA_SCHEMA)
-    ctx_path = args.ctx or fixtures.fixture_path(fixtures.SYNTHEA_CONTEXT)
-    schema = validate_schema(_load_schema_file(str(schema_path), args.schema_format))
-    ann = validate_annotations(parse_annotations(_read_text(str(ctx_path))), schema)
-    return schema, ann
+    return _task_fixtures(args, fixtures.SYNTHEA_SCHEMA, fixtures.SYNTHEA_CONTEXT)
 
 
 def cmd_prompt(args) -> int:
@@ -147,22 +150,17 @@ def cmd_run(args) -> int:
         args.parser.error("--n must be >= 1")
     if args.mock is None and args.endpoint is None:
         args.parser.error("one of --mock or --endpoint is required")
+    # Neither client holds mutable state, so every repetition shares one.
     if args.mock:
-        records = json.loads(_read_text(args.mock))
-
-        def client_factory():
-            return MockChatClient(records)
+        client = MockChatClient.from_file(args.mock)
     else:
-        config = ClientConfig(endpoint_url=args.endpoint, model=args.model,
-                              temperature=args.temperature, timeout=args.timeout,
-                              max_retries=args.max_retries,
-                              api_key_source=args.api_key_env)
-
-        def client_factory():
-            return HttpChatClient(config)
+        client = HttpChatClient(ClientConfig(
+            endpoint_url=args.endpoint, model=args.model,
+            temperature=args.temperature, timeout=args.timeout,
+            max_retries=args.max_retries, api_key_source=args.api_key_env))
 
     kwargs = dict(arms=_ARM_CHOICES[args.arm], repetitions=args.n,
-                  client_factory=client_factory, style=_style(args),
+                  client_factory=lambda: client, style=_style(args),
                   workers=args.workers)
     if task == TASK_INTEGRATION:
         if not args.gold:

@@ -124,6 +124,13 @@ class NoTables(ComdbError):
         super().__init__(f"{path}: database contains no user tables")
 
 
+class BuildFailed(ComdbError):
+    def __init__(self, path: str, detail: str):
+        self.path = path
+        self.detail = detail
+        super().__init__(f"{path}: cannot build database: {detail}")
+
+
 class WriteAttempt(ComdbError):
     def __init__(self, statement_kind: str):
         self.statement_kind = statement_kind

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from . import llm
 from .errors import ComdbError, ConfigError, FixtureMissing, TableMismatch, WriteAttempt
-from .ingest import _readonly_uri
+from .ingest import open_readonly
 from .mapping import HeaderMapping
 from .nl import DEFAULT_STYLE, StyleFlags
 from .schema import TableSchema, ValidatedAnnotations, ValidatedSchema
@@ -68,7 +68,8 @@ class SqlValidationReport:
 
     def __post_init__(self):
         object.__setattr__(self, "result_columns", tuple(self.result_columns))
-        assert self.success == (self.error_text is None)
+        if self.success != (self.error_text is None):
+            raise ValueError("error_text must be set exactly when success is false")
 
 
 _COMMENT_OR_WS = re.compile(r"(?:\s+|--[^\n]*(?:\n|$)|/\*.*?\*/)+", re.DOTALL)
@@ -90,21 +91,18 @@ def execute_sql(sql: str, database_location) -> SqlValidationReport:
     """Run one read-only statement against an SQLite file and report the
     outcome. Engine errors come back verbatim in error_text. Statements
     that open with a write/DDL keyword are rejected with WriteAttempt
-    before touching the engine; the read-only connection backstops
+    before they reach the engine; the read-only connection backstops
     anything sneakier.
     """
-    path = os.fspath(database_location)
-    if not os.path.exists(path):
-        raise FileNotFoundError(path)
-    kind = _statement_kind(sql)
-    if kind is None:
-        # SQLite treats empty input as a no-op, so reject it ourselves.
-        return SqlValidationReport(False, "empty statement: no SQL found in input",
-                                   (), 0)
-    if kind not in _READONLY_KEYWORDS:
-        raise WriteAttempt(kind)
-    con = sqlite3.connect(_readonly_uri(path), uri=True)
+    con = open_readonly(database_location)
     try:
+        kind = _statement_kind(sql)
+        if kind is None:
+            # SQLite treats empty input as a no-op, so reject it ourselves.
+            return SqlValidationReport(False, "empty statement: no SQL found in input",
+                                       (), 0)
+        if kind not in _READONLY_KEYWORDS:
+            raise WriteAttempt(kind)
         cursor = con.execute(sql)
         columns = tuple(d[0] for d in cursor.description) if cursor.description else ()
         rows = cursor.fetchall()
@@ -137,48 +135,28 @@ class ExperimentReport:
 
     def __post_init__(self):
         object.__setattr__(self, "runs", tuple(self.runs))
-        assert len(self.runs) == self.n
+        if len(self.runs) != self.n:
+            raise ValueError(f"{len(self.runs)} runs recorded for n={self.n}")
 
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _integration_run(bundle, client, repetition, table_a, table_b, gold):
+def _repetition(bundle, client, repetition, judge, failure_score) -> RunRecord:
+    """Ask the client once and judge the answer. Any ComdbError on the way
+    becomes a failed record carrying failure_score; it never propagates."""
     prompt_hash = _sha256(bundle.user_text)
+    response_hash = None
     try:
         resp = client.complete(bundle, repetition=repetition)
-    except ComdbError as exc:
-        return RunRecord(False, prompt_hash, error=str(exc),
-                         score=MappingScore(0, len(gold.entries), 0, 0.0, 0.0, 0.0))
-    response_hash = _sha256(resp.raw_text)
-    try:
-        predicted = llm.parse_mapping_response(resp, table_a, table_b)
+        response_hash = _sha256(resp.raw_text)
+        outcome = judge(resp)
     except ComdbError as exc:
         return RunRecord(False, prompt_hash, response_hash, error=str(exc),
-                         score=MappingScore(0, len(gold.entries), 0, 0.0, 0.0, 0.0))
-    score = score_mapping(predicted, gold)
-    return RunRecord(True, prompt_hash, response_hash, score=score,
-                     mapping=predicted)
-
-
-def _joining_run(bundle, client, repetition, database):
-    prompt_hash = _sha256(bundle.user_text)
-    try:
-        resp = client.complete(bundle, repetition=repetition)
-    except ComdbError as exc:
-        return RunRecord(False, prompt_hash, error=str(exc))
-    response_hash = _sha256(resp.raw_text)
-    try:
-        sql = llm.extract_sql(resp)
-    except ComdbError as exc:
-        return RunRecord(False, prompt_hash, response_hash, error=str(exc))
-    try:
-        report = execute_sql(sql, database)
-    except WriteAttempt as exc:
-        return RunRecord(False, prompt_hash, response_hash, error=str(exc), sql=sql)
-    return RunRecord(report.success, prompt_hash, response_hash,
-                     error=report.error_text, sql=sql, sql_report=report)
+                         score=failure_score)
+    return RunRecord(prompt_sha256=prompt_hash, response_sha256=response_hash,
+                     **outcome)
 
 
 def _mean(values) -> float:
@@ -228,23 +206,38 @@ def run_experiment(task: str, *,
     if llm.WITH_CONTEXT in arms and annotations is None:
         raise FixtureMissing("annotations for the with-context arm")
 
+    if task == llm.TASK_INTEGRATION:
+        failure_score = MappingScore(0, len(gold.entries), 0, 0.0, 0.0, 0.0)
+
+        def build(arm, arm_annotations):
+            return llm.build_integration_prompt(table_a, table_b, arm_annotations,
+                                                arm, style)
+
+        def judge(resp):
+            predicted = llm.parse_mapping_response(resp, table_a, table_b)
+            return {"ok": True, "score": score_mapping(predicted, gold),
+                    "mapping": predicted}
+    else:
+        failure_score = None
+
+        def build(arm, arm_annotations):
+            return llm.build_join_prompt(schema, arm_annotations, goal, arm, style)
+
+        def judge(resp):
+            sql = llm.extract_sql(resp)
+            try:
+                report = execute_sql(sql, database)
+            except WriteAttempt as exc:
+                return {"ok": False, "error": str(exc), "sql": sql}
+            return {"ok": report.success, "error": report.error_text, "sql": sql,
+                    "sql_report": report}
+
     reports = []
     for arm in arms:
-        if task == llm.TASK_INTEGRATION:
-            bundle = llm.build_integration_prompt(
-                table_a, table_b, annotations if arm == llm.WITH_CONTEXT else None,
-                arm, style)
+        bundle = build(arm, annotations if arm == llm.WITH_CONTEXT else None)
 
-            def one_run(rep, bundle=bundle):
-                return _integration_run(bundle, client_factory(), rep,
-                                        table_a, table_b, gold)
-        else:
-            bundle = llm.build_join_prompt(
-                schema, annotations if arm == llm.WITH_CONTEXT else None,
-                goal, arm, style)
-
-            def one_run(rep, bundle=bundle):
-                return _joining_run(bundle, client_factory(), rep, database)
+        def one_run(rep, bundle=bundle):
+            return _repetition(bundle, client_factory(), rep, judge, failure_score)
 
         if workers == 1:
             runs = [one_run(rep) for rep in range(repetitions)]

@@ -19,11 +19,12 @@ from __future__ import annotations
 import os
 import re
 import sqlite3
+from contextlib import closing, suppress
 from dataclasses import dataclass
 from pathlib import Path
 from urllib.parse import quote
 
-from .errors import EmptyInput, MixedScope, NoTables, ParseError, UnsupportedFormat
+from .errors import BuildFailed, EmptyInput, MixedScope, NoTables, ParseError, UnsupportedFormat
 from .schema import (
     ContextRelation,
     DatabaseSchema,
@@ -33,34 +34,7 @@ from .schema import (
     validate_schema,
 )
 
-DDL_TEXT = "ddl-text"
-FIXTURE_FILE = "fixture-file"
-DATABASE_FILE = "database-file"
-
 _SQLITE_MAGIC = b"SQLite format 3\x00"
-
-
-@dataclass(frozen=True)
-class IngestSource:
-    """A schema source: inline DDL text, or a path to a fixture/database file."""
-
-    kind: str
-    location: str
-
-    def __post_init__(self):
-        if self.kind not in (DDL_TEXT, FIXTURE_FILE, DATABASE_FILE):
-            raise ValueError(f"unknown source kind {self.kind!r}")
-        if not self.location:
-            raise ValueError("source location is empty")
-
-
-def load_schema(source: IngestSource) -> DatabaseSchema:
-    if source.kind == DDL_TEXT:
-        return parse_ddl(source.location)
-    if source.kind == FIXTURE_FILE:
-        return parse_fixture(Path(source.location).read_text(encoding="utf-8"),
-                             name=Path(source.location).stem)
-    return introspect_database(source.location)
 
 
 # --- DDL ---
@@ -324,22 +298,25 @@ def render_annotations(ann: OntologyAnnotations) -> str:
 
 # --- SQLite ---
 
-def _readonly_uri(path: str) -> str:
-    return "file:" + quote(os.path.abspath(path)) + "?mode=ro"
+def open_readonly(location) -> sqlite3.Connection:
+    """Connect to an existing SQLite file in read-only (``mode=ro``) mode.
+    A missing file raises FileNotFoundError before SQLite is asked."""
+    path = os.fspath(location)
+    if not os.path.exists(path):
+        raise FileNotFoundError(path)
+    return sqlite3.connect("file:" + quote(os.path.abspath(path)) + "?mode=ro", uri=True)
 
 
 def introspect_database(location) -> DatabaseSchema:
     """Read table and column names from an SQLite file. Opens read-only and
     touches only sqlite_master and table_info, never row data."""
     path = os.fspath(location)
-    if not os.path.exists(path):
-        raise FileNotFoundError(path)
-    with open(path, "rb") as fh:
-        magic = fh.read(len(_SQLITE_MAGIC))
-    if magic and magic != _SQLITE_MAGIC:
-        raise UnsupportedFormat(path)
-    con = sqlite3.connect(_readonly_uri(path), uri=True)
+    con = open_readonly(path)
     try:
+        with open(path, "rb") as fh:
+            magic = fh.read(len(_SQLITE_MAGIC))
+        if magic and magic != _SQLITE_MAGIC:
+            raise UnsupportedFormat(path)
         rows = con.execute(
             "SELECT name FROM sqlite_master"
             " WHERE type = 'table' AND name NOT LIKE 'sqlite_%'").fetchall()
@@ -362,15 +339,22 @@ def _quote_ident(name: str) -> str:
 
 
 def build_database(schema: DatabaseSchema, location) -> None:
-    """Create an empty SQLite database with one TEXT column per header."""
+    """Create an empty SQLite database with one TEXT column per header.
+
+    All tables are created in one transaction. If SQLite rejects any of
+    them, the file is removed and BuildFailed is raised.
+    """
     path = os.fspath(location)
     if os.path.exists(path):
         raise FileExistsError(path)
-    con = sqlite3.connect(path)
     try:
-        for table in schema.tables:
-            cols = ", ".join(f"{_quote_ident(h)} TEXT" for h in table.headers)
-            con.execute(f"CREATE TABLE {_quote_ident(table.name)} ({cols})")
-        con.commit()
-    finally:
-        con.close()
+        with closing(sqlite3.connect(path, isolation_level=None)) as con:
+            con.execute("BEGIN")
+            for table in schema.tables:
+                cols = ", ".join(f"{_quote_ident(h)} TEXT" for h in table.headers)
+                con.execute(f"CREATE TABLE {_quote_ident(table.name)} ({cols})")
+            con.execute("COMMIT")
+    except sqlite3.Error as exc:
+        with suppress(FileNotFoundError):
+            os.remove(path)
+        raise BuildFailed(path, str(exc)) from exc

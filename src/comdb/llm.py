@@ -14,16 +14,17 @@ chat-completions protocol, MockChatClient replays a scripted response per
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import random
 import re
 import time
+import urllib.error
+import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Protocol
-
-import requests
 
 from .errors import (
     ApiError,
@@ -35,7 +36,7 @@ from .errors import (
     Timeout,
     TransportError,
 )
-from .mapping import HeaderMapping, MappingEntry
+from .mapping import HeaderMapping, MappingEntry, split_reused
 from .nl import DEFAULT_STYLE, INPUT_ORDER, StyleFlags, emit_base_schema, emit_contextual_schema
 from .schema import (
     DatabaseSchema,
@@ -197,14 +198,27 @@ class ChatClient(Protocol):
         ...
 
 
-def _requests_transport(url, payload, headers, timeout):
+def _urllib_transport(url, payload, headers, timeout):
+    """POST payload as JSON and return (status, body text) for any HTTP
+    reply, error statuses included, so that ApiError can carry the body."""
+    data = json.dumps(payload).encode("utf-8")
     try:
-        response = requests.post(url, json=payload, headers=headers, timeout=timeout)
-    except requests.Timeout as exc:
+        try:
+            request = urllib.request.Request(url, data, headers, method="POST")
+            response = urllib.request.urlopen(request, timeout=timeout)
+        except urllib.error.HTTPError as exc:
+            response = exc
+        with response:
+            return response.status, response.read().decode("utf-8", "replace")
+    except urllib.error.URLError as exc:
+        # A timeout while connecting arrives wrapped, one while reading bare.
+        if isinstance(exc.reason, TimeoutError):
+            raise Timeout(timeout) from exc
+        raise TransportError(str(exc.reason)) from exc
+    except TimeoutError as exc:
         raise Timeout(timeout) from exc
-    except requests.RequestException as exc:
+    except (OSError, ValueError, http.client.HTTPException) as exc:
         raise TransportError(str(exc)) from exc
-    return response.status_code, response.text
 
 
 class HttpChatClient:
@@ -212,14 +226,15 @@ class HttpChatClient:
 
     Transport failures and timeouts are retried with exponential backoff
     plus jitter, up to max_retries extra attempts; HTTP error statuses are
-    not retried. The credential is read from the environment variable
-    named by the config and never logged.
+    not retried, and a reply without string content is an ApiError. The
+    credential is read from the environment variable named by the config
+    and never logged.
     """
 
     backoff_base = 0.5
     backoff_cap = 8.0
 
-    def __init__(self, config: ClientConfig, transport: Callable = _requests_transport):
+    def __init__(self, config: ClientConfig, transport: Callable = _urllib_transport):
         self.config = config
         self.client_id = f"http:{config.model}"
         self._transport = transport
@@ -264,12 +279,9 @@ class HttpChatClient:
             content = json.loads(body)["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise ApiError(status, body) from exc
+        if not isinstance(content, str):
+            raise ApiError(status, body)
         return LLMResponse(content, latency_ms, self.client_id)
-
-
-def complete(bundle: PromptBundle, config: ClientConfig) -> LLMResponse:
-    """One-shot completion against an HTTP endpoint."""
-    return HttpChatClient(config).complete(bundle)
 
 
 class MockChatClient:
@@ -376,22 +388,6 @@ def _freeform_entries(text, vocab_a, canon_a, vocab_b, canon_b) -> list[MappingE
     return entries
 
 
-def _dedupe(entries, warnings) -> list[MappingEntry]:
-    kept = []
-    seen_src, seen_tgt = set(), set()
-    for entry in entries:
-        src, tgt = entry.normalized()
-        if src & seen_src or tgt & seen_tgt:
-            warnings.append(f"dropped entry reusing already-mapped headers: "
-                            f"{' + '.join(entry.source_headers)} -> "
-                            f"{' + '.join(entry.target_headers)}")
-            continue
-        seen_src |= src
-        seen_tgt |= tgt
-        kept.append(entry)
-    return kept
-
-
 def parse_mapping_response(resp: LLMResponse, table_a: TableSchema,
                            table_b: TableSchema) -> HeaderMapping:
     """Read a header mapping out of a model response.
@@ -408,7 +404,11 @@ def parse_mapping_response(resp: LLMResponse, table_a: TableSchema,
     entries = _fenced_entries(resp.raw_text, canon_a, canon_b, warnings)
     if not entries:
         entries = _freeform_entries(resp.raw_text, vocab_a, canon_a, vocab_b, canon_b)
-    entries = _dedupe(entries, warnings)
+    entries, rejected = split_reused(entries)
+    for entry, _, _ in rejected:
+        warnings.append(f"dropped entry reusing already-mapped headers: "
+                        f"{' + '.join(entry.source_headers)} -> "
+                        f"{' + '.join(entry.target_headers)}")
     if not entries:
         raise NoMappingFound()
     return HeaderMapping(tuple(entries), table_a.name, table_b.name,

@@ -35,6 +35,29 @@ class MappingEntry:
                 frozenset(normalize_header(h) for h in self.target_headers))
 
 
+def split_reused(entries) -> tuple[list[MappingEntry], list[tuple[MappingEntry, str, str]]]:
+    """Apply the rule that a header maps at most once per side.
+
+    Walks the entries in order and keeps each one whose normalized headers
+    no kept entry has claimed on the same side. Returns the kept entries
+    and, for every other entry, ``(entry, side, header)`` naming the side
+    ("source" or "target") and the first header it reuses.
+    """
+    kept, rejected = [], []
+    seen_src, seen_tgt = set(), set()
+    for entry in entries:
+        src, tgt = entry.normalized()
+        if src & seen_src:
+            rejected.append((entry, "source", min(src & seen_src)))
+        elif tgt & seen_tgt:
+            rejected.append((entry, "target", min(tgt & seen_tgt)))
+        else:
+            seen_src |= src
+            seen_tgt |= tgt
+            kept.append(entry)
+    return kept, rejected
+
+
 @dataclass(frozen=True)
 class HeaderMapping:
     entries: tuple[MappingEntry, ...]
@@ -45,17 +68,10 @@ class HeaderMapping:
     def __post_init__(self):
         object.__setattr__(self, "entries", tuple(self.entries))
         object.__setattr__(self, "warnings", tuple(self.warnings))
-        seen_src, seen_tgt = set(), set()
-        for entry in self.entries:
-            src, tgt = entry.normalized()
-            if src & seen_src:
-                dup = sorted(src & seen_src)[0]
-                raise ValueError(f"source header {dup!r} appears in two entries")
-            if tgt & seen_tgt:
-                dup = sorted(tgt & seen_tgt)[0]
-                raise ValueError(f"target header {dup!r} appears in two entries")
-            seen_src |= src
-            seen_tgt |= tgt
+        _, rejected = split_reused(self.entries)
+        if rejected:
+            _, side, header = rejected[0]
+            raise ValueError(f"{side} header {header!r} appears in two entries")
 
     def __len__(self):
         return len(self.entries)
@@ -83,8 +99,3 @@ def parse_map_text(text: str, source_table: str | None = None,
     except ValueError as exc:
         raise ParseError(str(exc), 1) from exc
 
-
-def render_map_text(mapping: HeaderMapping) -> str:
-    lines = [f"{' + '.join(e.source_headers)} -> {' + '.join(e.target_headers)}"
-             for e in mapping.entries]
-    return "\n".join(lines) + "\n"

@@ -22,7 +22,7 @@ identifier marks a header group.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ParseError
 from .schema import (
@@ -46,16 +46,6 @@ class StyleFlags:
 
 
 DEFAULT_STYLE = StyleFlags()
-
-
-@dataclass(frozen=True)
-class NLSchemaDocument:
-    """Both NL parts for one schema, plus the flags that produced them."""
-
-    base_text: str
-    contextual_text: str
-    source_schema_name: str
-    style: StyleFlags = field(default=DEFAULT_STYLE)
 
 
 def _header_list(headers, oxford_and: bool) -> str:
@@ -102,17 +92,6 @@ def emit_contextual_schema(ann: ValidatedAnnotations,
     if not lines:
         return ""
     return "\n".join(lines) + "\n"
-
-
-def emit_document(schema: ValidatedSchema, ann: ValidatedAnnotations | None,
-                  order: str = ALPHABETICAL,
-                  style: StyleFlags = DEFAULT_STYLE) -> NLSchemaDocument:
-    return NLSchemaDocument(
-        base_text=emit_base_schema(schema, order),
-        contextual_text=emit_contextual_schema(ann, style) if ann else "",
-        source_schema_name=schema.schema.name,
-        style=style,
-    )
 
 
 _BASE_LINE = re.compile(

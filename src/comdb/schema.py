@@ -3,8 +3,11 @@
 Tables are names plus ordered header names, nothing else: no column types,
 no keys, and deliberately no way to attach row data. Annotations relate
 tables to tables (ContextRelation) or headers within one table to a free
-text concept (HeaderContextGroup). All name comparisons are exact and
-case-sensitive; scorer-side normalization lives in comdb.evaluate.
+text concept (HeaderContextGroup). Validation rejects two tables, or two
+headers of one table, whose names are equal under
+comdb.mapping.normalize_header (stripped and casefolded), the rule the
+response parser and the scorer match names by. Names keep their spelling,
+and annotation references must match it exactly.
 
 Everything here is immutable after construction and validation is a pure
 function, so values can be shared freely between threads.
@@ -26,6 +29,7 @@ from .errors import (
     UnknownHeader,
     UnknownTable,
 )
+from .mapping import normalize_header
 
 
 @dataclass(frozen=True)
@@ -143,23 +147,26 @@ def validate_schema(schema: DatabaseSchema) -> ValidatedSchema:
 
     Raises EmptySchema, EmptyTable, DuplicateTable, DuplicateHeader or
     InvalidName; on success the returned wrapper vouches for all of them.
+    Two names clash when they are equal under normalize_header.
     """
     if not schema.tables:
         raise EmptySchema()
     seen_tables = set()
     for table in schema.tables:
         _check_name("table", table.name)
-        if table.name in seen_tables:
+        key = normalize_header(table.name)
+        if key in seen_tables:
             raise DuplicateTable(table.name)
-        seen_tables.add(table.name)
+        seen_tables.add(key)
         if not table.headers:
             raise EmptyTable(table.name)
         seen_headers = set()
         for header in table.headers:
             _check_name("header", header)
-            if header in seen_headers:
+            key = normalize_header(header)
+            if key in seen_headers:
                 raise DuplicateHeader(table.name, header)
-            seen_headers.add(header)
+            seen_headers.add(key)
     return ValidatedSchema(schema)
 
 

@@ -42,11 +42,14 @@ def test_emit_to_file(tmp_path):
     assert out.read_text() == data_text("synthea_base_schema.txt")
 
 
-def test_ingest_fixture_output(capsys):
-    rc = main(["ingest", fx(bundled.SYNTHEA_DDL)])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert out == bundled.fixture_text(bundled.SYNTHEA_SCHEMA).split("\n", 1)[1]
+def test_ingest_fixture_output(tmp_path, capsys):
+    # The same 14 tables read from each source format: DDL, fixture, SQLite.
+    db = tmp_path / "hospital.db"
+    assert main(["ingest", fx(bundled.SYNTHEA_DDL), "--to", "db", "--out", str(db)]) == 0
+    expected = bundled.fixture_text(bundled.SYNTHEA_SCHEMA).split("\n", 1)[1]
+    for source in (fx(bundled.SYNTHEA_DDL), fx(bundled.SYNTHEA_SCHEMA), str(db)):
+        assert main(["ingest", source]) == 0
+        assert capsys.readouterr().out == expected, source
 
 
 def test_ingest_to_db(tmp_path):
@@ -54,6 +57,20 @@ def test_ingest_to_db(tmp_path):
     rc = main(["ingest", fx(bundled.SYNTHEA_DDL), "--to", "db", "--out", str(db)])
     assert rc == 0
     assert len(introspect_database(db).tables) == 14
+
+
+@pytest.mark.parametrize("ddl, clash", [
+    ("CREATE TABLE t (Id TEXT, ID TEXT);", "duplicate header 'ID'"),
+    ("CREATE TABLE a (x TEXT); CREATE TABLE A (y TEXT);", "duplicate table name 'A'"),
+], ids=["header", "table"])
+def test_ingest_rejects_names_equal_ignoring_case(tmp_path, capsys, ddl, clash):
+    source = tmp_path / "clash.sql"
+    source.write_text(ddl)
+    db = tmp_path / "clash.db"
+    rc = main(["ingest", str(source), "--to", "db", "--out", str(db)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"error: {clash}")
+    assert not db.exists()
 
 
 def test_ingest_db_requires_out():

@@ -10,6 +10,7 @@ from comdb.errors import ConfigError, FixtureMissing, TableMismatch, WriteAttemp
 from comdb.evaluate import (
     ExperimentReport,
     MappingScore,
+    SqlValidationReport,
     execute_sql,
     render_report,
     render_summary,
@@ -232,6 +233,12 @@ def test_execute_error_text_is_verbatim_engine_text(fixture_db):
         con.close()
 
 
+@pytest.mark.parametrize("success, error_text", [(True, "boom"), (False, None)])
+def test_sql_report_invariant(success, error_text):
+    with pytest.raises(ValueError):
+        SqlValidationReport(success, error_text, (), 0)
+
+
 # --- experiment runner ---
 
 def _mock_factory(path):
@@ -352,6 +359,11 @@ def test_run_workers_match_serial(patient_tables, patient_annotations,
                                repetitions=6, workers=4)
     assert [r.runs for r in serial] == [r.runs for r in parallel]
     assert [r.aggregate for r in serial] == [r.aggregate for r in parallel]
+
+
+def test_experiment_report_invariant():
+    with pytest.raises(ValueError):
+        ExperimentReport(TASK_JOINING, WITH_CONTEXT, 2, (), {})
 
 
 # --- reports ---

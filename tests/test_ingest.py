@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from comdb.errors import (
+    ComdbError,
     DuplicateTable,
     EmptyInput,
     MixedScope,
@@ -13,13 +14,8 @@ from comdb.errors import (
     UnsupportedFormat,
 )
 from comdb.ingest import (
-    DATABASE_FILE,
-    DDL_TEXT,
-    FIXTURE_FILE,
-    IngestSource,
     build_database,
     introspect_database,
-    load_schema,
     parse_annotations,
     parse_ddl,
     parse_fixture,
@@ -177,6 +173,18 @@ def test_introspect_ignores_rows(tmp_path):
     assert introspect_database(empty).tables == introspect_database(full).tables
 
 
+def test_build_database_failure_leaves_no_file(tmp_path):
+    # SQLite reserves the sqlite_ prefix; the second table fails after the
+    # first was created, and the whole build is undone.
+    schema = parse_fixture("t: a\nsqlite_t: b")
+    path = tmp_path / "x.db"
+    with pytest.raises(ComdbError, match="reserved"):
+        build_database(schema, path)
+    assert list(tmp_path.iterdir()) == []
+    build_database(parse_fixture("t: a"), path)
+    assert introspect_database(path).table_names() == ("t",)
+
+
 def test_build_database_refuses_overwrite(tmp_path):
     schema = parse_fixture("t: a")
     path = tmp_path / "x.db"
@@ -225,21 +233,3 @@ def test_annotations_round_trip(seed):
     if not rendered:
         return
     assert parse_annotations(rendered) == ann
-
-
-def test_ingest_source_dispatch(tmp_path):
-    fixture = tmp_path / "one.schema"
-    fixture.write_text("t: a, b\n")
-    db = tmp_path / "one.db"
-    schema = load_schema(IngestSource(FIXTURE_FILE, str(fixture)))
-    build_database(schema, db)
-    assert load_schema(IngestSource(DDL_TEXT, "CREATE TABLE t (a X, b Y);")).tables \
-        == schema.tables
-    assert load_schema(IngestSource(DATABASE_FILE, str(db))).tables == schema.tables
-
-
-def test_ingest_source_validation():
-    with pytest.raises(ValueError):
-        IngestSource("weird", "x")
-    with pytest.raises(ValueError):
-        IngestSource(DDL_TEXT, "")

@@ -1,4 +1,12 @@
 import json
+import os
+import socket
+import subprocess
+import sys
+import threading
+import time
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,6 +22,7 @@ from comdb.errors import (
     Timeout,
     TransportError,
 )
+from comdb.evaluate import run_experiment
 from comdb.llm import (
     DEFAULT_JOIN_GOAL,
     TASK_INTEGRATION,
@@ -231,6 +240,118 @@ def test_http_client_malformed_body(patient_tables, api_key):
         client.complete(simple_bundle(patient_tables))
 
 
+@pytest.mark.parametrize("content", [None, 42])
+def test_run_records_non_string_reply_as_failure(patient_tables, patient_annotations,
+                                                  gold_mapping, api_key, content):
+    client = HttpChatClient(make_config(), transport=_ok_transport(content))
+    table_a, table_b = patient_tables
+    reports = run_experiment(
+        TASK_INTEGRATION, arms=(WITHOUT_CONTEXT,), repetitions=3,
+        client_factory=lambda: client, table_a=table_a, table_b=table_b,
+        annotations=patient_annotations, gold=gold_mapping)
+    runs = reports[0].runs
+    assert len(runs) == 3
+    assert all(not run.ok and "HTTP 200" in run.error for run in runs)
+    assert reports[0].aggregate["successRate"] == 0.0
+
+
+# --- the default (stdlib) transport against a loopback server ---
+
+class _Server(ThreadingHTTPServer):
+    daemon_threads = True
+
+    def handle_error(self, request, client_address):
+        pass  # the slow handler writes to a socket its client has closed
+
+
+class _Handler(BaseHTTPRequestHandler):
+    def log_message(self, format, *args):
+        pass
+
+    def do_POST(self):
+        body = self.rfile.read(int(self.headers["Content-Length"]))
+        self.server.seen.append((self.path, self.headers["Authorization"],
+                                 json.loads(body)))
+        status, reply, delay = self.server.reply
+        time.sleep(delay)
+        data = reply.encode("utf-8")
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+
+@pytest.fixture()
+def loopback(monkeypatch, api_key):
+    monkeypatch.setenv("no_proxy", "*")
+    server = _Server(("127.0.0.1", 0), _Handler)
+    server.seen = []
+    server.reply = (200, json.dumps({"choices": [{"message": {"content": "hi"}}]}), 0.0)
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+
+
+def loopback_client(port, **kw):
+    return HttpChatClient(make_config(endpoint_url=f"http://127.0.0.1:{port}",
+                                      max_retries=0, **kw))
+
+
+def test_default_transport_round_trip(patient_tables, loopback):
+    client = loopback_client(loopback.server_address[1])
+    bundle = simple_bundle(patient_tables)
+    assert client.complete(bundle).raw_text == "hi"
+    [(path, authorization, payload)] = loopback.seen
+    assert path == "/chat/completions"
+    assert authorization == "Bearer sk-test"
+    assert payload["model"] == "m"
+    assert payload["messages"] == [{"role": "user", "content": bundle.user_text}]
+
+
+def test_default_transport_server_error_keeps_body(patient_tables, loopback):
+    loopback.reply = (503, '{"error": "overloaded"}', 0.0)
+    client = loopback_client(loopback.server_address[1])
+    with pytest.raises(ApiError) as excinfo:
+        client.complete(simple_bundle(patient_tables))
+    assert excinfo.value.status == 503
+    assert "overloaded" in excinfo.value.body
+
+
+def test_default_transport_timeout(patient_tables, loopback):
+    loopback.reply = (200, "{}", 0.5)
+    client = loopback_client(loopback.server_address[1], timeout=0.1)
+    with pytest.raises(Timeout):
+        client.complete(simple_bundle(patient_tables))
+
+
+def test_default_transport_closed_port(patient_tables, monkeypatch, api_key):
+    monkeypatch.setenv("no_proxy", "*")
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    with pytest.raises(TransportError):
+        loopback_client(port).complete(simple_bundle(patient_tables))
+
+
+def test_import_loads_no_third_party_module():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys; before = set(sys.modules); import comdb; "
+            "print(*sorted(set(sys.modules) - before))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    loaded = {name.split(".")[0] for name in out.split()}
+    assert "comdb" in loaded
+    assert loaded - set(sys.stdlib_module_names) == {"comdb"}
+
+
 def test_client_config_validation():
     with pytest.raises(ConfigError):
         make_config(timeout=0)
@@ -356,6 +477,34 @@ def test_parse_mapping_total(patient_tables, text):
         assert mapping.entries
     except NoMappingFound:
         pass
+
+
+def _random_case(header):
+    return st.lists(st.booleans(), min_size=len(header), max_size=len(header)).map(
+        lambda flips: "".join(c.swapcase() if f else c for c, f in zip(header, flips)))
+
+
+def _side(headers):
+    return st.lists(st.sampled_from(headers).flatmap(_random_case),
+                    min_size=1, max_size=3).map(" + ".join)
+
+
+@given(st.data())
+def test_parse_fenced_mapping_property(patient_tables, data):
+    # Known headers in random case, repeated within and across entries.
+    table_a, table_b = patient_tables
+    lines = data.draw(st.lists(st.tuples(_side(table_a.headers), _side(table_b.headers)),
+                               min_size=1, max_size=8))
+    text = "```\n" + "\n".join(f"{a} -> {b}" for a, b in lines) + "\n```"
+    try:
+        mapping = parse_mapping_response(resp(text), table_a, table_b)
+    except NoMappingFound:
+        return
+    assert mapping.entries
+    assert (mapping.source_table, mapping.target_table) == (table_a.name, table_b.name)
+    for entry in mapping.entries:
+        assert set(entry.source_headers) <= set(table_a.headers)
+        assert set(entry.target_headers) <= set(table_b.headers)
 
 
 # --- SQL extraction ---

@@ -10,7 +10,6 @@ from comdb.nl import (
     StyleFlags,
     emit_base_schema,
     emit_contextual_schema,
-    emit_document,
     parse_base_schema,
     parse_contextual_schema,
 )
@@ -88,13 +87,6 @@ def test_header_group_bare_plain():
     assert lines[0] == "Name and Surname are in the context of patients' name."
     assert lines[1] == ("ADDRESS, CITY, STATE, COUNTY are in the context of "
                        "patients' address.")
-
-
-def test_emit_document(synthea_schema, synthea_annotations):
-    doc = emit_document(synthea_schema, synthea_annotations)
-    assert doc.base_text == data_text("synthea_base_schema.txt")
-    assert doc.contextual_text == data_text("synthea_contextual_schema.txt")
-    assert doc.source_schema_name == "synthea"
 
 
 def test_parse_base_schema_golden(synthea_schema):

@@ -71,10 +71,18 @@ def test_validate_bad_names(bad):
         validate_schema(DatabaseSchema("x", (table("t", bad),)))
 
 
-def test_header_names_case_sensitive():
-    # 'Id' vs 'ID' are distinct headers
-    schema = validate_schema(DatabaseSchema("x", (table("t", "Id", "ID"),)))
-    assert schema.table("t").headers == ("Id", "ID")
+def test_names_equal_under_normalization_rejected():
+    # The response parser and the scorer match names casefolded, so 'Id'
+    # and 'ID' in one table would be one header to them.
+    with pytest.raises(DuplicateHeader) as excinfo:
+        validate_schema(DatabaseSchema("x", (table("t", "Id", "ID"),)))
+    assert (excinfo.value.table, excinfo.value.header) == ("t", "ID")
+    with pytest.raises(DuplicateTable) as excinfo:
+        validate_schema(DatabaseSchema("x", (table("a", "Id"), table("A", "Id"))))
+    assert excinfo.value.table == "A"
+    # Names keep their spelling once validated.
+    schema = validate_schema(DatabaseSchema("x", (table("t", "Id", "iD_2"),)))
+    assert schema.table("t").headers == ("Id", "iD_2")
 
 
 def test_validate_annotations_ok(synthea_schema, synthea_annotations):
