@@ -16,7 +16,10 @@ import json
 import os
 import re
 import sqlite3
+import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass
 
 from . import llm
@@ -76,6 +79,11 @@ _COMMENT_OR_WS = re.compile(r"(?:\s+|--[^\n]*(?:\n|$)|/\*.*?\*/)+", re.DOTALL)
 _FIRST_WORD = re.compile(r"[A-Za-z]+")
 _READONLY_KEYWORDS = {"SELECT", "WITH", "VALUES", "EXPLAIN"}
 
+# Wall-clock bound on one statement, checked every _PROGRESS_STEPS SQLite
+# virtual-machine steps.
+SQL_TIME_LIMIT_S = 10.0
+_PROGRESS_STEPS = 1000
+
 
 def _statement_kind(sql: str) -> str | None:
     pos = 0
@@ -87,30 +95,53 @@ def _statement_kind(sql: str) -> str | None:
     return word.group().upper() if word else None
 
 
-def execute_sql(sql: str, database_location) -> SqlValidationReport:
-    """Run one read-only statement against an SQLite file and report the
-    outcome. Engine errors come back verbatim in error_text. Statements
-    that open with a write/DDL keyword are rejected with WriteAttempt
-    before they reach the engine; the read-only connection backstops
-    anything sneakier.
+def execute_sql(sql: str, database) -> SqlValidationReport:
+    """Run one read-only statement and report the outcome.
+
+    database is either the path of an SQLite file, which is opened
+    read-only for this call and closed again, or a connection from
+    ingest.open_readonly, which is used and left open. Engine errors come
+    back verbatim in error_text. Statements that open with a write/DDL
+    keyword are rejected with WriteAttempt before they reach the engine;
+    the read-only connection backstops anything sneakier. A statement
+    still running after SQL_TIME_LIMIT_S seconds is interrupted and
+    reported as failed. Rows are counted as they stream, never held.
     """
-    con = open_readonly(database_location)
+    if isinstance(database, sqlite3.Connection):
+        return _execute(sql, database)
+    with closing(open_readonly(database)) as con:
+        return _execute(sql, con)
+
+
+def _execute(sql: str, con: sqlite3.Connection) -> SqlValidationReport:
+    kind = _statement_kind(sql)
+    if kind is None:
+        # SQLite treats empty input as a no-op, so reject it ourselves.
+        return SqlValidationReport(False, "empty statement: no SQL found in input", (), 0)
+    if kind not in _READONLY_KEYWORDS:
+        raise WriteAttempt(kind)
+    deadline = time.monotonic() + SQL_TIME_LIMIT_S
+    timed_out = False
+
+    def past_deadline():
+        nonlocal timed_out
+        timed_out = time.monotonic() > deadline
+        return timed_out
+
+    con.set_progress_handler(past_deadline, _PROGRESS_STEPS)
     try:
-        kind = _statement_kind(sql)
-        if kind is None:
-            # SQLite treats empty input as a no-op, so reject it ourselves.
-            return SqlValidationReport(False, "empty statement: no SQL found in input",
-                                       (), 0)
-        if kind not in _READONLY_KEYWORDS:
-            raise WriteAttempt(kind)
         cursor = con.execute(sql)
         columns = tuple(d[0] for d in cursor.description) if cursor.description else ()
-        rows = cursor.fetchall()
-        return SqlValidationReport(True, None, columns, len(rows))
+        row_count = sum(1 for _ in cursor)
+        return SqlValidationReport(True, None, columns, row_count)
     except sqlite3.Error as exc:
+        if timed_out:
+            return SqlValidationReport(
+                False, f"interrupted: statement exceeded the {SQL_TIME_LIMIT_S:g} s time limit",
+                (), 0)
         return SqlValidationReport(False, str(exc), (), 0)
     finally:
-        con.close()
+        con.set_progress_handler(None, 0)
 
 
 @dataclass(frozen=True)
@@ -143,17 +174,19 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _repetition(bundle, client, repetition, judge, failure_score) -> RunRecord:
-    """Ask the client once and judge the answer. Any ComdbError on the way
-    becomes a failed record carrying failure_score; it never propagates."""
-    prompt_hash = _sha256(bundle.user_text)
+def _repetition(bundle, prompt_hash, client, repetition, judge, failure_score) -> RunRecord:
+    """Ask the client once and judge the answer. Any exception on the way
+    becomes a failed record carrying failure_score; it never propagates.
+    A ComdbError keeps its message; any other exception is recorded as
+    ``ClassName: message``."""
     response_hash = None
     try:
         resp = client.complete(bundle, repetition=repetition)
         response_hash = _sha256(resp.raw_text)
         outcome = judge(resp)
-    except ComdbError as exc:
-        return RunRecord(False, prompt_hash, response_hash, error=str(exc),
+    except Exception as exc:
+        error = str(exc) if isinstance(exc, ComdbError) else f"{type(exc).__name__}: {exc}"
+        return RunRecord(False, prompt_hash, response_hash, error=error,
                          score=failure_score)
     return RunRecord(prompt_sha256=prompt_hash, response_sha256=response_hash,
                      **outcome)
@@ -180,7 +213,10 @@ def run_experiment(task: str, *,
     """Run one task over the requested arms, N repetitions per arm.
 
     client_factory is called once per repetition so that concurrent
-    workers never share a client handle.
+    workers never share a client handle. One pool of workers runs every
+    (arm, repetition) pair. For tables joining each worker thread opens one
+    read-only connection to the database on first use; all of them are
+    closed before this function returns or raises.
     """
     if repetitions <= 0:
         raise ConfigError("repetitions must be >= 1")
@@ -206,6 +242,7 @@ def run_experiment(task: str, *,
     if llm.WITH_CONTEXT in arms and annotations is None:
         raise FixtureMissing("annotations for the with-context arm")
 
+    connections = []
     if task == llm.TASK_INTEGRATION:
         failure_score = MappingScore(0, len(gold.entries), 0, 0.0, 0.0, 0.0)
 
@@ -219,6 +256,15 @@ def run_experiment(task: str, *,
                     "mapping": predicted}
     else:
         failure_score = None
+        local = threading.local()
+
+        def connection():
+            con = getattr(local, "con", None)
+            if con is None:
+                # Only this thread uses it; the calling thread closes it.
+                con = local.con = open_readonly(database, check_same_thread=False)
+                connections.append(con)
+            return con
 
         def build(arm, arm_annotations):
             return llm.build_join_prompt(schema, arm_annotations, goal, arm, style)
@@ -226,31 +272,42 @@ def run_experiment(task: str, *,
         def judge(resp):
             sql = llm.extract_sql(resp)
             try:
-                report = execute_sql(sql, database)
+                report = execute_sql(sql, connection())
             except WriteAttempt as exc:
                 return {"ok": False, "error": str(exc), "sql": sql}
             return {"ok": report.success, "error": report.error_text, "sql": sql,
                     "sql_report": report}
 
-    reports = []
+    prepared = []
     for arm in arms:
         bundle = build(arm, annotations if arm == llm.WITH_CONTEXT else None)
+        prepared.append((bundle, _sha256(bundle.user_text)))
 
-        def one_run(rep, bundle=bundle):
-            return _repetition(bundle, client_factory(), rep, judge, failure_score)
+    def one_run(job):
+        (bundle, prompt_hash), rep = job
+        return _repetition(bundle, prompt_hash, client_factory(), rep, judge,
+                           failure_score)
 
+    jobs = [(p, rep) for p in prepared for rep in range(repetitions)]
+    try:
         if workers == 1:
-            runs = [one_run(rep) for rep in range(repetitions)]
+            runs = [one_run(job) for job in jobs]
         else:
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                runs = list(pool.map(one_run, range(repetitions)))
+                runs = list(pool.map(one_run, jobs))
+    finally:
+        for con in connections:
+            con.close()
 
-        aggregate = {"successRate": _mean(r.ok for r in runs)}
+    reports = []
+    for i, arm in enumerate(arms):
+        arm_runs = runs[i * repetitions:(i + 1) * repetitions]
+        aggregate = {"successRate": _mean(r.ok for r in arm_runs)}
         if task == llm.TASK_INTEGRATION:
-            aggregate["meanPrecision"] = _mean(r.score.precision for r in runs)
-            aggregate["meanRecall"] = _mean(r.score.recall for r in runs)
-            aggregate["meanF1"] = _mean(r.score.f1 for r in runs)
-        reports.append(ExperimentReport(task, arm, repetitions, tuple(runs),
+            aggregate["meanPrecision"] = _mean(r.score.precision for r in arm_runs)
+            aggregate["meanRecall"] = _mean(r.score.recall for r in arm_runs)
+            aggregate["meanF1"] = _mean(r.score.f1 for r in arm_runs)
+        reports.append(ExperimentReport(task, arm, repetitions, tuple(arm_runs),
                                         aggregate))
     return reports
 

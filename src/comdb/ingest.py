@@ -12,6 +12,9 @@ Supported sources:
 Header and table names may contain spaces; commas delimit lists, so a comma
 is the one character a name cannot contain (plus newlines, and ``:`` in
 fixture table names). ``#`` starts a comment line in .schema/.ctx files.
+
+The DDL tokenizer keeps only each token's offset; the line and column a
+ParseError reports are computed from it when the error is raised.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ import os
 import re
 import sqlite3
 from contextlib import closing, suppress
-from dataclasses import dataclass
 from pathlib import Path
 from urllib.parse import quote
 
@@ -39,17 +41,20 @@ _SQLITE_MAGIC = b"SQLite format 3\x00"
 
 # --- DDL ---
 
+# One match is one token: leading whitespace and ``--`` comments are
+# skipped inside the same match. A match that ends without a token group is
+# either the end of the text or an unexpected character at its end.
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<comment>--[^\n]*)
-      | (?P<word>[A-Za-z_][A-Za-z0-9_]*)
-      | (?P<dquote>"(?:[^"]|"")*")
-      | (?P<backtick>`[^`]*`)
-      | (?P<bracket>\[[^\]]*\])
-      | (?P<string>'(?:[^']|'')*')
-      | (?P<number>\d+(?:\.\d+)?)
-      | (?P<punct>[(),;])
-      | (?P<other>[^\s(),;'"`\[]+)
+    r"""(?:\s+|--[^\n]*)*
+      (?: (?P<word>[A-Za-z_][A-Za-z0-9_]*)
+        | (?P<dquote>"(?:[^"]|"")*")
+        | (?P<backtick>`[^`]*`)
+        | (?P<bracket>\[[^\]]*\])
+        | (?P<string>'(?:[^']|'')*')
+        | (?P<number>\d+(?:\.\d+)?)
+        | (?P<punct>[(),;])
+        | (?P<other>[^\s(),;'"`\[]+)
+      )?
     """,
     re.VERBOSE,
 )
@@ -57,57 +62,51 @@ _TOKEN_RE = re.compile(
 _TABLE_CONSTRAINT_KEYWORDS = {"PRIMARY", "FOREIGN", "UNIQUE", "CHECK", "CONSTRAINT"}
 
 
-@dataclass(frozen=True)
-class _Tok:
-    kind: str
-    text: str
-    line: int
-    col: int
+def _line_col(text: str, pos: int) -> tuple[int, int]:
+    """1-based line and column of offset pos; only called on error."""
+    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
 
 
-def _tokenize_ddl(text: str) -> list[_Tok]:
+def _tokenize_ddl(text: str) -> list[tuple[str, str, int]]:
+    """Split DDL into ``(kind, text, offset)`` tuples."""
     toks = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        chunk = m.group()
-        if kind not in ("ws", "comment"):
-            toks.append(_Tok(kind, chunk, line, col))
-        newlines = chunk.count("\n")
-        if newlines:
-            line += newlines
-            col = len(chunk) - chunk.rfind("\n")
-        else:
-            col += len(chunk)
-        pos = m.end()
+        if kind is None:
+            pos = m.end()
+            if pos < len(text):
+                raise ParseError(f"unexpected character {text[pos]!r}",
+                                 *_line_col(text, pos))
+            break
+        toks.append((kind, m.group(kind), m.start(kind)))
     return toks
 
 
-def _unquote(tok: _Tok) -> str:
-    if tok.kind == "dquote":
-        return tok.text[1:-1].replace('""', '"')
-    if tok.kind in ("backtick", "bracket"):
-        return tok.text[1:-1]
-    return tok.text
+def _unquote(kind: str, text: str) -> str:
+    if kind == "dquote":
+        return text[1:-1].replace('""', '"')
+    if kind in ("backtick", "bracket"):
+        return text[1:-1]
+    return text
 
 
 class _DdlParser:
-    def __init__(self, toks: list[_Tok]):
+    def __init__(self, text: str, toks: list[tuple[str, str, int]]):
+        self.text = text
         self.toks = toks
         self.pos = 0
 
     def _err(self, message, expected=None):
         if self.pos < len(self.toks):
-            tok = self.toks[self.pos]
-            raise ParseError(f"{message}, found {tok.text!r}", tok.line, tok.col,
+            _, found, offset = self.toks[self.pos]
+            raise ParseError(f"{message}, found {found!r}", *_line_col(self.text, offset),
                              expected=expected)
-        last = self.toks[-1]
-        raise ParseError(f"{message}, found end of input", last.line,
-                         last.col + len(last.text), expected=expected)
+        # End of input is reported one column past the last token's start
+        # plus its length, even when that token spans lines.
+        _, last, offset = self.toks[-1]
+        line, col = _line_col(self.text, offset)
+        raise ParseError(f"{message}, found end of input", line, col + len(last),
+                         expected=expected)
 
     def peek(self):
         return self.toks[self.pos] if self.pos < len(self.toks) else None
@@ -121,22 +120,22 @@ class _DdlParser:
 
     def expect_keyword(self, word: str):
         tok = self.peek()
-        if tok is None or tok.kind != "word" or tok.text.upper() != word:
+        if tok is None or tok[0] != "word" or tok[1].upper() != word:
             self._err(f"expected {word}", expected=word)
         self.pos += 1
 
     def expect_punct(self, ch: str):
         tok = self.peek()
-        if tok is None or tok.kind != "punct" or tok.text != ch:
+        if tok is None or tok[0] != "punct" or tok[1] != ch:
             self._err(f"expected {ch!r}", expected=ch)
         self.pos += 1
 
     def identifier(self, what: str) -> str:
         tok = self.peek()
-        if tok is None or tok.kind not in ("word", "dquote", "backtick", "bracket"):
+        if tok is None or tok[0] not in ("word", "dquote", "backtick", "bracket"):
             self._err(f"expected {what}")
         self.pos += 1
-        return _unquote(tok)
+        return _unquote(tok[0], tok[1])
 
     def skip_to_comma_or_close(self):
         # Consume type/constraint tokens, balancing nested parens like NUMERIC(10,2).
@@ -145,16 +144,17 @@ class _DdlParser:
             tok = self.peek()
             if tok is None:
                 self._err("expected ',' or ')'")
-            if tok.kind == "punct":
-                if tok.text == "(":
+            kind, text, _ = tok
+            if kind == "punct":
+                if text == "(":
                     depth += 1
-                elif tok.text == ")":
+                elif text == ")":
                     if depth == 0:
                         return
                     depth -= 1
-                elif tok.text == "," and depth == 0:
+                elif text == "," and depth == 0:
                     return
-                elif tok.text == ";":
+                elif text == ";":
                     self._err("expected ',' or ')'")
             self.pos += 1
 
@@ -168,13 +168,12 @@ class _DdlParser:
             tok = self.peek()
             if tok is None:
                 self._err("expected column definition")
-            if tok.kind == "word" and tok.text.upper() in _TABLE_CONSTRAINT_KEYWORDS:
+            if tok[0] == "word" and tok[1].upper() in _TABLE_CONSTRAINT_KEYWORDS:
                 self.skip_to_comma_or_close()
             else:
                 headers.append(self.identifier("column name"))
                 self.skip_to_comma_or_close()
-            tok = self.take()
-            if tok.text == ")":
+            if self.take()[1] == ")":
                 break
         if not headers:
             self._err(f"table {name!r} defines no columns")
@@ -190,13 +189,13 @@ def parse_ddl(text: str, name: str = "database") -> DatabaseSchema:
     toks = _tokenize_ddl(text)
     if not toks:
         raise EmptyInput("DDL text")
-    parser = _DdlParser(toks)
+    parser = _DdlParser(text, toks)
     tables = []
     while parser.peek() is not None:
         tables.append(parser.parse_create_table())
         # tolerate a trailing semicolon after the last statement
         tok = parser.peek()
-        if tok is not None and tok.kind == "punct" and tok.text == ";":
+        if tok is not None and tok[:2] == ("punct", ";"):
             parser.pos += 1
     return DatabaseSchema(name, tuple(tables))
 
@@ -298,13 +297,15 @@ def render_annotations(ann: OntologyAnnotations) -> str:
 
 # --- SQLite ---
 
-def open_readonly(location) -> sqlite3.Connection:
+def open_readonly(location, *, check_same_thread: bool = True) -> sqlite3.Connection:
     """Connect to an existing SQLite file in read-only (``mode=ro``) mode.
-    A missing file raises FileNotFoundError before SQLite is asked."""
+    A missing file raises FileNotFoundError before SQLite is asked.
+    check_same_thread is passed to sqlite3.connect."""
     path = os.fspath(location)
     if not os.path.exists(path):
         raise FileNotFoundError(path)
-    return sqlite3.connect("file:" + quote(os.path.abspath(path)) + "?mode=ro", uri=True)
+    return sqlite3.connect("file:" + quote(os.path.abspath(path)) + "?mode=ro", uri=True,
+                           check_same_thread=check_same_thread)
 
 
 def introspect_database(location) -> DatabaseSchema:

@@ -14,6 +14,7 @@ chat-completions protocol, MockChatClient replays a scripted response per
 
 from __future__ import annotations
 
+import functools
 import http.client
 import json
 import os
@@ -328,7 +329,10 @@ class MockChatClient:
 _FENCE_RE = re.compile(r"```[^\n]*\n(.*?)```", re.DOTALL)
 
 
-def _vocabulary(headers) -> tuple[re.Pattern, dict]:
+@functools.lru_cache(maxsize=8)
+def _vocabulary(headers: tuple[str, ...]) -> tuple[re.Pattern, dict]:
+    """Header-matching regex and casefold -> header map, built once per
+    header tuple; callers only read the returned dict."""
     canonical = {h.strip().casefold(): h for h in headers}
     alternatives = sorted((re.escape(h) for h in headers), key=len, reverse=True)
     pattern = re.compile(

@@ -16,6 +16,7 @@ function, so values can be shared freely between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import (
     DuplicateHeader,
@@ -102,19 +103,23 @@ class ValidatedSchema:
     """Witness that a DatabaseSchema passed validate_schema.
 
     Downstream operations (emission, prompt building, annotation checks)
-    require this wrapper rather than a bare DatabaseSchema.
+    require this wrapper rather than a bare DatabaseSchema. Name lookups
+    go through an exact-match index built on first use, so table() and
+    has_table() cost O(1) each.
     """
 
     schema: DatabaseSchema
 
+    @cached_property
+    def _by_name(self) -> dict[str, TableSchema]:
+        # reversed, so the first table of a name wins, as a scan would
+        return {t.name: t for t in reversed(self.schema.tables)}
+
     def table(self, name: str) -> TableSchema:
-        for t in self.schema.tables:
-            if t.name == name:
-                return t
-        raise KeyError(name)
+        return self._by_name[name]
 
     def has_table(self, name: str) -> bool:
-        return any(t.name == name for t in self.schema.tables)
+        return name in self._by_name
 
     @property
     def tables(self) -> tuple[TableSchema, ...]:

@@ -1,11 +1,14 @@
 import json
+import os
 import random
 import sqlite3
+import sys
+import time
 
 import pytest
 from hypothesis import given, strategies as st
 
-from comdb import fixtures as bundled
+from comdb import evaluate, fixtures as bundled
 from comdb.errors import ConfigError, FixtureMissing, TableMismatch, WriteAttempt
 from comdb.evaluate import (
     ExperimentReport,
@@ -25,6 +28,7 @@ from comdb.llm import (
     WITHOUT_CONTEXT,
     MockChatClient,
 )
+from comdb.ingest import open_readonly
 from comdb.mapping import HeaderMapping, MappingEntry, parse_map_text
 
 FLAWED_JOIN = """\
@@ -233,6 +237,39 @@ def test_execute_error_text_is_verbatim_engine_text(fixture_db):
         con.close()
 
 
+COUNT_TO_50M = ("WITH RECURSIVE c(x) AS (SELECT 1 UNION ALL SELECT x + 1 FROM c "
+                "WHERE x < 50000000) SELECT count(*) FROM c")
+
+
+def test_execute_stops_at_time_limit(fixture_db, monkeypatch):
+    monkeypatch.setattr(evaluate, "SQL_TIME_LIMIT_S", 0.1)
+    start = time.perf_counter()
+    report = execute_sql(COUNT_TO_50M, fixture_db)
+    elapsed = time.perf_counter() - start
+    assert not report.success
+    assert "0.1 s time limit" in report.error_text
+    assert report.row_count == 0
+    assert elapsed < 2.0
+
+
+def test_execute_on_connection_leaves_it_open(fixture_db, monkeypatch):
+    monkeypatch.setattr(evaluate, "SQL_TIME_LIMIT_S", 0.05)
+    con = open_readonly(fixture_db)
+    try:
+        for _ in range(2):
+            report = execute_sql("SELECT Id FROM patients", con)
+            assert report.success and report.result_columns == ("Id",)
+        with pytest.raises(WriteAttempt):
+            execute_sql("DELETE FROM patients", con)
+        time.sleep(0.1)
+        # the deadline of an earlier statement no longer applies
+        assert con.execute("WITH RECURSIVE c(x) AS (SELECT 1 UNION ALL SELECT x + 1 "
+                           "FROM c WHERE x < 10000) SELECT count(*) FROM c"
+                           ).fetchone() == (10000,)
+    finally:
+        con.close()
+
+
 @pytest.mark.parametrize("success, error_text", [(True, "boom"), (False, None)])
 def test_sql_report_invariant(success, error_text):
     with pytest.raises(ValueError):
@@ -352,13 +389,91 @@ def test_run_varying_script_follows_order(patient_tables, patient_annotations,
 
 
 def test_run_workers_match_serial(patient_tables, patient_annotations,
-                                  gold_mapping):
+                                  gold_mapping, synthea_schema, synthea_annotations,
+                                  fixture_db):
     serial = run_integration(patient_tables, patient_annotations, gold_mapping,
                              repetitions=6, workers=1)
     parallel = run_integration(patient_tables, patient_annotations, gold_mapping,
                                repetitions=6, workers=4)
     assert [r.runs for r in serial] == [r.runs for r in parallel]
     assert [r.aggregate for r in serial] == [r.aggregate for r in parallel]
+
+    def joining(workers):
+        return run_experiment(
+            TASK_JOINING, repetitions=5, workers=workers,
+            client_factory=_mock_factory(bundled.JOINING_MOCK),
+            schema=synthea_schema, annotations=synthea_annotations,
+            database=fixture_db)
+
+    serial, parallel = joining(1), joining(3)
+    assert [r.arm for r in serial] == [r.arm for r in parallel]
+    assert [r.runs for r in serial] == [r.runs for r in parallel]
+    assert [r.aggregate for r in serial] == [r.aggregate for r in parallel]
+
+
+@pytest.mark.parametrize("workers", [1, 8])
+def test_run_joining_one_connection_per_worker(synthea_schema, synthea_annotations,
+                                               fixture_db, monkeypatch, workers):
+    # More workers than cores and a short switch interval, so a connection
+    # lost between opening and the close list would show up unclosed.
+    opened = []
+
+    def recording_open(location, **kwargs):
+        con = open_readonly(location, **kwargs)
+        opened.append(con)
+        return con
+
+    monkeypatch.setattr(evaluate, "open_readonly", recording_open)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        reports = run_experiment(
+            TASK_JOINING, repetitions=20, workers=workers,
+            client_factory=_mock_factory(bundled.JOINING_MOCK),
+            schema=synthea_schema, annotations=synthea_annotations,
+            database=fixture_db)
+    finally:
+        sys.setswitchinterval(interval)
+    assert [r.aggregate["successRate"] for r in reports] == [1.0, 0.0]
+    assert 1 <= len(opened) <= workers
+    for con in opened:
+        with pytest.raises(sqlite3.ProgrammingError, match="closed"):
+            con.execute("SELECT 1")
+
+
+class _RaisingClient:
+    def complete(self, bundle, repetition=0):
+        raise RuntimeError("client broke")
+
+
+def test_run_records_any_exception_as_failure(patient_tables, patient_annotations,
+                                              gold_mapping):
+    reports = run_integration(patient_tables, patient_annotations, gold_mapping,
+                              repetitions=3, client_factory=_RaisingClient)
+    assert [len(r.runs) for r in reports] == [3, 3]
+    for run in (run for r in reports for run in r.runs):
+        assert not run.ok
+        assert run.error == "RuntimeError: client broke"
+        assert run.score.recall == 0.0
+
+
+def test_run_records_database_removed_mid_run(synthea_schema, synthea_annotations,
+                                              fixture_db):
+    inner = _mock_factory(bundled.JOINING_MOCK)()
+
+    class RemovingClient:
+        def complete(self, bundle, repetition=0):
+            if os.path.exists(fixture_db):
+                os.remove(fixture_db)
+            return inner.complete(bundle, repetition=repetition)
+
+    reports = run_experiment(
+        TASK_JOINING, repetitions=2, client_factory=RemovingClient,
+        schema=synthea_schema, annotations=synthea_annotations,
+        database=fixture_db)
+    runs = [run for r in reports for run in r.runs]
+    assert len(runs) == 4 and not any(run.ok for run in runs)
+    assert all(run.error.startswith("FileNotFoundError: ") for run in runs)
 
 
 def test_experiment_report_invariant():

@@ -56,6 +56,56 @@ def test_parse_ddl_bad_keyword_position():
     assert err.col == 8
 
 
+# (DDL, line, col, expected, message): positions pinned across tokenizer
+# rewrites. End of input is reported one past the last token's start column
+# plus its length, even when that token spans lines.
+MALFORMED_DDL = [
+    ("-- one\n-- two\nCREATE TABEL x (a INT);", 3, 8, "TABLE",
+     "line 3, col 8: expected TABLE, found 'TABEL'"),
+    ("CREATE TABLE a (x INT);\nCREATE TABLE b (y INT,\n  ;", 3, 3, None,
+     "line 3, col 3: expected column name, found ';'"),
+    ("CREATE TABLE t (a INT", 1, 22, None,
+     "line 1, col 22: expected ',' or ')', found end of input"),
+    ("CREATE TABLE t (a INT,", 1, 23, None,
+     "line 1, col 23: expected column definition, found end of input"),
+    ("CREATE TABLE", 1, 13, None,
+     "line 1, col 13: expected table name, found end of input"),
+    ("CREATE TABLE t (a INT  \n -- c\n", 1, 22, None,
+     "line 1, col 22: expected ',' or ')', found end of input"),
+    ('CREATE TABLE "multi\nline\nname" (a INT) x', 3, 15, ";",
+     "line 3, col 15: expected ';', found 'x'"),
+    ('CREATE TABLE "multi\nline" (a', 2, 9, None,
+     "line 2, col 9: expected ',' or ')', found end of input"),
+    ('CREATE TABLE "multi\nline"', 1, 26, "(",
+     "line 1, col 26: expected '(', found end of input"),
+    ('CREATE TABLE t (a INT, "x\nyz"', 1, 30, None,
+     "line 1, col 30: expected ',' or ')', found end of input"),
+    ('CREATE TABLE t (a INT);\n   \t "unterminated', 2, 6, None,
+     "line 2, col 6: unexpected character '\"'"),
+    ("CREATE TABLE t (a INT);  'open", 1, 26, None,
+     "line 1, col 26: unexpected character \"'\""),
+    ("CREATE TABLE t (a INT)\n  [oops", 2, 3, None,
+     "line 2, col 3: unexpected character '['"),
+    ("CREATE TABLE t (a INT); -- trailing\nDROP", 2, 1, "CREATE",
+     "line 2, col 1: expected CREATE, found 'DROP'"),
+    ("CREATE TABLE t (a INT) -- no semicolon\n\n  CREATE", 3, 3, ";",
+     "line 3, col 3: expected ';', found 'CREATE'"),
+    ("  \n  ,", 2, 3, "CREATE", "line 2, col 3: expected CREATE, found ','"),
+    ("CREATE TABLE t (a NUMERIC(10, 2);", 1, 33, None,
+     "line 1, col 33: expected ',' or ')', found ';'"),
+    ("CREATE\n-- c\nTABLE t (\n-- c2\n `x` INT\n) extra", 6, 3, ";",
+     "line 6, col 3: expected ';', found 'extra'"),
+]
+
+
+@pytest.mark.parametrize("text, line, col, expected, message", MALFORMED_DDL)
+def test_parse_ddl_error_positions(text, line, col, expected, message):
+    with pytest.raises(ParseError) as excinfo:
+        parse_ddl(text)
+    err = excinfo.value
+    assert (err.line, err.col, err.expected, str(err)) == (line, col, expected, message)
+
+
 def test_parse_ddl_ignores_types_and_constraints():
     a = parse_ddl("CREATE TABLE t (a INT PRIMARY KEY, b VARCHAR(10) NOT NULL, "
                   "c DECIMAL(10,2));")

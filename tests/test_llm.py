@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from comdb import fixtures as bundled
+from comdb import fixtures as bundled, llm
 from comdb.errors import (
     ApiError,
     ConfigError,
@@ -444,6 +444,21 @@ def test_parse_mapping_freeform_multi_target(patient_tables):
     mapping = parse_mapping_response(resp(text), table_a, table_b)
     assert set(mapping.entries[0].target_headers) == \
         {"ADDRESS", "CITY", "STATE", "COUNTY"}
+
+
+def test_parse_mapping_vocabulary_built_once_per_table(patient_tables):
+    table_a, table_b = patient_tables
+    text = "Date of Birth corresponds to BIRTHDATE"
+    swapped = "BIRTHDATE corresponds to Date of Birth"
+    parse_mapping_response(resp(text), table_a, table_b)
+    misses = llm._vocabulary.cache_info().misses
+    for _ in range(3):
+        forward = parse_mapping_response(resp(text), table_a, table_b)
+        backward = parse_mapping_response(resp(swapped), table_b, table_a)
+    assert llm._vocabulary.cache_info().misses == misses
+    assert forward.entries[0].source_headers == ("Date of Birth",)
+    assert backward.entries[0].source_headers == ("BIRTHDATE",)
+    assert backward.entries[0].target_headers == ("Date of Birth",)
 
 
 def test_parse_mapping_nothing_found(patient_tables):

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -188,6 +189,56 @@ def test_validation_soundness(seed):
     for t in validated.tables:
         assert t.headers
         assert len(set(t.headers)) == len(t.headers)
+
+
+def test_table_lookup_is_exact(synthea_schema):
+    assert synthea_schema.has_table("patients")
+    assert synthea_schema.table("patients").name == "patients"
+    for variant in ("Patients", "PATIENTS", " patients", "patients ", "patient"):
+        assert not synthea_schema.has_table(variant)
+        with pytest.raises(KeyError):
+            synthea_schema.table(variant)
+
+
+def test_table_lookup_agrees_with_linear_scan():
+    rng = random.Random(3)
+    schema = validate_schema(DatabaseSchema("db", tuple(
+        table(f"t{i}_{rng.randrange(10**6)}", "a", "b") for i in range(300))))
+    probes = [t.name for t in schema.tables] + [t.name.upper() for t in schema.tables[:20]]
+    probes += [f"t{rng.randrange(400)}_{rng.randrange(10**6)}" for _ in range(200)]
+    for name in probes:
+        scan = [t for t in schema.tables if t.name == name]
+        assert schema.has_table(name) == bool(scan)
+        if scan:
+            assert schema.table(name) is scan[0]
+        else:
+            with pytest.raises(KeyError):
+                schema.table(name)
+
+
+def test_validate_annotations_is_linear_at_scale():
+    # 5000 tables and 5000 relations naming 6 tables each. A name lookup
+    # that scans every table takes seconds here; an index takes about
+    # 10 ms, so the budget leaves room for a host several times slower.
+    rng = random.Random(0)
+    schema = validate_schema(DatabaseSchema("db", tuple(
+        table(f"table_{i}", "h0", "h1", "h2") for i in range(5000))))
+    names = [t.name for t in schema.tables]
+    relations = []
+    for _ in range(5000):
+        picked = rng.sample(names, 6)
+        relations.append(ContextRelation(tuple(picked[:3]), tuple(picked[3:])))
+    ann = OntologyAnnotations(tuple(relations), ())
+    budget_s = 0.25
+    for _ in range(3):
+        fresh = validate_schema(schema.schema)
+        start = time.perf_counter()
+        validated = validate_annotations(ann, fresh)
+        elapsed = time.perf_counter() - start
+        if elapsed < budget_s:
+            break
+    assert validated.table_relations == ann.table_relations
+    assert elapsed < budget_s
 
 
 def test_no_row_data_representable():
