@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import fixtures
-from .errors import ComdbError
+from .errors import ComdbError, ConfigError, UnknownTable
 from .evaluate import execute_sql, render_report, render_summary, run_experiment, score_mapping
 from .ingest import build_database, introspect_database, parse_annotations, parse_ddl, parse_fixture, render_fixture
 from .llm import (
@@ -119,6 +119,9 @@ def _integration_fixtures(args):
     names = [t.name for t in schema.tables]
     name_a = args.table_a or names[0]
     name_b = args.table_b or names[1 if len(names) > 1 else 0]
+    for flag, name in (("--table-a", name_a), ("--table-b", name_b)):
+        if not schema.has_table(name):
+            raise UnknownTable(name, flag)
     return schema.table(name_a), schema.table(name_b), ann
 
 
@@ -148,6 +151,8 @@ def cmd_run(args) -> int:
     task = _TASKS[args.task]
     if args.n < 1:
         args.parser.error("--n must be >= 1")
+    if args.workers < 1:
+        args.parser.error("--workers must be >= 1")
     if args.mock is None and args.endpoint is None:
         args.parser.error("one of --mock or --endpoint is required")
     # Neither client holds mutable state, so every repetition shares one.
@@ -206,8 +211,11 @@ def cmd_score(args) -> int:
 
 
 def cmd_report(args) -> int:
-    payload = json.loads(_read_text(args.report_file) if args.report_file
-                         else sys.stdin.read())
+    try:
+        payload = json.loads(_read_text(args.report_file) if args.report_file
+                             else sys.stdin.read())
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"report is not valid JSON: {exc}") from exc
     sys.stdout.write(render_summary(payload))
     return 0
 

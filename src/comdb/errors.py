@@ -55,9 +55,9 @@ class AnnotationError(ComdbError):
 
 
 class UnknownTable(AnnotationError):
-    def __init__(self, table: str):
+    def __init__(self, table: str, referrer: str = "annotation"):
         self.table = table
-        super().__init__(f"annotation references unknown table {table!r}")
+        super().__init__(f"{referrer} references unknown table {table!r}")
 
 
 class UnknownHeader(AnnotationError):

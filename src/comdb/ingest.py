@@ -13,8 +13,9 @@ Header and table names may contain spaces; commas delimit lists, so a comma
 is the one character a name cannot contain (plus newlines, and ``:`` in
 fixture table names). ``#`` starts a comment line in .schema/.ctx files.
 
-The DDL tokenizer keeps only each token's offset; the line and column a
-ParseError reports are computed from it when the error is raised.
+The DDL tokenizer keeps only each token's text. When a ParseError is raised,
+the text is matched again up to the failing token to find its offset, and
+the line and column it reports come from that.
 """
 
 from __future__ import annotations
@@ -22,7 +23,9 @@ from __future__ import annotations
 import os
 import re
 import sqlite3
+import string
 from contextlib import closing, suppress
+from itertools import islice
 from pathlib import Path
 from urllib.parse import quote
 
@@ -42,23 +45,32 @@ _SQLITE_MAGIC = b"SQLite format 3\x00"
 # --- DDL ---
 
 # One match is one token: leading whitespace and ``--`` comments are
-# skipped inside the same match. A match that ends without a token group is
-# either the end of the text or an unexpected character at its end.
+# skipped inside the same match, and the one group is the token's text. Its
+# first character tells its kind: a letter or ``_`` starts a word, ``"``,
+# ``[`` or a backtick a quoted name, ``(),;`` is punctuation. The last
+# alternative takes a quote or ``[`` that is never closed, so such a
+# one-character token marks an unexpected character. The match at the end
+# of the text has no token, so the list of texts always ends with "".
 _TOKEN_RE = re.compile(
     r"""(?:\s+|--[^\n]*)*
-      (?: (?P<word>[A-Za-z_][A-Za-z0-9_]*)
-        | (?P<dquote>"(?:[^"]|"")*")
-        | (?P<backtick>`[^`]*`)
-        | (?P<bracket>\[[^\]]*\])
-        | (?P<string>'(?:[^']|'')*')
-        | (?P<number>\d+(?:\.\d+)?)
-        | (?P<punct>[(),;])
-        | (?P<other>[^\s(),;'"`\[]+)
+      ( [A-Za-z_][A-Za-z0-9_]*
+      | "(?:[^"]|"")*"
+      | `[^`]*`
+      | \[[^\]]*\]
+      | '(?:[^']|'')*'
+      | \d+(?:\.\d+)?
+      | [(),;]
+      | [^\s(),;'"`\[]+
+      | \S
       )?
     """,
     re.VERBOSE,
 )
 
+_UNCLOSED = ('"', "'", "`", "[")
+_NAME_START = frozenset(string.ascii_letters + '_"`[')
+# Only a word upper-cases to a keyword (these, CREATE or TABLE), so the
+# parser compares texts and checks no token kind.
 _TABLE_CONSTRAINT_KEYWORDS = {"PRIMARY", "FOREIGN", "UNIQUE", "CHECK", "CONSTRAINT"}
 
 
@@ -67,119 +79,40 @@ def _line_col(text: str, pos: int) -> tuple[int, int]:
     return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
 
 
-def _tokenize_ddl(text: str) -> list[tuple[str, str, int]]:
-    """Split DDL into ``(kind, text, offset)`` tuples."""
-    toks = []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind is None:
-            pos = m.end()
-            if pos < len(text):
-                raise ParseError(f"unexpected character {text[pos]!r}",
-                                 *_line_col(text, pos))
-            break
-        toks.append((kind, m.group(kind), m.start(kind)))
+def _token_start(text: str, i: int) -> int:
+    """Offset of token i, found by matching again; only called on error."""
+    return next(islice(_TOKEN_RE.finditer(text), i, None)).start(1)
+
+
+def _tokenize_ddl(text: str) -> list[str]:
+    """Split DDL into token texts that end with "" for the end of input.
+    The first unclosed quote or bracket is a ParseError."""
+    toks = _TOKEN_RE.findall(text)
+    bad = [toks.index(c) for c in _UNCLOSED if c in toks]
+    if bad:
+        pos = _token_start(text, min(bad))
+        raise ParseError(f"unexpected character {text[pos]!r}", *_line_col(text, pos))
     return toks
 
 
-def _unquote(kind: str, text: str) -> str:
-    if kind == "dquote":
-        return text[1:-1].replace('""', '"')
-    if kind in ("backtick", "bracket"):
-        return text[1:-1]
-    return text
+def _parse_error(text: str, toks: list[str], i: int, message: str,
+                 expected: str | None = None) -> ParseError:
+    if toks[i]:
+        return ParseError(f"{message}, found {toks[i]!r}",
+                          *_line_col(text, _token_start(text, i)), expected=expected)
+    # End of input is reported one column past the last token's start
+    # plus its length, even when that token spans lines.
+    line, col = _line_col(text, _token_start(text, i - 1))
+    return ParseError(f"{message}, found end of input", line, col + len(toks[i - 1]),
+                      expected=expected)
 
 
-class _DdlParser:
-    def __init__(self, text: str, toks: list[tuple[str, str, int]]):
-        self.text = text
-        self.toks = toks
-        self.pos = 0
-
-    def _err(self, message, expected=None):
-        if self.pos < len(self.toks):
-            _, found, offset = self.toks[self.pos]
-            raise ParseError(f"{message}, found {found!r}", *_line_col(self.text, offset),
-                             expected=expected)
-        # End of input is reported one column past the last token's start
-        # plus its length, even when that token spans lines.
-        _, last, offset = self.toks[-1]
-        line, col = _line_col(self.text, offset)
-        raise ParseError(f"{message}, found end of input", line, col + len(last),
-                         expected=expected)
-
-    def peek(self):
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
-
-    def take(self):
-        tok = self.peek()
-        if tok is None:
-            self._err("unexpected end of input")
-        self.pos += 1
-        return tok
-
-    def expect_keyword(self, word: str):
-        tok = self.peek()
-        if tok is None or tok[0] != "word" or tok[1].upper() != word:
-            self._err(f"expected {word}", expected=word)
-        self.pos += 1
-
-    def expect_punct(self, ch: str):
-        tok = self.peek()
-        if tok is None or tok[0] != "punct" or tok[1] != ch:
-            self._err(f"expected {ch!r}", expected=ch)
-        self.pos += 1
-
-    def identifier(self, what: str) -> str:
-        tok = self.peek()
-        if tok is None or tok[0] not in ("word", "dquote", "backtick", "bracket"):
-            self._err(f"expected {what}")
-        self.pos += 1
-        return _unquote(tok[0], tok[1])
-
-    def skip_to_comma_or_close(self):
-        # Consume type/constraint tokens, balancing nested parens like NUMERIC(10,2).
-        depth = 0
-        while True:
-            tok = self.peek()
-            if tok is None:
-                self._err("expected ',' or ')'")
-            kind, text, _ = tok
-            if kind == "punct":
-                if text == "(":
-                    depth += 1
-                elif text == ")":
-                    if depth == 0:
-                        return
-                    depth -= 1
-                elif text == "," and depth == 0:
-                    return
-                elif text == ";":
-                    self._err("expected ',' or ')'")
-            self.pos += 1
-
-    def parse_create_table(self) -> TableSchema:
-        self.expect_keyword("CREATE")
-        self.expect_keyword("TABLE")
-        name = self.identifier("table name")
-        self.expect_punct("(")
-        headers = []
-        while True:
-            tok = self.peek()
-            if tok is None:
-                self._err("expected column definition")
-            if tok[0] == "word" and tok[1].upper() in _TABLE_CONSTRAINT_KEYWORDS:
-                self.skip_to_comma_or_close()
-            else:
-                headers.append(self.identifier("column name"))
-                self.skip_to_comma_or_close()
-            if self.take()[1] == ")":
-                break
-        if not headers:
-            self._err(f"table {name!r} defines no columns")
-        if self.peek() is not None:
-            self.expect_punct(";")
-        return TableSchema(name, tuple(headers))
+def _unquote(tok: str) -> str:
+    if tok[0] == '"':
+        return tok[1:-1].replace('""', '"')
+    if tok[0] in "`[":
+        return tok[1:-1]
+    return tok
 
 
 def parse_ddl(text: str, name: str = "database") -> DatabaseSchema:
@@ -187,16 +120,61 @@ def parse_ddl(text: str, name: str = "database") -> DatabaseSchema:
     if not text.strip():
         raise EmptyInput("DDL text")
     toks = _tokenize_ddl(text)
-    if not toks:
+    if not toks[0]:
         raise EmptyInput("DDL text")
-    parser = _DdlParser(text, toks)
     tables = []
-    while parser.peek() is not None:
-        tables.append(parser.parse_create_table())
-        # tolerate a trailing semicolon after the last statement
-        tok = parser.peek()
-        if tok is not None and tok[:2] == ("punct", ";"):
-            parser.pos += 1
+    i = 0
+    while toks[i]:
+        if toks[i].upper() != "CREATE":
+            raise _parse_error(text, toks, i, "expected CREATE", "CREATE")
+        if toks[i + 1].upper() != "TABLE":
+            raise _parse_error(text, toks, i + 1, "expected TABLE", "TABLE")
+        if toks[i + 2][:1] not in _NAME_START:
+            raise _parse_error(text, toks, i + 2, "expected table name")
+        table = _unquote(toks[i + 2])
+        if toks[i + 3] != "(":
+            raise _parse_error(text, toks, i + 3, "expected '('", "(")
+        i += 4
+        headers = []
+        while True:
+            tok = toks[i]
+            if not tok:
+                raise _parse_error(text, toks, i, "expected column definition")
+            if tok.upper() not in _TABLE_CONSTRAINT_KEYWORDS:
+                if tok[0] not in _NAME_START:
+                    raise _parse_error(text, toks, i, "expected column name")
+                headers.append(_unquote(tok))
+                i += 1
+            # Skip type and constraint tokens, balancing nested parens like
+            # NUMERIC(10,2), up to the ',' or ')' that ends the definition.
+            depth = 0
+            while True:
+                tok = toks[i]
+                if tok == ",":
+                    if not depth:
+                        break
+                elif tok == ")":
+                    if not depth:
+                        break
+                    depth -= 1
+                elif tok == "(":
+                    depth += 1
+                elif tok == ";" or not tok:
+                    raise _parse_error(text, toks, i, "expected ',' or ')'")
+                i += 1
+            i += 1
+            if tok == ")":
+                break
+        if not headers:
+            raise _parse_error(text, toks, i, f"table {table!r} defines no columns")
+        tables.append(TableSchema(table, tuple(headers)))
+        if toks[i]:
+            if toks[i] != ";":
+                raise _parse_error(text, toks, i, "expected ';'", ";")
+            i += 1
+            # a doubled ';' is tolerated
+            if toks[i] == ";":
+                i += 1
     return DatabaseSchema(name, tuple(tables))
 
 

@@ -225,11 +225,12 @@ def _urllib_transport(url, payload, headers, timeout):
 class HttpChatClient:
     """Client for POST <endpoint>/chat/completions with bearer auth.
 
-    Transport failures and timeouts are retried with exponential backoff
-    plus jitter, up to max_retries extra attempts; HTTP error statuses are
-    not retried, and a reply without string content is an ApiError. The
-    credential is read from the environment variable named by the config
-    and never logged.
+    Transport failures, timeouts and HTTP 429 and 5xx replies are retried
+    with exponential backoff plus jitter, up to max_retries extra attempts.
+    If the last attempt still gets such a reply, it is an ApiError with that
+    status and body. Other error statuses are not retried, and a reply
+    without string content is an ApiError. The credential is read from the
+    environment variable named by the config and never logged.
     """
 
     backoff_base = 0.5
@@ -264,15 +265,18 @@ class HttpChatClient:
         start = time.perf_counter()
         attempts = self.config.max_retries + 1
         for attempt in range(attempts):
+            if attempt:
+                delay = min(self.backoff_cap, self.backoff_base * 2 ** (attempt - 1))
+                time.sleep(delay * (1 + random.random() * 0.25))
             try:
                 status, body = self._transport(url, payload, headers,
                                                self.config.timeout)
-                break
             except (TransportError, Timeout):
                 if attempt + 1 >= attempts:
                     raise
-                delay = min(self.backoff_cap, self.backoff_base * 2 ** attempt)
-                time.sleep(delay * (1 + random.random() * 0.25))
+                continue
+            if status != 429 and not 500 <= status <= 599:
+                break
         latency_ms = (time.perf_counter() - start) * 1000.0
         if not 200 <= status < 300:
             raise ApiError(status, body)
@@ -306,7 +310,10 @@ class MockChatClient:
 
     @classmethod
     def from_file(cls, path) -> "MockChatClient":
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        try:
+            data = json.loads(Path(path).read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"mock script is not valid JSON: {exc}") from exc
         if not isinstance(data, list):
             raise ConfigError("mock script must be a JSON array of records")
         return cls(data)

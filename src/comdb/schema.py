@@ -163,15 +163,21 @@ def validate_schema(schema: DatabaseSchema) -> ValidatedSchema:
         if key in seen_tables:
             raise DuplicateTable(table.name)
         seen_tables.add(key)
-        if not table.headers:
+        headers = table.headers
+        if not headers:
             raise EmptyTable(table.name)
-        seen_headers = set()
-        for header in table.headers:
-            _check_name("header", header)
-            key = normalize_header(header)
-            if key in seen_headers:
-                raise DuplicateHeader(table.name, header)
-            seen_headers.add(key)
+        # One test over all headers; only a table that fails it is walked
+        # header by header, to name the first offender.
+        joined = "".join(headers)
+        if ("" in headers or "\n" in joined or "\r" in joined
+                or len(set(map(normalize_header, headers))) < len(headers)):
+            seen_headers = set()
+            for header in headers:
+                _check_name("header", header)
+                key = normalize_header(header)
+                if key in seen_headers:
+                    raise DuplicateHeader(table.name, header)
+                seen_headers.add(key)
     return ValidatedSchema(schema)
 
 

@@ -152,6 +152,32 @@ def test_run_bad_flag_usage():
     assert excinfo.value.code == 2
 
 
+@pytest.mark.parametrize("flag", ["--table-a", "--table-b"])
+def test_run_unknown_table_is_an_error(capsys, flag):
+    rc = main(["run", "--task", "integration", flag, "nope",
+               "--mock", fx(bundled.INTEGRATION_MOCK),
+               "--gold", fx(bundled.PATIENTS_GOLD_MAP)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {flag} references unknown table 'nope'\n"
+
+
+def test_run_zero_workers_is_usage_error():
+    with pytest.raises(SystemExit) as excinfo:
+        main(["run", "--task", "integration", "--workers", "0",
+              "--mock", fx(bundled.INTEGRATION_MOCK),
+              "--gold", fx(bundled.PATIENTS_GOLD_MAP)])
+    assert excinfo.value.code == 2
+
+
+def test_run_mock_not_json_is_an_error(tmp_path, capsys):
+    mock = tmp_path / "bad.mockjson"
+    mock.write_text("[{bad")
+    rc = main(["run", "--task", "integration", "--mock", str(mock),
+               "--gold", fx(bundled.PATIENTS_GOLD_MAP)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: mock script is not valid JSON: ")
+
+
 def test_validate_sql_flawed(tmp_path, capsys):
     db = tmp_path / "hospital.db"
     main(["ingest", fx(bundled.SYNTHEA_DDL), "--to", "db", "--out", str(db)])
@@ -209,6 +235,15 @@ def test_report_command(tmp_path, capsys):
     rc = main(["report", str(out)])
     assert rc == 0
     assert "semantic-integration / with-context:" in capsys.readouterr().out
+
+
+def test_report_not_json_is_an_error(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("{bad\n"))
+    rc = main(["report"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: report is not valid JSON: ")
 
 
 def test_run_is_deterministic(tmp_path):

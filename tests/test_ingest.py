@@ -1,4 +1,5 @@
 import random
+import re
 import sqlite3
 
 import pytest
@@ -22,6 +23,7 @@ from comdb.ingest import (
     render_annotations,
     render_fixture,
 )
+from comdb.schema import DatabaseSchema, TableSchema
 from comdb import fixtures as bundled
 
 from conftest import rand_annotations, rand_schema
@@ -137,6 +139,97 @@ def test_parse_ddl_empty_input():
 def test_parse_ddl_no_columns():
     with pytest.raises(ParseError):
         parse_ddl("CREATE TABLE t ();")
+
+
+# --- DDL rendered from random schemas, for round-trip and totality ---
+
+_BARE_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+_CONSTRAINT_WORDS = {"PRIMARY", "FOREIGN", "UNIQUE", "CHECK", "CONSTRAINT"}
+_COLUMN_TAILS = ["", "TEXT", "int", "NUMERIC(10,2)", "DECIMAL ( 10 , 2 ) NOT NULL",
+                 "VARCHAR(255) DEFAULT 'a, b'", "INTEGER PRIMARY KEY",
+                 "REAL CHECK (x > 0.5 AND (y < 2))", "TEXT REFERENCES other(Id)"]
+_TABLE_CONSTRAINTS = ["PRIMARY KEY (a, b)", "unique (x)", "CHECK (length(x) > 0)",
+                      "FOREIGN KEY (b) REFERENCES other(x, y)",
+                      "CONSTRAINT pk PRIMARY KEY (a)"]
+_SEPARATORS = [" ", "  ", "\n", "\t", "\r\n", " -- note, with ( and ;\n", "\n-- c\n  "]
+
+
+def _quote_ddl_name(rng, name):
+    styles = ['"', "`", "["]
+    if _BARE_NAME.match(name) and name.upper() not in _CONSTRAINT_WORDS:
+        styles.append("")
+    style = rng.choice(styles)
+    if style == '"':
+        return '"' + name.replace('"', '""') + '"'
+    if style == "`":
+        return f"`{name}`"
+    if style == "[":
+        return f"[{name}]"
+    return name
+
+
+def _render_ddl(rng, schema):
+    def sep():
+        return rng.choice(_SEPARATORS)
+
+    parts = [rng.choice(["", "-- generated\n", "\n  "])]
+    for table in schema.tables:
+        defs = [_quote_ddl_name(rng, h) + sep() + rng.choice(_COLUMN_TAILS)
+                for h in table.headers]
+        for _ in range(rng.randint(0, 2)):
+            defs.insert(rng.randint(0, len(defs)), rng.choice(_TABLE_CONSTRAINTS))
+        parts.append(rng.choice(["CREATE", "create", "Create"]) + sep()
+                     + rng.choice(["TABLE", "table"]) + sep()
+                     + _quote_ddl_name(rng, table.name) + sep() + "(" + sep()
+                     + ("," + sep()).join(defs) + sep() + ")"
+                     + rng.choice([";", sep() + ";", ";;"]) + sep())
+    if rng.random() < 0.5:
+        parts[-1] = parts[-1].rstrip().rstrip(";")
+    return "".join(parts)
+
+
+def _with_quotes(rng, schema):
+    """Put a double quote into some names, so "" escapes are exercised."""
+    def maybe(name):
+        if rng.random() < 0.2:
+            cut = rng.randrange(len(name) + 1)
+            return name[:cut] + '"' + name[cut:]
+        return name
+
+    return DatabaseSchema(schema.name, tuple(
+        TableSchema(maybe(t.name), tuple(maybe(h) for h in t.headers))
+        for t in schema.tables))
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+def test_ddl_round_trip(seed):
+    rng = random.Random(seed)
+    schema = _with_quotes(rng, rand_schema(rng))
+    text = _render_ddl(rng, schema)
+    assert parse_ddl(text, name=schema.name) == schema
+
+
+_DDL_PIECES = ["CREATE", "TABLE", "table", "t", "a_1", '"q ""x"""', '"a\nb"', "`b t`",
+               "[b r]", "'s''t'", "42", "1.5", "(", ")", ",", ";", "INT", "NUMERIC(10,2)",
+               "PRIMARY KEY (a)", "-- c\n", "--", " ", "\n", "\t", "$x", "é", '"', "'",
+               "`", "[", "]", "-"]
+
+
+@given(st.one_of(st.text(), st.lists(st.sampled_from(_DDL_PIECES)).map("".join)))
+def test_parse_ddl_total(text):
+    try:
+        schema = parse_ddl(text)
+    except EmptyInput:
+        return
+    except ParseError as err:
+        lines = text.split("\n")
+        assert 1 <= err.line <= len(lines)
+        if str(err).endswith("found end of input"):
+            assert 1 <= err.col <= len(text) + 1
+        else:
+            assert 1 <= err.col <= len(lines[err.line - 1])
+        return
+    assert schema.tables and all(t.headers for t in schema.tables)
 
 
 def test_parse_fixture_patients():

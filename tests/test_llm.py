@@ -231,6 +231,52 @@ def test_http_client_retry_then_success(patient_tables, api_key, monkeypatch):
     assert len(attempts) == 3
 
 
+def _status_transport(*replies):
+    """Answer each call with the next (status, body) pair, then 200."""
+    ok = _ok_transport("recovered")
+    calls = []
+
+    def transport(url, payload, headers, timeout):
+        calls.append(1)
+        if len(calls) <= len(replies):
+            return replies[len(calls) - 1]
+        return ok(url, payload, headers, timeout)
+
+    transport.calls = calls
+    return transport
+
+
+def test_http_client_retries_server_error(patient_tables, api_key, monkeypatch):
+    delays = []
+    monkeypatch.setattr("comdb.llm.time.sleep", delays.append)
+    transport = _status_transport((503, "unavailable"))
+    client = HttpChatClient(make_config(max_retries=2), transport=transport)
+    assert client.complete(simple_bundle(patient_tables)).raw_text == "recovered"
+    assert len(transport.calls) == 2
+    assert len(delays) == 1 and 0.5 <= delays[0] <= 0.5 * 1.25
+
+
+def test_http_client_rate_limited_every_attempt(patient_tables, api_key, monkeypatch):
+    monkeypatch.setattr("comdb.llm.time.sleep", lambda s: None)
+    transport = _status_transport((429, "slow down 1"), (429, "slow down 2"),
+                                  (429, "slow down 3"))
+    client = HttpChatClient(make_config(max_retries=2), transport=transport)
+    with pytest.raises(ApiError) as excinfo:
+        client.complete(simple_bundle(patient_tables))
+    assert (excinfo.value.status, excinfo.value.body) == (429, "slow down 3")
+    assert len(transport.calls) == 3
+
+
+def test_http_client_client_error_not_retried(patient_tables, api_key, monkeypatch):
+    monkeypatch.setattr("comdb.llm.time.sleep", lambda s: None)
+    transport = _status_transport((400, "bad request"))
+    client = HttpChatClient(make_config(max_retries=2), transport=transport)
+    with pytest.raises(ApiError) as excinfo:
+        client.complete(simple_bundle(patient_tables))
+    assert excinfo.value.status == 400
+    assert len(transport.calls) == 1
+
+
 def test_http_client_malformed_body(patient_tables, api_key):
     def transport(url, payload, headers, timeout):
         return 200, "not json"

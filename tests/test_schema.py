@@ -16,6 +16,7 @@ from comdb.errors import (
     UnknownHeader,
     UnknownTable,
 )
+from comdb.mapping import normalize_header
 from comdb.schema import (
     ContextRelation,
     DatabaseSchema,
@@ -189,6 +190,34 @@ def test_validation_soundness(seed):
     for t in validated.tables:
         assert t.headers
         assert len(set(t.headers)) == len(t.headers)
+
+
+def _first_bad_header(table):
+    """The per-header walk validate_schema does without its bulk test."""
+    seen = set()
+    for header in table.headers:
+        if not header or "\n" in header or "\r" in header:
+            return InvalidName, header
+        key = normalize_header(header)
+        if key in seen:
+            return DuplicateHeader, header
+        seen.add(key)
+    return None
+
+
+@given(headers=st.lists(st.sampled_from(
+    ["Id", "ID", " id", "Name", "name ", "", "a\nb", "c\r", "Zip", "ZİP", "ß", "SS"]),
+    min_size=1, max_size=6))
+def test_bulk_header_check_names_first_offender(headers):
+    t = table("t", *headers)
+    want = _first_bad_header(t)
+    if want is None:
+        assert validate_schema(DatabaseSchema("x", (t,))).tables == (t,)
+        return
+    with pytest.raises(want[0]) as excinfo:
+        validate_schema(DatabaseSchema("x", (t,)))
+    err = excinfo.value
+    assert (err.header if want[0] is DuplicateHeader else err.name) == want[1]
 
 
 def test_table_lookup_is_exact(synthea_schema):
