@@ -39,11 +39,11 @@ from .llm import (
     ClientConfig,
     HttpChatClient,
     LLMResponse,
-    Message,
     MockChatClient,
     PromptBundle,
     build_integration_prompt,
     build_join_prompt,
+    build_prompt,
     extract_sql,
     parse_mapping_response,
 )

@@ -28,8 +28,7 @@ from .llm import (
     ClientConfig,
     HttpChatClient,
     MockChatClient,
-    build_integration_prompt,
-    build_join_prompt,
+    build_prompt,
 )
 from .mapping import parse_map_text
 from .nl import ALPHABETICAL, INPUT_ORDER, StyleFlags, emit_base_schema, emit_contextual_schema
@@ -104,46 +103,35 @@ def cmd_emit(args) -> int:
     return 0
 
 
-def _task_fixtures(args, default_schema: str, default_ctx: str):
-    """The validated schema and annotations named by --schema and --ctx,
-    or the bundled defaults given."""
+def _task_inputs(args) -> dict:
+    """The validated schema, annotations, tables and goal named by --schema,
+    --ctx, --table-a, --table-b and --goal (or the task's bundled
+    fixtures), as the keyword arguments of build_prompt and run_experiment."""
+    integration = _TASKS[args.task] == TASK_INTEGRATION
+    default_schema, default_ctx = ((fixtures.PATIENTS_SCHEMA, fixtures.PATIENTS_CONTEXT)
+                                   if integration else
+                                   (fixtures.SYNTHEA_SCHEMA, fixtures.SYNTHEA_CONTEXT))
     schema_path = args.schema or fixtures.fixture_path(default_schema)
     ctx_path = args.ctx or fixtures.fixture_path(default_ctx)
     schema = validate_schema(_load_schema_file(str(schema_path), args.schema_format))
     ann = validate_annotations(parse_annotations(_read_text(str(ctx_path))), schema)
-    return schema, ann
-
-
-def _integration_fixtures(args):
-    schema, ann = _task_fixtures(args, fixtures.PATIENTS_SCHEMA, fixtures.PATIENTS_CONTEXT)
-    names = [t.name for t in schema.tables]
-    name_a = args.table_a or names[0]
-    name_b = args.table_b or names[1 if len(names) > 1 else 0]
-    for flag, name in (("--table-a", name_a), ("--table-b", name_b)):
-        if not schema.has_table(name):
-            raise UnknownTable(name, flag)
-    return schema.table(name_a), schema.table(name_b), ann
-
-
-def _joining_fixtures(args):
-    return _task_fixtures(args, fixtures.SYNTHEA_SCHEMA, fixtures.SYNTHEA_CONTEXT)
+    inputs = dict(annotations=ann, schema=schema, goal=args.goal,
+                  table_a=None, table_b=None)
+    if integration:
+        names = [t.name for t in schema.tables]
+        name_a = args.table_a or names[0]
+        name_b = args.table_b or names[1 if len(names) > 1 else 0]
+        for flag, name in (("--table-a", name_a), ("--table-b", name_b)):
+            if not schema.has_table(name):
+                raise UnknownTable(name, flag)
+        inputs.update(table_a=schema.table(name_a), table_b=schema.table(name_b))
+    return inputs
 
 
 def cmd_prompt(args) -> int:
-    task = _TASKS[args.task]
     arm = WITH_CONTEXT if args.arm == "with" else WITHOUT_CONTEXT
-    if task == TASK_INTEGRATION:
-        table_a, table_b, ann = _integration_fixtures(args)
-        bundle = build_integration_prompt(
-            table_a, table_b, ann if arm == WITH_CONTEXT else None, arm, _style(args))
-    else:
-        schema, ann = _joining_fixtures(args)
-        bundle = build_join_prompt(
-            schema, ann if arm == WITH_CONTEXT else None, args.goal, arm, _style(args))
-    for message in bundle.messages:
-        if len(bundle.messages) > 1:
-            print(f"[{message.role}]")
-        print(message.content)
+    print(build_prompt(_TASKS[args.task], arm, style=_style(args),
+                       **_task_inputs(args)).user_text)
     return 0
 
 
@@ -159,27 +147,27 @@ def cmd_run(args) -> int:
     if args.mock:
         client = MockChatClient.from_file(args.mock)
     else:
-        client = HttpChatClient(ClientConfig(
-            endpoint_url=args.endpoint, model=args.model,
-            temperature=args.temperature, timeout=args.timeout,
-            max_retries=args.max_retries, api_key_source=args.api_key_env))
-
-    kwargs = dict(arms=_ARM_CHOICES[args.arm], repetitions=args.n,
-                  client_factory=lambda: client, style=_style(args),
-                  workers=args.workers)
+        try:
+            config = ClientConfig(
+                endpoint_url=args.endpoint, model=args.model,
+                temperature=args.temperature, timeout=args.timeout,
+                max_retries=args.max_retries, api_key_source=args.api_key_env)
+        except ConfigError as exc:
+            args.parser.error(str(exc))
+        client = HttpChatClient(config)
+    if task == TASK_INTEGRATION and not args.gold:
+        args.parser.error("--gold is required for --task integration")
+    if task == TASK_JOINING and not args.db:
+        args.parser.error("--db is required for --task joining")
+    inputs = _task_inputs(args)
+    gold = None
     if task == TASK_INTEGRATION:
-        if not args.gold:
-            args.parser.error("--gold is required for --task integration")
-        table_a, table_b, ann = _integration_fixtures(args)
-        gold = parse_map_text(_read_text(args.gold), table_a.name, table_b.name)
-        reports = run_experiment(task, table_a=table_a, table_b=table_b,
-                                 annotations=ann, gold=gold, **kwargs)
-    else:
-        if not args.db:
-            args.parser.error("--db is required for --task joining")
-        schema, ann = _joining_fixtures(args)
-        reports = run_experiment(task, schema=schema, annotations=ann,
-                                 database=args.db, goal=args.goal, **kwargs)
+        gold = parse_map_text(_read_text(args.gold), inputs["table_a"].name,
+                              inputs["table_b"].name)
+    reports = run_experiment(task, arms=_ARM_CHOICES[args.arm], repetitions=args.n,
+                             client_factory=lambda: client, gold=gold,
+                             database=args.db, style=_style(args),
+                             workers=args.workers, **inputs)
     _write_output(render_report(reports), args.out)
     return 0
 

@@ -40,9 +40,6 @@ class MappingScore:
     f1: float
 
 
-ZERO_SCORE = MappingScore(0, 0, 0, 0.0, 0.0, 0.0)
-
-
 def score_mapping(predicted: HeaderMapping, gold: HeaderMapping) -> MappingScore:
     """Exact-entry scoring: a predicted entry counts iff both its header
     sets equal a gold entry's sets after normalization. Partial overlap
@@ -222,39 +219,25 @@ def run_experiment(task: str, *,
         raise ConfigError("repetitions must be >= 1")
     if workers < 1:
         raise ConfigError("workers must be >= 1")
-    if task not in (llm.TASK_INTEGRATION, llm.TASK_JOINING):
-        raise ConfigError(f"unknown task {task!r}")
-    for arm in arms:
-        if arm not in llm.ARMS:
-            raise ConfigError(f"unknown arm {arm!r}")
+    connections = []
     if task == llm.TASK_INTEGRATION:
         if table_a is None or table_b is None:
             raise FixtureMissing("both tables for semantic integration")
         if gold is None:
             raise FixtureMissing("gold mapping for semantic integration")
-    else:
+        failure_score = MappingScore(0, len(gold.entries), 0, 0.0, 0.0, 0.0)
+
+        def judge(resp):
+            predicted = llm.parse_mapping_response(resp, table_a, table_b)
+            return {"ok": True, "score": score_mapping(predicted, gold),
+                    "mapping": predicted}
+    elif task == llm.TASK_JOINING:
         if schema is None:
             raise FixtureMissing("database schema for tables joining")
         if database is None:
             raise FixtureMissing("database file for tables joining")
         if not os.path.exists(os.fspath(database)):
             raise FixtureMissing(f"database file {database}")
-    if llm.WITH_CONTEXT in arms and annotations is None:
-        raise FixtureMissing("annotations for the with-context arm")
-
-    connections = []
-    if task == llm.TASK_INTEGRATION:
-        failure_score = MappingScore(0, len(gold.entries), 0, 0.0, 0.0, 0.0)
-
-        def build(arm, arm_annotations):
-            return llm.build_integration_prompt(table_a, table_b, arm_annotations,
-                                                arm, style)
-
-        def judge(resp):
-            predicted = llm.parse_mapping_response(resp, table_a, table_b)
-            return {"ok": True, "score": score_mapping(predicted, gold),
-                    "mapping": predicted}
-    else:
         failure_score = None
         local = threading.local()
 
@@ -266,9 +249,6 @@ def run_experiment(task: str, *,
                 connections.append(con)
             return con
 
-        def build(arm, arm_annotations):
-            return llm.build_join_prompt(schema, arm_annotations, goal, arm, style)
-
         def judge(resp):
             sql = llm.extract_sql(resp)
             try:
@@ -277,10 +257,15 @@ def run_experiment(task: str, *,
                 return {"ok": False, "error": str(exc), "sql": sql}
             return {"ok": report.success, "error": report.error_text, "sql": sql,
                     "sql_report": report}
+    else:
+        raise ConfigError(f"unknown task {task!r}")
+    if llm.WITH_CONTEXT in arms and annotations is None:
+        raise FixtureMissing("annotations for the with-context arm")
 
     prepared = []
     for arm in arms:
-        bundle = build(arm, annotations if arm == llm.WITH_CONTEXT else None)
+        bundle = llm.build_prompt(task, arm, annotations, style, table_a=table_a,
+                                  table_b=table_b, schema=schema, goal=goal)
         prepared.append((bundle, _sha256(bundle.user_text)))
 
     def one_run(job):
@@ -303,7 +288,7 @@ def run_experiment(task: str, *,
     for i, arm in enumerate(arms):
         arm_runs = runs[i * repetitions:(i + 1) * repetitions]
         aggregate = {"successRate": _mean(r.ok for r in arm_runs)}
-        if task == llm.TASK_INTEGRATION:
+        if arm_runs[0].score is not None:
             aggregate["meanPrecision"] = _mean(r.score.precision for r in arm_runs)
             aggregate["meanRecall"] = _mean(r.score.recall for r in arm_runs)
             aggregate["meanF1"] = _mean(r.score.f1 for r in arm_runs)
@@ -318,11 +303,11 @@ def report_payload(reports) -> dict:
         runs = []
         for run in report.runs:
             entry = {"ok": run.ok}
-            if report.task == llm.TASK_INTEGRATION:
-                score = run.score or ZERO_SCORE
-                entry["precision"] = score.precision
-                entry["recall"] = score.recall
-                entry["f1"] = score.f1
+            # An integration run always carries a score, failed runs too.
+            if run.score is not None:
+                entry["precision"] = run.score.precision
+                entry["recall"] = run.score.recall
+                entry["f1"] = run.score.f1
             else:
                 entry["sqlSuccess"] = run.ok
             if run.error is not None:
@@ -346,18 +331,22 @@ def render_report(reports) -> str:
 
 
 def render_summary(payload: dict) -> str:
-    """Short human-readable digest of a report payload."""
+    """Short human-readable digest of a report payload. Raises ConfigError
+    when the payload, read from outside, does not have a report's shape."""
     lines = []
-    for experiment in payload.get("experiments", []):
-        agg = experiment.get("aggregate", {})
-        parts = [f"{experiment['task']} / {experiment['arm']}:",
-                 f"n={experiment['n']}",
-                 f"successRate={agg.get('successRate', 0.0):.2f}"]
-        if "meanRecall" in agg:
-            parts.append(f"precision={agg['meanPrecision']:.2f}")
-            parts.append(f"recall={agg['meanRecall']:.2f}")
-            parts.append(f"f1={agg['meanF1']:.2f}")
-        lines.append(" ".join(parts))
+    try:
+        for experiment in payload.get("experiments", []):
+            agg = experiment.get("aggregate", {})
+            parts = [f"{experiment['task']} / {experiment['arm']}:",
+                     f"n={experiment['n']}",
+                     f"successRate={agg.get('successRate', 0.0):.2f}"]
+            if "meanRecall" in agg:
+                parts.append(f"precision={agg['meanPrecision']:.2f}")
+                parts.append(f"recall={agg['meanRecall']:.2f}")
+                parts.append(f"f1={agg['meanF1']:.2f}")
+            lines.append(" ".join(parts))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"not a comdb report: {type(exc).__name__}: {exc}") from exc
     if not lines:
         return "no experiments\n"
     return "\n".join(lines) + "\n"

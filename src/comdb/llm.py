@@ -4,8 +4,11 @@ Two tasks are supported. Semantic integration asks the model to match
 headers between two tables; tables joining asks it to write a SQL query
 over the whole database. Each task builds in two arms: with-context
 prompts include the contextual (context-of) sentences, without-context
-prompts carry the bare header lists only. Prompts are pure functions of
-schema + annotations + fixed task text, so they can never leak row data.
+prompts carry the bare header lists only. build_prompt is the one place
+that picks a task's builder and keeps the annotations from the
+without-context arm. A prompt is one text, sent as the single user
+message. Prompts are pure functions of schema + annotations + fixed task
+text, so they can never leak row data.
 
 Clients are pluggable: HttpChatClient speaks the common JSON
 chat-completions protocol, MockChatClient replays a scripted response per
@@ -79,27 +82,11 @@ SQL_DIRECTIVE = (
 
 
 @dataclass(frozen=True)
-class Message:
-    role: str
-    content: str
-
-
-@dataclass(frozen=True)
 class PromptBundle:
     task: str
     arm: str
-    messages: tuple[Message, ...]
+    user_text: str
     format_directive: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "messages", tuple(self.messages))
-
-    @property
-    def user_text(self) -> str:
-        for message in self.messages:
-            if message.role == "user":
-                return message.content
-        return ""
 
 
 @dataclass(frozen=True)
@@ -136,18 +123,9 @@ def _pair_schema(table_a: TableSchema, table_b: TableSchema) -> ValidatedSchema:
     return validate_schema(DatabaseSchema("pair", (table_a, table_b)))
 
 
-def _messages(user_content: str, system: str) -> tuple[Message, ...]:
-    messages = []
-    if system:
-        messages.append(Message("system", system))
-    messages.append(Message("user", user_content))
-    return tuple(messages)
-
-
 def build_integration_prompt(table_a: TableSchema, table_b: TableSchema,
                              ann: ValidatedAnnotations | None, arm: str,
-                             style: StyleFlags = DEFAULT_STYLE,
-                             system: str = "") -> PromptBundle:
+                             style: StyleFlags = DEFAULT_STYLE) -> PromptBundle:
     """Header lists for both tables, optional header-group sentences, the
     matching task sentence, then the output-format directive."""
     _check_arm(arm)
@@ -165,14 +143,12 @@ def build_integration_prompt(table_a: TableSchema, table_b: TableSchema,
     parts.append(INTEGRATION_TASK_TEMPLATE.format(a=table_a.name, b=table_b.name))
     directive = MAPPING_DIRECTIVE_TEMPLATE.format(a=table_a.name, b=table_b.name)
     parts.append(directive)
-    return PromptBundle(TASK_INTEGRATION, arm, _messages("\n".join(parts), system),
-                        directive)
+    return PromptBundle(TASK_INTEGRATION, arm, "\n".join(parts), directive)
 
 
 def build_join_prompt(schema: ValidatedSchema, ann: ValidatedAnnotations | None,
                       goal: str = DEFAULT_JOIN_GOAL, arm: str = WITH_CONTEXT,
-                      style: StyleFlags = DEFAULT_STYLE,
-                      system: str = "") -> PromptBundle:
+                      style: StyleFlags = DEFAULT_STYLE) -> PromptBundle:
     """Whole-database header listing in alphabetical order, optional
     contextual sentences, the goal sentence, then the SQL directive."""
     _check_arm(arm)
@@ -188,8 +164,22 @@ def build_join_prompt(schema: ValidatedSchema, ann: ValidatedAnnotations | None,
         parts.append(context_text)
     parts.append(goal)
     parts.append(SQL_DIRECTIVE)
-    return PromptBundle(TASK_JOINING, arm, _messages("\n".join(parts), system),
-                        SQL_DIRECTIVE)
+    return PromptBundle(TASK_JOINING, arm, "\n".join(parts), SQL_DIRECTIVE)
+
+
+def build_prompt(task: str, arm: str, annotations: ValidatedAnnotations | None,
+                 style: StyleFlags, *, table_a: TableSchema | None,
+                 table_b: TableSchema | None, schema: ValidatedSchema | None,
+                 goal: str) -> PromptBundle:
+    """The prompt for one task and arm, from the task's builder. The
+    without-context arm never sees the annotations."""
+    if arm != WITH_CONTEXT:
+        annotations = None
+    if task == TASK_INTEGRATION:
+        return build_integration_prompt(table_a, table_b, annotations, arm, style)
+    if task == TASK_JOINING:
+        return build_join_prompt(schema, annotations, goal, arm, style)
+    raise ConfigError(f"unknown task {task!r}")
 
 
 class ChatClient(Protocol):
@@ -258,8 +248,7 @@ class HttpChatClient:
         url = self.config.endpoint_url.rstrip("/") + "/chat/completions"
         payload = {
             "model": self.config.model,
-            "messages": [{"role": m.role, "content": m.content}
-                         for m in bundle.messages],
+            "messages": [{"role": "user", "content": bundle.user_text}],
             "temperature": self.config.temperature,
         }
         start = time.perf_counter()

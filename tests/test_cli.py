@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 
@@ -126,6 +127,24 @@ def test_run_joining(tmp_path):
     assert arms["without-context"]["successRate"] == 0.0
 
 
+@pytest.mark.parametrize("task", ["integration", "joining"])
+@pytest.mark.parametrize("arm", ["with", "without"])
+def test_prompt_is_the_prompt_run_sends(tmp_path, capsys, task, arm):
+    db = tmp_path / "hospital.db"
+    main(["ingest", fx(bundled.SYNTHEA_DDL), "--to", "db", "--out", str(db)])
+    assert main(["prompt", "--task", task, "--arm", arm]) == 0
+    printed = capsys.readouterr().out
+    assert printed.endswith("\n")
+    out = tmp_path / "report.json"
+    mock = bundled.INTEGRATION_MOCK if task == "integration" else bundled.JOINING_MOCK
+    assert main(["run", "--task", task, "--arm", arm, "--n", "1", "--mock", fx(mock),
+                 "--gold", fx(bundled.PATIENTS_GOLD_MAP), "--db", str(db),
+                 "--out", str(out)]) == 0
+    [experiment] = json.loads(out.read_text())["experiments"]
+    digest = hashlib.sha256(printed[:-1].encode("utf-8")).hexdigest()
+    assert experiment["runs"][0]["promptSha256"] == digest
+
+
 def test_run_joining_requires_db():
     with pytest.raises(SystemExit) as excinfo:
         main(["run", "--task", "joining", "--mock", fx(bundled.JOINING_MOCK)])
@@ -167,6 +186,19 @@ def test_run_zero_workers_is_usage_error():
               "--mock", fx(bundled.INTEGRATION_MOCK),
               "--gold", fx(bundled.PATIENTS_GOLD_MAP)])
     assert excinfo.value.code == 2
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--max-retries", "-1", "max_retries must be >= 0"),
+    ("--timeout", "0", "timeout must be positive"),
+    ("--temperature", "-1", "temperature must be >= 0"),
+], ids=["max-retries", "timeout", "temperature"])
+def test_run_bad_client_setting_is_usage_error(capsys, flag, value, message):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["run", "--task", "integration", "--endpoint", "http://127.0.0.1:9",
+              "--gold", fx(bundled.PATIENTS_GOLD_MAP), flag, value])
+    assert excinfo.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: {message}\n")
 
 
 def test_run_mock_not_json_is_an_error(tmp_path, capsys):
@@ -244,6 +276,21 @@ def test_report_not_json_is_an_error(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: report is not valid JSON: ")
+
+
+@pytest.mark.parametrize("text, cause", [
+    ("[]", "AttributeError"),
+    ('{"experiments": [{}]}', "KeyError: 'task'"),
+    ('{"experiments": [{"task": "t", "arm": "a", "n": 1,'
+     ' "aggregate": {"successRate": "high"}}]}', "ValueError"),
+], ids=["list", "experiment-without-keys", "string-rate"])
+def test_report_not_a_report_is_an_error(capsys, monkeypatch, text, cause):
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    rc = main(["report"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: not a comdb report: {cause}")
 
 
 def test_run_is_deterministic(tmp_path):

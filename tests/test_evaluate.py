@@ -31,6 +31,8 @@ from comdb.llm import (
 from comdb.ingest import open_readonly
 from comdb.mapping import HeaderMapping, MappingEntry, parse_map_text
 
+from conftest import data_text
+
 FLAWED_JOIN = """\
 SELECT careplans.Id, providers.NAME
 FROM careplans
@@ -330,6 +332,13 @@ def test_run_unknown_task():
         run_experiment("guessing", repetitions=1, client_factory=lambda: None)
 
 
+def test_run_unknown_arm(patient_tables, patient_annotations, gold_mapping):
+    with pytest.raises(ConfigError, match="unknown arm 'sideways'"):
+        run_integration(patient_tables, patient_annotations, gold_mapping,
+                        arms=(WITH_CONTEXT, "sideways"), repetitions=1,
+                        client_factory=lambda: pytest.fail("a repetition ran"))
+
+
 def test_run_missing_gold(patient_tables, patient_annotations):
     table_a, table_b = patient_tables
     with pytest.raises(FixtureMissing):
@@ -506,6 +515,18 @@ def test_report_payload_shapes(patient_tables, patient_annotations, gold_mapping
     assert "sqlSuccess" in joining["runs"][0]
     # deterministic serialization
     assert render_report(reports) == render_report(reports)
+
+
+def test_render_report_golden(patient_tables, patient_annotations, gold_mapping,
+                              synthea_schema, synthea_annotations, fixture_db):
+    reports = run_integration(patient_tables, patient_annotations, gold_mapping,
+                              repetitions=3)
+    reports += run_experiment(
+        TASK_JOINING, repetitions=3,
+        client_factory=_mock_factory(bundled.JOINING_MOCK),
+        schema=synthea_schema, annotations=synthea_annotations,
+        database=fixture_db)
+    assert render_report(reports) == data_text("mock_report_n3.json")
 
 
 def test_render_summary(patient_tables, patient_annotations, gold_mapping):

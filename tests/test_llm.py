@@ -78,16 +78,6 @@ def test_integration_prompt_requires_annotations(patient_tables):
         build_integration_prompt(table_a, table_b, None, WITH_CONTEXT)
 
 
-def test_exactly_one_user_message(patient_tables, patient_annotations):
-    table_a, table_b = patient_tables
-    bundle = build_integration_prompt(table_a, table_b, patient_annotations,
-                                      WITH_CONTEXT)
-    assert [m.role for m in bundle.messages] == ["user"]
-    bundle = build_integration_prompt(table_a, table_b, patient_annotations,
-                                      WITH_CONTEXT, system="Be terse.")
-    assert [m.role for m in bundle.messages] == ["system", "user"]
-
-
 def test_join_prompt_with_context(synthea_schema, synthea_annotations):
     bundle = build_join_prompt(synthea_schema, synthea_annotations,
                                arm=WITH_CONTEXT)
