@@ -30,7 +30,7 @@ from .llm import (
     MockChatClient,
     build_prompt,
 )
-from .mapping import parse_map_text
+from .mapping import normalize_header, parse_map_text
 from .nl import ALPHABETICAL, INPUT_ORDER, StyleFlags, emit_base_schema, emit_contextual_schema
 from .schema import validate_annotations, validate_schema
 
@@ -124,6 +124,9 @@ def _task_inputs(args) -> dict:
         for flag, name in (("--table-a", name_a), ("--table-b", name_b)):
             if not schema.has_table(name):
                 raise UnknownTable(name, flag)
+        if name_a == name_b:
+            raise ConfigError(f"--table-a and --table-b both name {name_a!r}; "
+                              "integration needs two different tables")
         inputs.update(table_a=schema.table(name_a), table_b=schema.table(name_b))
     return inputs
 
@@ -133,6 +136,22 @@ def cmd_prompt(args) -> int:
     print(build_prompt(_TASKS[args.task], arm, style=_style(args),
                        **_task_inputs(args)).user_text)
     return 0
+
+
+def _read_gold(path: str, table_a, table_b):
+    """The gold mapping from table_a to table_b. Each header must belong to
+    its side's table (compared as the scorer compares), so that a gold file
+    read the wrong way round is an error, not a low score."""
+    gold = parse_map_text(_read_text(path), table_a.name, table_b.name)
+    for side, flag, table, headers in (
+            ("left", "--table-a", table_a, [h for e in gold.entries for h in e.source_headers]),
+            ("right", "--table-b", table_b, [h for e in gold.entries for h in e.target_headers])):
+        known = {normalize_header(h) for h in table.headers}
+        for header in headers:
+            if normalize_header(header) not in known:
+                raise ConfigError(f"gold mapping {path}: {side}-side header {header!r} "
+                                  f"is not a header of {flag} table {table.name!r}")
+    return gold
 
 
 def cmd_run(args) -> int:
@@ -162,8 +181,7 @@ def cmd_run(args) -> int:
     inputs = _task_inputs(args)
     gold = None
     if task == TASK_INTEGRATION:
-        gold = parse_map_text(_read_text(args.gold), inputs["table_a"].name,
-                              inputs["table_b"].name)
+        gold = _read_gold(args.gold, inputs["table_a"], inputs["table_b"])
     reports = run_experiment(task, arms=_ARM_CHOICES[args.arm], repetitions=args.n,
                              client_factory=lambda: client, gold=gold,
                              database=args.db, style=_style(args),

@@ -11,14 +11,12 @@ across arms.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import re
 import sqlite3
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass
 
@@ -168,6 +166,8 @@ class ExperimentReport:
 
 
 def _sha256(text: str) -> str:
+    import hashlib  # loaded on first use, so ingest never pays for it
+
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
@@ -278,6 +278,8 @@ def run_experiment(task: str, *,
         if workers == 1:
             runs = [one_run(job) for job in jobs]
         else:
+            from concurrent.futures import ThreadPoolExecutor  # serial runs never load it
+
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 runs = list(pool.map(one_run, jobs))
     finally:

@@ -18,14 +18,12 @@ chat-completions protocol, MockChatClient replays a scripted response per
 from __future__ import annotations
 
 import functools
-import http.client
 import json
+import math
 import os
 import random
 import re
 import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Protocol
@@ -106,6 +104,11 @@ class ClientConfig:
     api_key_source: str = "COMDB_API_KEY"
 
     def __post_init__(self):
+        # NaN passes the range checks below, and json.dumps would send a
+        # NaN temperature as a bare NaN, which is not JSON.
+        for name in ("timeout", "temperature"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite")
         if self.timeout <= 0:
             raise ConfigError("timeout must be positive")
         if self.temperature < 0:
@@ -191,7 +194,13 @@ class ChatClient(Protocol):
 
 def _urllib_transport(url, payload, headers, timeout):
     """POST payload as JSON and return (status, body text) for any HTTP
-    reply, error statuses included, so that ApiError can carry the body."""
+    reply, error statuses included, so that ApiError can carry the body.
+    The HTTP stack is imported here, on first use, because only live runs
+    need it."""
+    import http.client
+    import urllib.error
+    import urllib.request
+
     data = json.dumps(payload).encode("utf-8")
     try:
         try:

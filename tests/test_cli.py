@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -180,6 +181,48 @@ def test_run_unknown_table_is_an_error(capsys, flag):
     assert capsys.readouterr().err == f"error: {flag} references unknown table 'nope'\n"
 
 
+@pytest.mark.parametrize("command", ["prompt", "run"])
+@pytest.mark.parametrize("one_table_schema", [False, True],
+                         ids=["same-flags", "one-table-schema"])
+def test_same_table_twice_is_an_error(tmp_path, capsys, command, one_table_schema):
+    if one_table_schema:
+        # With no --table-a/--table-b, both default to the only table.
+        (tmp_path / "one.schema").write_text("patients_A: Name, Gender\n")
+        (tmp_path / "one.ctx").write_text("")
+        tables = ["--schema", str(tmp_path / "one.schema"),
+                  "--ctx", str(tmp_path / "one.ctx")]
+    else:
+        tables = ["--table-a", "patients_A", "--table-b", "patients_A"]
+    argv = {"prompt": ["prompt", "--task", "integration"],
+            "run": ["run", "--task", "integration", "--mock", fx(bundled.INTEGRATION_MOCK),
+                    "--gold", fx(bundled.PATIENTS_GOLD_MAP)]}[command]
+    rc = main(argv + tables)
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: --table-a and --table-b both name 'patients_A'; "
+        "integration needs two different tables\n")
+
+
+@pytest.mark.parametrize("tables, gold, message", [
+    (["--table-a", "patients_B", "--table-b", "patients_A"], None,
+     "left-side header 'Name' is not a header of --table-a table 'patients_B'"),
+    ([], "Name -> FIRST\nGender -> SEX\n",
+     "right-side header 'SEX' is not a header of --table-b table 'patients_B'"),
+], ids=["tables-swapped", "unknown-right-header"])
+def test_run_gold_header_outside_its_table_is_an_error(tmp_path, capsys, tables, gold,
+                                                       message):
+    gold_path = fx(bundled.PATIENTS_GOLD_MAP)
+    if gold is not None:
+        gold_path = str(tmp_path / "gold.map")
+        Path(gold_path).write_text(gold)
+    rc = main(["run", "--task", "integration", "--mock", fx(bundled.INTEGRATION_MOCK),
+               "--gold", gold_path, *tables])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: gold mapping {gold_path}: {message}\n"
+
+
 def test_run_zero_workers_is_usage_error():
     with pytest.raises(SystemExit) as excinfo:
         main(["run", "--task", "integration", "--workers", "0",
@@ -192,7 +235,12 @@ def test_run_zero_workers_is_usage_error():
     ("--max-retries", "-1", "max_retries must be >= 0"),
     ("--timeout", "0", "timeout must be positive"),
     ("--temperature", "-1", "temperature must be >= 0"),
-], ids=["max-retries", "timeout", "temperature"])
+    ("--timeout", "nan", "timeout must be finite"),
+    ("--timeout", "inf", "timeout must be finite"),
+    ("--temperature", "nan", "temperature must be finite"),
+    ("--temperature", "inf", "temperature must be finite"),
+], ids=["max-retries", "timeout", "temperature", "timeout-nan", "timeout-inf",
+        "temperature-nan", "temperature-inf"])
 def test_run_bad_client_setting_is_usage_error(capsys, flag, value, message):
     with pytest.raises(SystemExit) as excinfo:
         main(["run", "--task", "integration", "--endpoint", "http://127.0.0.1:9",

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from comdb import fixtures as bundled, llm
+from comdb.cli import main as cli_main
 from comdb.errors import (
     ApiError,
     ConfigError,
@@ -305,10 +306,11 @@ class _Handler(BaseHTTPRequestHandler):
         pass
 
     def do_POST(self):
-        body = self.rfile.read(int(self.headers["Content-Length"]))
-        self.server.seen.append((self.path, self.headers["Authorization"],
-                                 json.loads(body)))
-        status, reply, delay = self.server.reply
+        payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        self.server.seen.append((self.path, self.headers["Authorization"], payload))
+        # server.reply is (status, body, delay) or a function of the payload.
+        reply = self.server.reply
+        status, reply, delay = reply(payload) if callable(reply) else reply
         time.sleep(delay)
         data = reply.encode("utf-8")
         self.send_response(status)
@@ -375,17 +377,74 @@ def test_default_transport_closed_port(patient_tables, monkeypatch, api_key):
         loopback_client(port).complete(simple_bundle(patient_tables))
 
 
-def test_import_loads_no_third_party_module():
+def src_env() -> dict:
+    """The environment for a fresh interpreter that imports comdb from src/."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+def test_import_loads_no_third_party_module():
     code = ("import sys; before = set(sys.modules); import comdb; "
             "print(*sorted(set(sys.modules) - before))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+    out = subprocess.run([sys.executable, "-c", code], env=src_env(), check=True,
                          capture_output=True, text=True).stdout
     loaded = {name.split(".")[0] for name in out.split()}
     assert "comdb" in loaded
     assert loaded - set(sys.stdlib_module_names) == {"comdb"}
+
+
+# Modules that only `comdb run` needs: the HTTP stack (which brings email
+# and ssl) for a live run, the thread pool (which brings logging) for more
+# than one worker, and hashlib for the report's hashes.
+_DEFERRED = ("http.client", "urllib.request", "email.parser", "ssl",
+             "concurrent.futures", "logging", "hashlib")
+
+
+def test_import_and_ingest_load_no_deferred_module(tmp_path):
+    code = ("import sys; before = set(sys.modules); import comdb.cli; "
+            "rc = comdb.cli.main(['ingest', sys.argv[1], '--to', 'db', '--out', sys.argv[2]]); "
+            "print(rc, *sorted(set(sys.modules) - before))")
+    proc = subprocess.run([sys.executable, "-c", code,
+                           str(bundled.fixture_path(bundled.SYNTHEA_DDL)),
+                           str(tmp_path / "synthea.db")],
+                          env=src_env(), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    rc, *loaded = proc.stdout.split()
+    assert rc == "0"
+    assert "comdb.cli" in loaded
+    assert sorted(set(_DEFERRED) & set(loaded)) == []
+
+
+@pytest.mark.parametrize("task", ["integration", "joining"])
+def test_live_run_in_fresh_interpreter_writes_the_mock_report(tmp_path, capsys,
+                                                              loopback, task):
+    """A live two-worker run in a fresh interpreter, where the HTTP stack
+    and the thread pool load on first use, against a server that replays
+    the bundled mock script, writes the --mock run's report byte for byte."""
+    mock = bundled.INTEGRATION_MOCK if task == "integration" else bundled.JOINING_MOCK
+    responses = {}
+    for record in json.loads(bundled.fixture_text(mock)):
+        arm = record["arm"].split("-")[0]  # "with" or "without"
+        assert cli_main(["prompt", "--task", task, "--arm", arm]) == 0
+        responses[capsys.readouterr().out[:-1]] = record["response"]
+    loopback.reply = lambda payload: (200, json.dumps({"choices": [{"message": {
+        "content": responses[payload["messages"][0]["content"]]}}]}), 0.0)
+    db = tmp_path / "synthea.db"
+    assert cli_main(["ingest", str(bundled.fixture_path(bundled.SYNTHEA_DDL)),
+                     "--to", "db", "--out", str(db)]) == 0
+    run = ["run", "--task", task, "--n", "3", "--db", str(db),
+           "--gold", str(bundled.fixture_path(bundled.PATIENTS_GOLD_MAP))]
+    assert cli_main(run + ["--mock", str(bundled.fixture_path(mock)),
+                           "--out", str(tmp_path / "mock.json")]) == 0
+    proc = subprocess.run([sys.executable, "-m", "comdb", *run, "--workers", "2",
+                           "--endpoint", f"http://127.0.0.1:{loopback.server_address[1]}",
+                           "--api-key-env", "TEST_LLM_KEY",
+                           "--out", str(tmp_path / "live.json")],
+                          env=src_env(), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert len(loopback.seen) == 6
+    assert (tmp_path / "live.json").read_bytes() == (tmp_path / "mock.json").read_bytes()
 
 
 def test_client_config_validation():
