@@ -17,7 +17,15 @@ from pathlib import Path
 from . import fixtures
 from .errors import ComdbError, ConfigError, UnknownTable
 from .evaluate import execute_sql, render_report, render_summary, run_experiment, score_mapping
-from .ingest import build_database, introspect_database, parse_annotations, parse_ddl, parse_fixture, render_fixture
+from .ingest import (
+    build_database,
+    introspect_database,
+    parse_annotations,
+    parse_ddl,
+    parse_fixture,
+    read_text,
+    render_fixture,
+)
 from .llm import (
     ARMS,
     DEFAULT_JOIN_GOAL,
@@ -40,10 +48,6 @@ _DB_SUFFIXES = {".db", ".sqlite", ".sqlite3"}
 _DDL_SUFFIXES = {".sql", ".ddl"}
 
 
-def _read_text(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
-
-
 def _load_schema_file(path: str, fmt: str = "auto"):
     if fmt == "auto":
         suffix = Path(path).suffix.lower()
@@ -56,8 +60,8 @@ def _load_schema_file(path: str, fmt: str = "auto"):
     if fmt == "db":
         return introspect_database(path)
     if fmt == "ddl":
-        return parse_ddl(_read_text(path), name=Path(path).stem)
-    return parse_fixture(_read_text(path), name=Path(path).stem)
+        return parse_ddl(read_text(path), name=Path(path).stem)
+    return parse_fixture(read_text(path), name=Path(path).stem)
 
 
 def _write_output(text: str, out: str | None):
@@ -96,7 +100,7 @@ def cmd_emit(args) -> int:
     schema = validate_schema(_load_schema_file(args.schema, args.schema_format))
     text = emit_base_schema(schema, args.order)
     if args.annotations:
-        ann = validate_annotations(parse_annotations(_read_text(args.annotations)),
+        ann = validate_annotations(parse_annotations(read_text(args.annotations)),
                                    schema)
         text += "\n" + emit_contextual_schema(ann, _style(args))
     _write_output(text, args.out)
@@ -114,7 +118,7 @@ def _task_inputs(args) -> dict:
     schema_path = args.schema or fixtures.fixture_path(default_schema)
     ctx_path = args.ctx or fixtures.fixture_path(default_ctx)
     schema = validate_schema(_load_schema_file(str(schema_path), args.schema_format))
-    ann = validate_annotations(parse_annotations(_read_text(str(ctx_path))), schema)
+    ann = validate_annotations(parse_annotations(read_text(str(ctx_path))), schema)
     inputs = dict(annotations=ann, schema=schema, goal=args.goal,
                   table_a=None, table_b=None)
     if integration:
@@ -142,7 +146,7 @@ def _read_gold(path: str, table_a, table_b):
     """The gold mapping from table_a to table_b. Each header must belong to
     its side's table (compared as the scorer compares), so that a gold file
     read the wrong way round is an error, not a low score."""
-    gold = parse_map_text(_read_text(path), table_a.name, table_b.name)
+    gold = parse_map_text(read_text(path), table_a.name, table_b.name)
     for side, flag, table, headers in (
             ("left", "--table-a", table_a, [h for e in gold.entries for h in e.source_headers]),
             ("right", "--table-b", table_b, [h for e in gold.entries for h in e.target_headers])):
@@ -191,7 +195,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_validate_sql(args) -> int:
-    sql = _read_text(args.sql_file) if args.sql_file else sys.stdin.read()
+    sql = read_text(args.sql_file) if args.sql_file else sys.stdin.read()
     report = execute_sql(sql, args.db)
     if report.success:
         cols = ", ".join(report.result_columns)
@@ -202,8 +206,8 @@ def cmd_validate_sql(args) -> int:
 
 
 def cmd_score(args) -> int:
-    predicted = parse_map_text(_read_text(args.predicted))
-    gold = parse_map_text(_read_text(args.gold))
+    predicted = parse_map_text(read_text(args.predicted))
+    gold = parse_map_text(read_text(args.gold))
     score = score_mapping(predicted, gold)
     print(json.dumps({
         "matched": score.matched,
@@ -218,7 +222,7 @@ def cmd_score(args) -> int:
 
 def cmd_report(args) -> int:
     try:
-        payload = json.loads(_read_text(args.report_file) if args.report_file
+        payload = json.loads(read_text(args.report_file) if args.report_file
                              else sys.stdin.read())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"report is not valid JSON: {exc}") from exc
@@ -242,21 +246,14 @@ def _add_task_fixture_flags(parser):
     _add_style_flags(parser)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="comdb",
-        description="Natural-language schema representations and the two "
-                    "database-management experiments built on them.")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("ingest", help="read a schema source, write it back out")
+def _add_ingest_args(p):
     p.add_argument("source", help="schema file (.schema, .sql/.ddl, or SQLite)")
     p.add_argument("--to", choices=["fixture", "db"], default="fixture")
     p.add_argument("--out", help="output path (required for --to db)")
     _add_schema_format(p)
-    p.set_defaults(func=cmd_ingest, parser=p)
 
-    p = sub.add_parser("emit", help="render the natural-language schema forms")
+
+def _add_emit_args(p):
     p.add_argument("schema", help="schema file")
     p.add_argument("annotations", nargs="?", help="annotation file (.ctx)")
     p.add_argument("--order", choices=[ALPHABETICAL, INPUT_ORDER],
@@ -264,15 +261,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     _add_schema_format(p)
     _add_style_flags(p)
-    p.set_defaults(func=cmd_emit, parser=p)
 
-    p = sub.add_parser("prompt", help="print the prompt for one task and arm")
+
+def _add_prompt_args(p):
     p.add_argument("--task", choices=sorted(_TASKS), required=True)
     p.add_argument("--arm", choices=["with", "without"], default="with")
     _add_task_fixture_flags(p)
-    p.set_defaults(func=cmd_prompt, parser=p)
 
-    p = sub.add_parser("run", help="run an experiment and write the JSON report")
+
+def _add_run_args(p):
     p.add_argument("--task", choices=sorted(_TASKS), required=True)
     p.add_argument("--arm", choices=sorted(_ARM_CHOICES), default="both")
     p.add_argument("--n", type=int, default=10, help="repetitions per arm")
@@ -289,28 +286,58 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="report path (default: stdout)")
     p.add_argument("--workers", type=int, default=1)
     _add_task_fixture_flags(p)
-    p.set_defaults(func=cmd_run, parser=p)
 
-    p = sub.add_parser("validate-sql", help="execute SQL read-only against a fixture db")
+
+def _add_validate_sql_args(p):
     p.add_argument("--db", required=True)
     p.add_argument("sql_file", nargs="?", help="SQL file (default: stdin)")
-    p.set_defaults(func=cmd_validate_sql, parser=p)
 
-    p = sub.add_parser("score", help="score a predicted mapping against gold")
+
+def _add_score_args(p):
     p.add_argument("--predicted", required=True)
     p.add_argument("--gold", required=True)
-    p.set_defaults(func=cmd_score, parser=p)
 
-    p = sub.add_parser("report", help="summarize a report JSON")
+
+def _add_report_args(p):
     p.add_argument("report_file", nargs="?", help="report path (default: stdin)")
-    p.set_defaults(func=cmd_report, parser=p)
 
+
+# name -> (help, function that adds its arguments, handler), in help order.
+_SUBCOMMANDS = {
+    "ingest": ("read a schema source, write it back out", _add_ingest_args, cmd_ingest),
+    "emit": ("render the natural-language schema forms", _add_emit_args, cmd_emit),
+    "prompt": ("print the prompt for one task and arm", _add_prompt_args, cmd_prompt),
+    "run": ("run an experiment and write the JSON report", _add_run_args, cmd_run),
+    "validate-sql": ("execute SQL read-only against a fixture db",
+                     _add_validate_sql_args, cmd_validate_sql),
+    "score": ("score a predicted mapping against gold", _add_score_args, cmd_score),
+    "report": ("summarize a report JSON", _add_report_args, cmd_report),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The comdb parser with only `command`'s subparser, or with every
+    subparser when `command` names none (for help and usage errors)."""
+    parser = argparse.ArgumentParser(
+        prog="comdb",
+        description="Natural-language schema representations and the two "
+                    "database-management experiments built on them.")
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    for name in [command] if command in _SUBCOMMANDS else _SUBCOMMANDS:
+        help_text, add_arguments, handler = _SUBCOMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        add_arguments(p)
+        p.set_defaults(func=handler, parser=p)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args, extras = build_parser(argv[0] if argv else None).parse_known_args(argv)
+    if extras:
+        # Only the full parser's usage line lists every subcommand, so it
+        # words the "unrecognized arguments" error (and exits 2).
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ComdbError as exc:

@@ -105,6 +105,12 @@ class MixedScope(ParseError):
         super().__init__(message, line)
 
 
+class UnreadableFile(ComdbError):
+    def __init__(self, path, reason: str):
+        self.path = path
+        super().__init__(f"{path}: {reason}")
+
+
 class EmptyInput(ComdbError):
     def __init__(self, what: str = "input"):
         super().__init__(f"{what} is empty")

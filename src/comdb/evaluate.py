@@ -12,6 +12,7 @@ across arms.
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 import sqlite3
@@ -191,7 +192,7 @@ def _repetition(bundle, prompt_hash, client, repetition, judge, failure_score) -
 
 def _mean(values) -> float:
     values = list(values)
-    return sum(values) / len(values) if values else 0.0
+    return math.fsum(values) / len(values) if values else 0.0
 
 
 def run_experiment(task: str, *,

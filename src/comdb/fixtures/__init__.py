@@ -8,7 +8,6 @@ run offline and deterministically.
 
 from __future__ import annotations
 
-from importlib import resources
 from pathlib import Path
 
 SYNTHEA_SCHEMA = "synthea.schema"
@@ -23,7 +22,7 @@ JOINING_MOCK = "mock_joining.mockjson"
 
 def fixture_path(name: str) -> Path:
     """Filesystem path of a bundled fixture file."""
-    path = Path(str(resources.files(__package__).joinpath(name)))
+    path = Path(__file__).with_name(name)
     if not path.exists():
         raise FileNotFoundError(name)
     return path

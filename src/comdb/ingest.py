@@ -29,7 +29,15 @@ from itertools import islice
 from pathlib import Path
 from urllib.parse import quote
 
-from .errors import BuildFailed, EmptyInput, MixedScope, NoTables, ParseError, UnsupportedFormat
+from .errors import (
+    BuildFailed,
+    EmptyInput,
+    MixedScope,
+    NoTables,
+    ParseError,
+    UnreadableFile,
+    UnsupportedFormat,
+)
 from .schema import (
     ContextRelation,
     DatabaseSchema,
@@ -40,6 +48,17 @@ from .schema import (
 )
 
 _SQLITE_MAGIC = b"SQLite format 3\x00"
+
+
+def read_text(path) -> str:
+    """The UTF-8 text of the file at path. A directory or a file that is
+    not UTF-8 is an UnreadableFile; a missing file stays FileNotFoundError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except IsADirectoryError:
+        raise UnreadableFile(path, "is a directory, not a file") from None
+    except UnicodeDecodeError as exc:
+        raise UnreadableFile(path, f"not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
 # --- DDL ---

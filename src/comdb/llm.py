@@ -25,7 +25,6 @@ import random
 import re
 import time
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Protocol
 
 from .errors import (
@@ -38,6 +37,7 @@ from .errors import (
     Timeout,
     TransportError,
 )
+from .ingest import read_text
 from .mapping import HeaderMapping, MappingEntry, split_reused
 from .nl import DEFAULT_STYLE, INPUT_ORDER, StyleFlags, emit_base_schema, emit_contextual_schema
 from .schema import (
@@ -309,7 +309,7 @@ class MockChatClient:
     @classmethod
     def from_file(cls, path) -> "MockChatClient":
         try:
-            data = json.loads(Path(path).read_text(encoding="utf-8"))
+            data = json.loads(read_text(path))
         except json.JSONDecodeError as exc:
             raise ConfigError(f"mock script is not valid JSON: {exc}") from exc
         if not isinstance(data, list):

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import io
 import json
@@ -6,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from comdb import fixtures as bundled
-from comdb.cli import main
+from comdb.cli import build_parser, main
 from comdb.ingest import introspect_database
 
 from conftest import data_text
@@ -112,6 +113,18 @@ def test_run_integration(tmp_path):
     arms = {e["arm"]: e["aggregate"] for e in payload["experiments"]}
     assert arms["with-context"]["meanRecall"] == 1.0
     assert arms["without-context"]["meanRecall"] == 0.5
+
+
+def test_run_means_do_not_depend_on_the_interpreter(tmp_path):
+    # Ten F1 values of 0.6 sum to 5.999999999999999 with plain left-to-right
+    # addition (Python 3.10 and 3.11), but to exactly 6.0 when compensated.
+    out = tmp_path / "report.json"
+    assert main(["run", "--task", "integration", "--arm", "without", "--n", "10",
+                 "--mock", fx(bundled.INTEGRATION_MOCK),
+                 "--gold", fx(bundled.PATIENTS_GOLD_MAP), "--out", str(out)]) == 0
+    [experiment] = json.loads(out.read_text())["experiments"]
+    assert experiment["aggregate"]["meanF1"] == 0.6
+    assert '"meanF1": 0.6\n' in out.read_text()
 
 
 def test_run_joining(tmp_path):
@@ -258,6 +271,28 @@ def test_run_mock_not_json_is_an_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: mock script is not valid JSON: ")
 
 
+@pytest.mark.parametrize("kind", ["not-utf8", "directory"])
+@pytest.mark.parametrize("command", [
+    lambda path: ["ingest", path],
+    lambda path: ["emit", fx(bundled.SYNTHEA_SCHEMA), path],
+    lambda path: ["score", "--predicted", path, "--gold", fx(bundled.PATIENTS_GOLD_MAP)],
+    lambda path: ["run", "--task", "integration", "--mock", path,
+                  "--gold", fx(bundled.PATIENTS_GOLD_MAP)],
+], ids=["ingest", "emit-annotations", "score", "run-mock"])
+def test_unreadable_input_is_an_error(tmp_path, capsys, kind, command):
+    if kind == "directory":
+        path = tmp_path
+        reason = "is a directory, not a file"
+    else:
+        path = tmp_path / "binary"
+        path.write_bytes(b"table: a\n\xd0\x00\xff\n")
+        reason = "not UTF-8 text (invalid continuation byte at byte 9)"
+    assert main(command(str(path))) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: {reason}\n"
+
+
 def test_validate_sql_flawed(tmp_path, capsys):
     db = tmp_path / "hospital.db"
     main(["ingest", fx(bundled.SYNTHEA_DDL), "--to", "db", "--out", str(db)])
@@ -350,3 +385,51 @@ def test_run_is_deterministic(tmp_path):
     assert main(args + ["--out", str(first)]) == 0
     assert main(args + ["--out", str(second)]) == 0
     assert first.read_text() == second.read_text()
+
+
+# argv cases whose output is help, usage or a usage error, each as the full
+# parser words it: the top level, every subcommand's help, a missing
+# required flag, a bad choice, and unrecognized arguments after a
+# subcommand (which only the full parser's usage line can word).
+_PARSER_CASES = [
+    [], ["--help"], ["-h", "run"], ["sorting"], ["--bogus"],
+    *([name, "--help"] for name in
+      ("ingest", "emit", "prompt", "run", "validate-sql", "score", "report")),
+    ["run"], ["score", "--gold", "g.map"], ["run", "--task", "sorting"],
+    ["emit", "s.schema", "--order", "random"],
+    ["run", "--task", "joining", "--bogus"], ["report", "a.json", "b.json"],
+]
+
+
+def _exit(capsys, call):
+    with pytest.raises(SystemExit) as excinfo:
+        call()
+    captured = capsys.readouterr()
+    return excinfo.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("columns", ["80", "50"])
+@pytest.mark.parametrize("argv", _PARSER_CASES, ids=" ".join)
+def test_main_words_help_and_usage_errors_as_the_full_parser(capsys, monkeypatch,
+                                                             argv, columns):
+    monkeypatch.setenv("COLUMNS", columns)
+    expected = _exit(capsys, lambda: build_parser().parse_args(argv))
+    assert _exit(capsys, lambda: main(argv)) == expected
+
+
+@pytest.mark.parametrize("command", ["ingest", "run"])
+def test_main_builds_only_the_invoked_subparser(tmp_path, monkeypatch, command):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    argv = {"ingest": ["ingest", fx(bundled.SYNTHEA_SCHEMA)],
+            "run": ["run", "--task", "integration", "--n", "1",
+                    "--mock", fx(bundled.INTEGRATION_MOCK),
+                    "--gold", fx(bundled.PATIENTS_GOLD_MAP)]}[command]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+    assert built == ["comdb", f"comdb {command}"]

@@ -396,16 +396,18 @@ def test_import_loads_no_third_party_module():
 
 # Modules that only `comdb run` needs: the HTTP stack (which brings email
 # and ssl) for a live run, the thread pool (which brings logging) for more
-# than one worker, and hashlib for the report's hashes.
+# than one worker, and hashlib for the report's hashes. No command needs
+# importlib.resources.
 _DEFERRED = ("http.client", "urllib.request", "email.parser", "ssl",
-             "concurrent.futures", "logging", "hashlib")
+             "concurrent.futures", "logging", "hashlib", "importlib.resources")
 
 
 def test_import_and_ingest_load_no_deferred_module(tmp_path):
     code = ("import sys; before = set(sys.modules); import comdb.cli; "
             "rc = comdb.cli.main(['ingest', sys.argv[1], '--to', 'db', '--out', sys.argv[2]]); "
             "print(rc, *sorted(set(sys.modules) - before))")
-    proc = subprocess.run([sys.executable, "-c", code,
+    # -S: no site .pth file may load a deferred module before comdb does.
+    proc = subprocess.run([sys.executable, "-S", "-c", code,
                            str(bundled.fixture_path(bundled.SYNTHEA_DDL)),
                            str(tmp_path / "synthea.db")],
                           env=src_env(), capture_output=True, text=True, timeout=60)
