@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import fixtures
-from .errors import ComdbError, ConfigError, UnknownTable
+from .errors import ComdbError, ConfigError, UnknownTable, UnreadableFile
 from .evaluate import execute_sql, render_report, render_summary, run_experiment, score_mapping
 from .ingest import (
     build_database,
@@ -66,7 +66,10 @@ def _load_schema_file(path: str, fmt: str = "auto"):
 
 def _write_output(text: str, out: str | None):
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        try:
+            Path(out).write_text(text, encoding="utf-8")
+        except IsADirectoryError:
+            raise UnreadableFile(out, "is a directory, not a file") from None
     else:
         sys.stdout.write(text)
 

@@ -106,6 +106,9 @@ class MixedScope(ParseError):
 
 
 class UnreadableFile(ComdbError):
+    """A path that names no usable file: a directory, or text that is not
+    UTF-8. Output paths that name a directory raise it too."""
+
     def __init__(self, path, reason: str):
         self.path = path
         super().__init__(f"{path}: {reason}")

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from . import llm
 from .errors import ComdbError, ConfigError, FixtureMissing, TableMismatch, WriteAttempt
-from .ingest import open_readonly
+from .ingest import check_sqlite_file, open_readonly
 from .mapping import HeaderMapping
 from .nl import DEFAULT_STYLE, StyleFlags
 from .schema import TableSchema, ValidatedAnnotations, ValidatedSchema
@@ -239,6 +239,8 @@ def run_experiment(task: str, *,
             raise FixtureMissing("database file for tables joining")
         if not os.path.exists(os.fspath(database)):
             raise FixtureMissing(f"database file {database}")
+        # A directory or a file that is not SQLite fails here, not in every run.
+        check_sqlite_file(database)
         failure_score = None
         local = threading.local()
 

@@ -13,9 +13,14 @@ Header and table names may contain spaces; commas delimit lists, so a comma
 is the one character a name cannot contain (plus newlines, and ``:`` in
 fixture table names). ``#`` starts a comment line in .schema/.ctx files.
 
-The DDL tokenizer keeps only each token's text. When a ParseError is raised,
-the text is matched again up to the failing token to find its offset, and
-the line and column it reports come from that.
+DDL made only of plain statements (bare names, a column list with no
+parentheses, quotes, ``-`` or ``;``, whitespace and ``--`` comments between
+statements) is read with one regular-expression match per statement. All
+other DDL goes through the token parser, which returns the same tables for
+plain statements too and is the only source of DDL errors. The tokenizer
+keeps only each token's text. When a ParseError is raised, the text is
+matched again up to the failing token to find its offset, and the line and
+column it reports come from that.
 """
 
 from __future__ import annotations
@@ -134,10 +139,59 @@ def _unquote(tok: str) -> str:
     return tok
 
 
+# The statement-level fast path. One match of _PLAIN_STATEMENT_RE is one
+# statement: CREATE TABLE, a bare table name and a column list with no
+# character that could open a nested token, a comment or a new statement, so
+# its commas split the column definitions exactly as the token parser splits
+# them. Whitespace and ``--`` comments (_SKIP) may come before the statement,
+# before its ';' and after it, elsewhere only whitespace. A _SKIP comment
+# must run to the end of its line, so no backtracking can end it early and
+# start a statement inside it. A column name (_BARE_COLUMN) is a bare name
+# that is no table-constraint keyword and ends where its definition's first
+# run of non-space, non-comma characters ends. Group 2 is the first
+# definition's name, group 3 the rest of the list. _COLUMN_NAME_RE finds one
+# name after each comma, or "" where the definition does not start with one.
+_SKIP = r"\s*(?:--[^\n]*(?![^\n])\s*)*"
+_BARE_COLUMN = (rf"(?!(?ai:{'|'.join(sorted(_TABLE_CONSTRAINT_KEYWORDS))})(?![A-Za-z0-9_]))"
+                r"[A-Za-z_][A-Za-z0-9_]*(?![^\s,)])")
+_PLAIN_STATEMENT_RE = re.compile(
+    rf"{_SKIP}(?ai:create)\s+(?ai:table)\s+([A-Za-z_][A-Za-z0-9_]*)\s*"
+    rf"\(\s*({_BARE_COLUMN})([^()'\"`\[;-]*)\){_SKIP};{_SKIP}")
+_COLUMN_NAME_RE = re.compile(rf",\s*({_BARE_COLUMN})?")
+
+
+def _parse_plain_ddl(text: str) -> list[TableSchema] | None:
+    """The tables of text when it is only plain ``CREATE TABLE name (col
+    TYPE ..., ...);`` statements, whitespace and comments; else None. Every
+    table it returns is one the token parser returns for the same text."""
+    tables = []
+    pos = 0
+    # match() at each statement's offset, not finditer(): a search would
+    # retry at every later offset of a text it is about to decline.
+    while pos < len(text):
+        m = _PLAIN_STATEMENT_RE.match(text, pos)
+        if m is None:
+            return None
+        headers = (m[2], *_COLUMN_NAME_RE.findall(m[3]))
+        if "" in headers:
+            return None
+        tables.append(TableSchema(m[1], headers))
+        pos = m.end()
+    return tables or None
+
+
 def parse_ddl(text: str, name: str = "database") -> DatabaseSchema:
-    """Parse the restricted CREATE TABLE subset; tables keep statement order."""
-    if not text.strip():
-        raise EmptyInput("DDL text")
+    """Parse the restricted CREATE TABLE subset; tables keep statement order.
+    Text of plain statements takes the statement-level fast path; any other
+    text, and so every error, goes through the token parser."""
+    tables = _parse_plain_ddl(text)
+    if tables is None:
+        tables = _parse_ddl_tokens(text)
+    return DatabaseSchema(name, tuple(tables))
+
+
+def _parse_ddl_tokens(text: str) -> list[TableSchema]:
+    """The token parser: every DDL the subset allows, and every error."""
     toks = _tokenize_ddl(text)
     if not toks[0]:
         raise EmptyInput("DDL text")
@@ -194,7 +248,7 @@ def parse_ddl(text: str, name: str = "database") -> DatabaseSchema:
             # a doubled ';' is tolerated
             if toks[i] == ";":
                 i += 1
-    return DatabaseSchema(name, tuple(tables))
+    return tables
 
 
 # --- fixture format ---
@@ -294,13 +348,28 @@ def render_annotations(ann: OntologyAnnotations) -> str:
 
 # --- SQLite ---
 
+def check_sqlite_file(location) -> None:
+    """Raise unless location names a file SQLite can open: FileNotFoundError
+    if it is missing, UnreadableFile if it is a directory, UnsupportedFormat
+    if it is neither empty nor starts with the SQLite header."""
+    path = os.fspath(location)
+    try:
+        with open(path, "rb") as fh:
+            magic = fh.read(len(_SQLITE_MAGIC))
+    except FileNotFoundError:
+        raise FileNotFoundError(path) from None
+    except IsADirectoryError:
+        raise UnreadableFile(path, "is a directory, not a file") from None
+    if magic and magic != _SQLITE_MAGIC:
+        raise UnsupportedFormat(path)
+
+
 def open_readonly(location, *, check_same_thread: bool = True) -> sqlite3.Connection:
     """Connect to an existing SQLite file in read-only (``mode=ro``) mode.
-    A missing file raises FileNotFoundError before SQLite is asked.
+    check_sqlite_file's errors are raised before SQLite is asked.
     check_same_thread is passed to sqlite3.connect."""
     path = os.fspath(location)
-    if not os.path.exists(path):
-        raise FileNotFoundError(path)
+    check_sqlite_file(path)
     return sqlite3.connect("file:" + quote(os.path.abspath(path)) + "?mode=ro", uri=True,
                            check_same_thread=check_same_thread)
 
@@ -311,10 +380,6 @@ def introspect_database(location) -> DatabaseSchema:
     path = os.fspath(location)
     con = open_readonly(path)
     try:
-        with open(path, "rb") as fh:
-            magic = fh.read(len(_SQLITE_MAGIC))
-        if magic and magic != _SQLITE_MAGIC:
-            raise UnsupportedFormat(path)
         rows = con.execute(
             "SELECT name FROM sqlite_master"
             " WHERE type = 'table' AND name NOT LIKE 'sqlite_%'").fetchall()

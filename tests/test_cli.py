@@ -293,6 +293,52 @@ def test_unreadable_input_is_an_error(tmp_path, capsys, kind, command):
     assert captured.err == f"error: {path}: {reason}\n"
 
 
+@pytest.mark.parametrize("command", [
+    ["emit", fx(bundled.SYNTHEA_SCHEMA)],
+    ["ingest", fx(bundled.SYNTHEA_DDL), "--to", "fixture"],
+    ["run", "--task", "integration", "--n", "1", "--mock", fx(bundled.INTEGRATION_MOCK),
+     "--gold", fx(bundled.PATIENTS_GOLD_MAP)],
+], ids=["emit", "ingest", "run"])
+def test_out_naming_a_directory_is_an_error(tmp_path, capsys, command):
+    assert main(command + ["--out", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {tmp_path}: is a directory, not a file\n"
+
+
+def _joining_on(db):
+    return ["run", "--task", "joining", "--mock", fx(bundled.JOINING_MOCK), "--db", db]
+
+
+@pytest.mark.parametrize("kind, reason", [
+    ("directory", "is a directory, not a file"),
+    ("ddl", "not an SQLite database file"),
+])
+@pytest.mark.parametrize("command", [
+    lambda db: ["validate-sql", "--db", db],
+    lambda db: ["ingest", db, "--schema-format", "db"],
+    _joining_on,
+], ids=["validate-sql", "ingest", "run"])
+def test_sqlite_path_that_is_no_sqlite_file_is_an_error(tmp_path, capsys, monkeypatch,
+                                                         kind, reason, command):
+    db = str(tmp_path) if kind == "directory" else fx(bundled.SYNTHEA_DDL)
+    monkeypatch.setattr("sys.stdin", io.StringIO("SELECT 1;"))
+    monkeypatch.setattr("comdb.evaluate._repetition",
+                        lambda *args: pytest.fail("a repetition ran"))
+    assert main(command(db)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {db}: {reason}\n"
+
+
+def test_run_joining_accepts_an_empty_database_file(tmp_path, capsys):
+    empty = tmp_path / "empty.db"
+    empty.touch()
+    assert main(_joining_on(str(empty)) + ["--n", "1"]) == 0
+    experiments = json.loads(capsys.readouterr().out)["experiments"]
+    assert [e["runs"][0]["error"] for e in experiments] == ["no such table: careplans"] * 2
+
+
 def test_validate_sql_flawed(tmp_path, capsys):
     db = tmp_path / "hospital.db"
     main(["ingest", fx(bundled.SYNTHEA_DDL), "--to", "db", "--out", str(db)])

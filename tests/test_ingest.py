@@ -1,6 +1,7 @@
 import random
 import re
 import sqlite3
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
@@ -15,6 +16,8 @@ from comdb.errors import (
     UnsupportedFormat,
 )
 from comdb.ingest import (
+    _parse_ddl_tokens,
+    _parse_plain_ddl,
     build_database,
     introspect_database,
     parse_annotations,
@@ -230,6 +233,96 @@ def test_parse_ddl_total(text):
             assert 1 <= err.col <= len(lines[err.line - 1])
         return
     assert schema.tables and all(t.headers for t in schema.tables)
+
+
+# Plain statements, some with a near miss the fast path must decline: a
+# keyword or a word it cannot split as a column name, a '-' or quote in a
+# column list, or a comment that holds a statement.
+_NEAR_MISSES = st.sampled_from(["", " ", "\n", "\xa0", "-- c\n", "-- create table z (q);\n",
+                                "-", ";", "'", "$x"])
+_COLUMN_DEFS = st.lists(st.builds(
+    "{}{}".format,
+    st.sampled_from(["a_1", "Id", "PRIMARY", "check", "$x", "é", "1", ""]),
+    st.sampled_from(["", " INT", "\tTEXT NOT NULL", " INT -- c, x\n", " -1", " NUMERIC(10,2)"])),
+    max_size=4).map(", ".join)
+_PLAIN_STATEMENTS = st.builds(
+    "{}{}".format, _NEAR_MISSES,
+    st.lists(st.builds("CREATE TABLE {} ({}){};{}".format, st.sampled_from(["t", "b_2", "primary"]),
+                       _COLUMN_DEFS, _NEAR_MISSES, _NEAR_MISSES),
+             min_size=1, max_size=3).map("".join))
+
+
+@given(st.one_of(st.text(), st.lists(st.sampled_from(_DDL_PIECES)).map("".join),
+                 _PLAIN_STATEMENTS))
+def test_ddl_fast_path_declines_or_agrees_with_the_token_parser(text):
+    tables = _parse_plain_ddl(text)
+    if tables is not None:
+        assert tables == _parse_ddl_tokens(text)
+
+
+@pytest.mark.parametrize("text, headers", [
+    ("CREATE TABLE t (a INT, PRIMARY KEY, b INT);", ("a", "b")),
+    ("CREATE TABLE t (a INT, Check, b INT);", ("a", "b")),
+    ("CREATE TABLE t (a INT -- c, x\n, b INT);", ("a", "b")),
+    ("CREATE TABLE t (a INT DEFAULT 'x, y ', b INT);", ("a", "b")),
+    ("CREATE TABLE t (a$b INT, c INT);", ("a", "c")),
+    ("CREATE TABLE t (a INT, b INT)", ("a", "b")),
+    ("CREATE TABLE t (a INT, b INT);;", ("a", "b")),
+])
+def test_ddl_fast_path_declines_near_misses(text, headers):
+    assert _parse_plain_ddl(text) is None
+    assert parse_ddl(text).tables == (TableSchema("t", headers),)
+
+
+def test_ddl_fast_path_takes_no_statement_from_a_comment():
+    text = "-- CREATE TABLE t (a INT);"
+    assert _parse_plain_ddl(text) is None
+    with pytest.raises(EmptyInput):
+        parse_ddl(text)
+
+
+def _render_plain_ddl(rng, schema):
+    """schema as DDL the fast path must take: bare names, simple types,
+    mixed whitespace, and ``--`` comments before each statement and ';'."""
+    def space():
+        return rng.choice([" ", "\t", "\n", "\r\n", "  \n\t"])
+
+    def skip():
+        return rng.choice(["", space(), "\n-- note, with ( and ;\n", "-- c\n\n-- d\n"])
+
+    parts = []
+    for table in schema.tables:
+        defs = [h.replace(" ", "_") + space() + rng.choice(["TEXT", "INT NOT NULL", "text"])
+                for h in table.headers]
+        parts.append(skip() + rng.choice(["CREATE", "create"]) + space()
+                     + rng.choice(["TABLE", "table"]) + space() + table.name
+                     + rng.choice(["", space()]) + "(" + rng.choice(["", space()])
+                     + ("," + rng.choice(["", space()])).join(defs)
+                     + rng.choice(["", space()]) + ")" + skip() + ";")
+    return "".join(parts) + rng.choice(["", space(), "\n-- end"])
+
+
+def _without_token_parser():
+    return mock.patch("comdb.ingest._parse_ddl_tokens",
+                      side_effect=AssertionError("the token parser ran"))
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+def test_plain_ddl_takes_the_fast_path(seed):
+    rng = random.Random(seed)
+    schema = rand_schema(rng)
+    text = _render_plain_ddl(rng, schema)
+    with _without_token_parser():
+        parsed = parse_ddl(text, name=schema.name)
+    assert parsed == DatabaseSchema(schema.name, tuple(
+        TableSchema(t.name, tuple(h.replace(" ", "_") for h in t.headers))
+        for t in schema.tables))
+
+
+def test_bundled_ddl_takes_the_fast_path(synthea_schema):
+    with _without_token_parser():
+        parsed = parse_ddl(bundled.fixture_text(bundled.SYNTHEA_DDL))
+    assert parsed.tables == synthea_schema.tables
 
 
 def test_parse_fixture_patients():
