@@ -10,7 +10,9 @@ live runs read the API key from the environment variable named by
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -64,12 +66,18 @@ def _load_schema_file(path: str, fmt: str = "auto"):
     return parse_fixture(read_text(path), name=Path(path).stem)
 
 
+def _check_output(out: str | None):
+    """Raise now what writing to out would raise for a directory or a missing parent."""
+    if out and os.path.isdir(out):
+        raise UnreadableFile(out, "is a directory, not a file")
+    if out and not os.path.isdir(os.path.dirname(out) or "."):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out)
+
+
 def _write_output(text: str, out: str | None):
+    _check_output(out)
     if out:
-        try:
-            Path(out).write_text(text, encoding="utf-8")
-        except IsADirectoryError:
-            raise UnreadableFile(out, "is a directory, not a file") from None
+        Path(out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 
@@ -185,6 +193,7 @@ def cmd_run(args) -> int:
         args.parser.error("--gold is required for --task integration")
     if task == TASK_JOINING and not args.db:
         args.parser.error("--db is required for --task joining")
+    _check_output(args.out)
     inputs = _task_inputs(args)
     gold = None
     if task == TASK_INTEGRATION:

@@ -71,7 +71,7 @@ class SqlValidationReport:
             raise ValueError("error_text must be set exactly when success is false")
 
 
-_COMMENT_OR_WS = re.compile(r"(?:\s+|--[^\n]*(?:\n|$)|/\*.*?\*/)+", re.DOTALL)
+_COMMENT_OR_WS = re.compile(r"(?:\s+|--[^\n]*(?:\n|$)|/\*.*?\*/)*", re.DOTALL)
 _FIRST_WORD = re.compile(r"[A-Za-z]+")
 _READONLY_KEYWORDS = {"SELECT", "WITH", "VALUES", "EXPLAIN"}
 
@@ -82,12 +82,7 @@ _PROGRESS_STEPS = 1000
 
 
 def _statement_kind(sql: str) -> str | None:
-    pos = 0
-    m = _COMMENT_OR_WS.match(sql, pos)
-    while m and m.end() > pos:
-        pos = m.end()
-        m = _COMMENT_OR_WS.match(sql, pos)
-    word = _FIRST_WORD.match(sql, pos)
+    word = _FIRST_WORD.match(sql, _COMMENT_OR_WS.match(sql).end())
     return word.group().upper() if word else None
 
 

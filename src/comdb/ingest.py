@@ -13,14 +13,14 @@ Header and table names may contain spaces; commas delimit lists, so a comma
 is the one character a name cannot contain (plus newlines, and ``:`` in
 fixture table names). ``#`` starts a comment line in .schema/.ctx files.
 
-DDL made only of plain statements (bare names, a column list with no
-parentheses, quotes, ``-`` or ``;``, whitespace and ``--`` comments between
-statements) is read with one regular-expression match per statement. All
-other DDL goes through the token parser, which returns the same tables for
-plain statements too and is the only source of DDL errors. The tokenizer
-keeps only each token's text. When a ParseError is raised, the text is
-matched again up to the failing token to find its offset, and the line and
-column it reports come from that.
+DDL is read in one pass. Plain statements (bare names, a column list with
+no parentheses, quotes, ``-`` or ``;``, whitespace and ``--`` comments
+between statements) take one regular-expression match each. From the first
+statement that is not plain, the token parser reads the rest of the text;
+it returns the same tables for plain statements too and is the only source
+of DDL errors. The tokenizer keeps only each token's text. On a ParseError
+the text is matched again, from where the token parser started up to the
+failing token, and the line and column come from that token's offset.
 """
 
 from __future__ import annotations
@@ -103,30 +103,30 @@ def _line_col(text: str, pos: int) -> tuple[int, int]:
     return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
 
 
-def _token_start(text: str, i: int) -> int:
-    """Offset of token i, found by matching again; only called on error."""
-    return next(islice(_TOKEN_RE.finditer(text), i, None)).start(1)
+def _token_start(text: str, start: int, i: int) -> int:
+    """Offset of token i of text[start:], found by matching again; on error only."""
+    return next(islice(_TOKEN_RE.finditer(text, start), i, None)).start(1)
 
 
-def _tokenize_ddl(text: str) -> list[str]:
-    """Split DDL into token texts that end with "" for the end of input.
-    The first unclosed quote or bracket is a ParseError."""
-    toks = _TOKEN_RE.findall(text)
+def _tokenize_ddl(text: str, start: int) -> list[str]:
+    """Split text[start:] into token texts that end with "" for the end of
+    input. The first unclosed quote or bracket is a ParseError."""
+    toks = _TOKEN_RE.findall(text, start)
     bad = [toks.index(c) for c in _UNCLOSED if c in toks]
     if bad:
-        pos = _token_start(text, min(bad))
+        pos = _token_start(text, start, min(bad))
         raise ParseError(f"unexpected character {text[pos]!r}", *_line_col(text, pos))
     return toks
 
 
-def _parse_error(text: str, toks: list[str], i: int, message: str,
+def _parse_error(text: str, start: int, toks: list[str], i: int, message: str,
                  expected: str | None = None) -> ParseError:
     if toks[i]:
         return ParseError(f"{message}, found {toks[i]!r}",
-                          *_line_col(text, _token_start(text, i)), expected=expected)
+                          *_line_col(text, _token_start(text, start, i)), expected=expected)
     # End of input is reported one column past the last token's start
     # plus its length, even when that token spans lines.
-    line, col = _line_col(text, _token_start(text, i - 1))
+    line, col = _line_col(text, _token_start(text, start, i - 1))
     return ParseError(f"{message}, found end of input", line, col + len(toks[i - 1]),
                       expected=expected)
 
@@ -160,62 +160,52 @@ _PLAIN_STATEMENT_RE = re.compile(
 _COLUMN_NAME_RE = re.compile(rf",\s*({_BARE_COLUMN})?")
 
 
-def _parse_plain_ddl(text: str) -> list[TableSchema] | None:
-    """The tables of text when it is only plain ``CREATE TABLE name (col
-    TYPE ..., ...);`` statements, whitespace and comments; else None. Every
-    table it returns is one the token parser returns for the same text."""
+def parse_ddl(text: str, name: str = "database") -> DatabaseSchema:
+    """Parse the restricted CREATE TABLE subset; tables keep statement order.
+    Plain statements are matched one at a time. From the first statement
+    that is not plain, the token parser reads the rest and raises any error."""
     tables = []
     pos = 0
     # match() at each statement's offset, not finditer(): a search would
-    # retry at every later offset of a text it is about to decline.
-    while pos < len(text):
-        m = _PLAIN_STATEMENT_RE.match(text, pos)
-        if m is None:
-            return None
+    # retry at every later offset after the first statement that is not plain.
+    while m := _PLAIN_STATEMENT_RE.match(text, pos):
         headers = (m[2], *_COLUMN_NAME_RE.findall(m[3]))
         if "" in headers:
-            return None
+            break
         tables.append(TableSchema(m[1], headers))
         pos = m.end()
-    return tables or None
-
-
-def parse_ddl(text: str, name: str = "database") -> DatabaseSchema:
-    """Parse the restricted CREATE TABLE subset; tables keep statement order.
-    Text of plain statements takes the statement-level fast path; any other
-    text, and so every error, goes through the token parser."""
-    tables = _parse_plain_ddl(text)
-    if tables is None:
-        tables = _parse_ddl_tokens(text)
+    if pos < len(text) or not tables:
+        tables += _parse_ddl_tokens(text, pos)
     return DatabaseSchema(name, tuple(tables))
 
 
-def _parse_ddl_tokens(text: str) -> list[TableSchema]:
-    """The token parser: every DDL the subset allows, and every error."""
-    toks = _tokenize_ddl(text)
+def _parse_ddl_tokens(text: str, start: int) -> list[TableSchema]:
+    """The token parser for text[start:]: every DDL the subset allows, every error."""
+    toks = _tokenize_ddl(text, start)
     if not toks[0]:
         raise EmptyInput("DDL text")
     tables = []
-    i = 0
+    # start is 0 or just after a ';', so the doubled ';' tolerated below may lead.
+    i = 1 if start and toks[0] == ";" else 0
     while toks[i]:
         if toks[i].upper() != "CREATE":
-            raise _parse_error(text, toks, i, "expected CREATE", "CREATE")
+            raise _parse_error(text, start, toks, i, "expected CREATE", "CREATE")
         if toks[i + 1].upper() != "TABLE":
-            raise _parse_error(text, toks, i + 1, "expected TABLE", "TABLE")
+            raise _parse_error(text, start, toks, i + 1, "expected TABLE", "TABLE")
         if toks[i + 2][:1] not in _NAME_START:
-            raise _parse_error(text, toks, i + 2, "expected table name")
+            raise _parse_error(text, start, toks, i + 2, "expected table name")
         table = _unquote(toks[i + 2])
         if toks[i + 3] != "(":
-            raise _parse_error(text, toks, i + 3, "expected '('", "(")
+            raise _parse_error(text, start, toks, i + 3, "expected '('", "(")
         i += 4
         headers = []
         while True:
             tok = toks[i]
             if not tok:
-                raise _parse_error(text, toks, i, "expected column definition")
+                raise _parse_error(text, start, toks, i, "expected column definition")
             if tok.upper() not in _TABLE_CONSTRAINT_KEYWORDS:
                 if tok[0] not in _NAME_START:
-                    raise _parse_error(text, toks, i, "expected column name")
+                    raise _parse_error(text, start, toks, i, "expected column name")
                 headers.append(_unquote(tok))
                 i += 1
             # Skip type and constraint tokens, balancing nested parens like
@@ -233,17 +223,17 @@ def _parse_ddl_tokens(text: str) -> list[TableSchema]:
                 elif tok == "(":
                     depth += 1
                 elif tok == ";" or not tok:
-                    raise _parse_error(text, toks, i, "expected ',' or ')'")
+                    raise _parse_error(text, start, toks, i, "expected ',' or ')'")
                 i += 1
             i += 1
             if tok == ")":
                 break
         if not headers:
-            raise _parse_error(text, toks, i, f"table {table!r} defines no columns")
+            raise _parse_error(text, start, toks, i, f"table {table!r} defines no columns")
         tables.append(TableSchema(table, tuple(headers)))
         if toks[i]:
             if toks[i] != ";":
-                raise _parse_error(text, toks, i, "expected ';'", ";")
+                raise _parse_error(text, start, toks, i, "expected ';'", ";")
             i += 1
             # a doubled ';' is tolerated
             if toks[i] == ";":

@@ -38,7 +38,7 @@ from .errors import (
     TransportError,
 )
 from .ingest import read_text
-from .mapping import HeaderMapping, MappingEntry, split_reused
+from .mapping import HeaderMapping, MappingEntry, normalize_header, split_reused
 from .nl import DEFAULT_STYLE, INPUT_ORDER, StyleFlags, emit_base_schema, emit_contextual_schema
 from .schema import (
     DatabaseSchema,
@@ -302,6 +302,8 @@ class MockChatClient:
             try:
                 key = (record["task"], record["arm"], record.get("repetition"))
                 text = record["response"]
+                if not isinstance(text, str) or type(record.get("repetition", 0)) is not int:
+                    raise TypeError("'response' must be a string, 'repetition' an integer")
             except (TypeError, KeyError) as exc:
                 raise ConfigError(f"mock record {i} is malformed: {exc}") from exc
             self._responses[key] = text
@@ -336,9 +338,9 @@ _FENCE_RE = re.compile(r"```[^\n]*\n(.*?)```", re.DOTALL)
 
 @functools.lru_cache(maxsize=8)
 def _vocabulary(headers: tuple[str, ...]) -> tuple[re.Pattern, dict]:
-    """Header-matching regex and casefold -> header map, built once per
-    header tuple; callers only read the returned dict."""
-    canonical = {h.strip().casefold(): h for h in headers}
+    """Header-matching regex and normalize_header -> header map, built once
+    per header tuple; callers only read the returned dict."""
+    canonical = {normalize_header(h): h for h in headers}
     alternatives = sorted((re.escape(h) for h in headers), key=len, reverse=True)
     pattern = re.compile(
         r"(?<![A-Za-z0-9_])(?:" + "|".join(alternatives) + r")(?![A-Za-z0-9_])",
@@ -349,7 +351,7 @@ def _vocabulary(headers: tuple[str, ...]) -> tuple[re.Pattern, dict]:
 def _resolve(tokens, canonical, line, warnings) -> list[str] | None:
     resolved = []
     for token in tokens:
-        header = canonical.get(token.strip().casefold())
+        header = canonical.get(normalize_header(token))
         if header is None:
             warnings.append(f"unresolvable header {token.strip()!r} in line {line!r}")
             return None
@@ -379,20 +381,23 @@ def _fenced_entries(text, canon_a, canon_b, warnings) -> list[MappingEntry]:
 _SENTENCE_SPLIT = re.compile(r"[.!?\n;]+")
 
 
+def _headers_in(chunk, vocab, canonical) -> list[str]:
+    """Headers named in chunk, once each, in order. re.IGNORECASE also matches
+    text that no header equals under normalize_header (a dotless 'ı')."""
+    found = []
+    for m in vocab.finditer(chunk):
+        header = canonical.get(normalize_header(m.group()))
+        if header is not None and header not in found:
+            found.append(header)
+    return found
+
+
 def _freeform_entries(text, vocab_a, canon_a, vocab_b, canon_b) -> list[MappingEntry]:
     entries = []
     for chunk in _SENTENCE_SPLIT.split(text):
-        a_found = []
-        for m in vocab_a.finditer(chunk):
-            h = canon_a[m.group().casefold()]
-            if h not in a_found:
-                a_found.append(h)
-        b_found = []
-        for m in vocab_b.finditer(chunk):
-            h = canon_b[m.group().casefold()]
-            if h not in b_found:
-                b_found.append(h)
-        if len(a_found) == 1 and b_found:
+        a_found = _headers_in(chunk, vocab_a, canon_a)
+        b_found = len(a_found) == 1 and _headers_in(chunk, vocab_b, canon_b)
+        if b_found:
             entries.append(MappingEntry(tuple(a_found), tuple(b_found)))
     return entries
 

@@ -306,6 +306,29 @@ def test_out_naming_a_directory_is_an_error(tmp_path, capsys, command):
     assert captured.err == f"error: {tmp_path}: is a directory, not a file\n"
 
 
+@pytest.mark.parametrize("kind", ["directory", "missing parent"])
+@pytest.mark.parametrize("command", [
+    ["emit", fx(bundled.SYNTHEA_SCHEMA)],
+    ["run", "--task", "integration", "--mock", fx(bundled.INTEGRATION_MOCK),
+     "--gold", fx(bundled.PATIENTS_GOLD_MAP)],
+], ids=["emit", "run"])
+def test_unwritable_out_fails_before_the_first_repetition(tmp_path, capsys, monkeypatch,
+                                                          kind, command):
+    if kind == "directory":
+        out = str(tmp_path)
+        message = f"{out}: is a directory, not a file"
+    else:
+        out = str(tmp_path / "missing" / "report.json")
+        message = f"file not found: [Errno 2] No such file or directory: {out!r}"
+    monkeypatch.setattr("comdb.evaluate._repetition",
+                        lambda *args: pytest.fail("a repetition ran"))
+    assert main(command + ["--out", out]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert not (tmp_path / "missing").exists()
+
+
 def _joining_on(db):
     return ["run", "--task", "joining", "--mock", fx(bundled.JOINING_MOCK), "--db", db]
 

@@ -202,6 +202,18 @@ def test_execute_rejects_writes(fixture_db, sql):
         execute_sql(sql, fixture_db)
 
 
+@pytest.mark.parametrize("prefix", [
+    "/* a */ /* b */",
+    "-- a\n-- b\n",
+    "/* a */\n-- b\n /* c\n d */",
+    "--\n/**/\t-- x\n/*-- y*/",
+])
+def test_execute_reads_the_keyword_after_stacked_comments(fixture_db, prefix):
+    assert execute_sql(prefix + "SELECT Id FROM patients", fixture_db).success
+    with pytest.raises(WriteAttempt):
+        execute_sql(prefix + "DELETE FROM patients", fixture_db)
+
+
 def test_execute_cte_write_blocked_by_readonly(fixture_db):
     report = execute_sql(
         "WITH p AS (SELECT 'x' AS v) INSERT INTO patients (Id) SELECT v FROM p",

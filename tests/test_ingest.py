@@ -1,6 +1,8 @@
+import importlib.util
 import random
 import re
 import sqlite3
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -17,7 +19,7 @@ from comdb.errors import (
 )
 from comdb.ingest import (
     _parse_ddl_tokens,
-    _parse_plain_ddl,
+    _tokenize_ddl,
     build_database,
     introspect_database,
     parse_annotations,
@@ -250,14 +252,36 @@ _PLAIN_STATEMENTS = st.builds(
     st.lists(st.builds("CREATE TABLE {} ({}){};{}".format, st.sampled_from(["t", "b_2", "primary"]),
                        _COLUMN_DEFS, _NEAR_MISSES, _NEAR_MISSES),
              min_size=1, max_size=3).map("".join))
+_PIECE_MIXES = st.lists(st.sampled_from(_DDL_PIECES)).map("".join)
+# Plain statements the pattern takes, followed by anything at all.
+_PLAIN_PREFIXES = st.lists(st.builds(
+    "CREATE TABLE {} ({});{}".format, st.sampled_from(["t", "b_2"]),
+    st.sampled_from(["a INT", "Id TEXT, b_1 INT"]), st.sampled_from(["", "\n", " -- c\n"])),
+    min_size=1, max_size=3).map("".join)
+_PLAIN_THEN_ANY = st.builds("{}{}".format, _PLAIN_PREFIXES,
+                            st.one_of(st.text(), _PIECE_MIXES, _PLAIN_STATEMENTS))
 
 
-@given(st.one_of(st.text(), st.lists(st.sampled_from(_DDL_PIECES)).map("".join),
-                 _PLAIN_STATEMENTS))
+def _outcome(parse, text):
+    """The tables parse returns for text, or its error's type, message,
+    line, column and expected token."""
+    try:
+        return list(parse(text))
+    except (EmptyInput, ParseError) as err:
+        return (type(err), str(err), getattr(err, "line", None), getattr(err, "col", None),
+                getattr(err, "expected", None))
+
+
+@given(st.one_of(st.text(), _PIECE_MIXES, _PLAIN_STATEMENTS, _PLAIN_THEN_ANY))
 def test_ddl_fast_path_declines_or_agrees_with_the_token_parser(text):
-    tables = _parse_plain_ddl(text)
-    if tables is not None:
-        assert tables == _parse_ddl_tokens(text)
+    # Whatever the pattern takes before it declines, the outcome is the
+    # token parser's on the whole text, error positions included.
+    assert (_outcome(lambda t: parse_ddl(t).tables, text)
+            == _outcome(lambda t: _parse_ddl_tokens(t, 0), text))
+
+
+def _spy_token_parser():
+    return mock.patch("comdb.ingest._parse_ddl_tokens", wraps=_parse_ddl_tokens)
 
 
 @pytest.mark.parametrize("text, headers", [
@@ -267,18 +291,58 @@ def test_ddl_fast_path_declines_or_agrees_with_the_token_parser(text):
     ("CREATE TABLE t (a INT DEFAULT 'x, y ', b INT);", ("a", "b")),
     ("CREATE TABLE t (a$b INT, c INT);", ("a", "c")),
     ("CREATE TABLE t (a INT, b INT)", ("a", "b")),
-    ("CREATE TABLE t (a INT, b INT);;", ("a", "b")),
 ])
 def test_ddl_fast_path_declines_near_misses(text, headers):
-    assert _parse_plain_ddl(text) is None
-    assert parse_ddl(text).tables == (TableSchema("t", headers),)
+    with _spy_token_parser() as spy:
+        assert parse_ddl(text).tables == (TableSchema("t", headers),)
+    spy.assert_called_once_with(text, 0)
+
+
+def test_ddl_doubled_semicolon_resumes_at_the_second_one():
+    text = "CREATE TABLE t (a INT, b INT);;"
+    with _spy_token_parser() as spy:
+        assert parse_ddl(text).tables == (TableSchema("t", ("a", "b")),)
+    spy.assert_called_once_with(text, len(text) - 1)
 
 
 def test_ddl_fast_path_takes_no_statement_from_a_comment():
     text = "-- CREATE TABLE t (a INT);"
-    assert _parse_plain_ddl(text) is None
-    with pytest.raises(EmptyInput):
+    with _spy_token_parser() as spy, pytest.raises(EmptyInput):
         parse_ddl(text)
+    spy.assert_called_once_with(text, 0)
+    with _spy_token_parser() as spy:
+        assert parse_ddl("CREATE TABLE a (x INT);\n" + text).tables == (
+            TableSchema("a", ("x",)),)
+    spy.assert_not_called()
+
+
+def test_late_non_plain_statement_starts_the_token_parser_there():
+    text = ("CREATE TABLE a (x INT);\n-- c\nCREATE TABLE b (y INT);  \n"
+            "CREATE TABLE c (z INT, PRIMARY KEY (z));\nCREATE TABLE d (w INT);")
+    with _spy_token_parser() as spy:
+        tables = parse_ddl(text).tables
+    assert [t.name for t in tables] == ["a", "b", "c", "d"]
+    spy.assert_called_once_with(text, text.index("CREATE TABLE c"))
+
+
+def _scale_ddl(seed):
+    """The DDL of perfbench's seeded 1000-table x 30-header scale schema."""
+    path = Path(__file__).parents[1] / "perfbench" / "scale_gen.py"
+    spec = importlib.util.spec_from_file_location("scale_gen", path)
+    scale_gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(scale_gen)
+    return scale_gen.generate(seed)["sql"]
+
+
+def test_only_the_late_non_plain_statement_is_tokenized():
+    text = _scale_ddl(5).rstrip().removesuffix(");") + ", PRIMARY KEY (Id));\n"
+    last = text.rindex("CREATE TABLE")
+    with mock.patch("comdb.ingest._tokenize_ddl", wraps=_tokenize_ddl) as spy:
+        tables = parse_ddl(text).tables
+    spy.assert_called_once_with(text, last)
+    assert len(tables) == 1000 and len(tables[-1].headers) == 30
+    assert list(tables) == _parse_ddl_tokens(text, 0)
+    assert tables[-1] == _parse_ddl_tokens(text, last)[0]
 
 
 def _render_plain_ddl(rng, schema):

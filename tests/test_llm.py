@@ -39,6 +39,7 @@ from comdb.llm import (
     extract_sql,
     parse_mapping_response,
 )
+from comdb.schema import TableSchema
 
 
 def resp(text):
@@ -497,6 +498,37 @@ def test_mock_client_bad_records():
         MockChatClient([{"task": TASK_INTEGRATION}])
 
 
+@pytest.mark.parametrize("fields", [
+    {"response": 42},
+    {"response": None},
+    {"response": ["a"]},
+    {"response": "ok", "repetition": "1"},
+    {"response": "ok", "repetition": 1.0},
+    {"response": "ok", "repetition": True},
+    {"response": "ok", "repetition": None},
+])
+def test_mock_client_rejects_mistyped_records(fields):
+    good = {"task": TASK_INTEGRATION, "arm": WITH_CONTEXT, "response": "ok"}
+    with pytest.raises(ConfigError) as excinfo:
+        MockChatClient([good, dict(good, arm=WITHOUT_CONTEXT, **fields)])
+    assert str(excinfo.value) == ("mock record 1 is malformed: "
+                                  "'response' must be a string, 'repetition' an integer")
+
+
+def test_run_with_mistyped_mock_record_fails_before_any_repetition(tmp_path, capsys,
+                                                                   monkeypatch):
+    script = tmp_path / "bad.mockjson"
+    script.write_text(json.dumps([{"task": TASK_INTEGRATION, "arm": WITH_CONTEXT,
+                                   "response": 42}]))
+    monkeypatch.setattr("comdb.evaluate._repetition",
+                        lambda *args: pytest.fail("a repetition ran"))
+    rc = cli_main(["run", "--task", "integration", "--mock", str(script),
+                   "--gold", str(bundled.fixture_path(bundled.PATIENTS_GOLD_MAP))])
+    assert rc == 1
+    assert capsys.readouterr().err == ("error: mock record 0 is malformed: 'response' "
+                                       "must be a string, 'repetition' an integer\n")
+
+
 # --- mapping response parsing ---
 
 def test_parse_fenced_mapping(patient_tables):
@@ -579,6 +611,19 @@ def test_parse_mapping_duplicate_source_dropped(patient_tables):
     assert len(mapping.entries) == 1
     assert mapping.entries[0].target_headers == ("GENDER",)
     assert mapping.warnings
+
+
+@pytest.mark.parametrize("text, entries", [
+    # A header with surrounding spaces, as quoted DDL or SQLite can give.
+    ("Id  is the same as id.", [(("Id ",), ("id",))]),
+    # re.IGNORECASE matches 'ıd' (dotless i) to 'Id'; casefold keeps them apart.
+    ("ıd is the id. name is the label.", [(("name",), ("label",))]),
+])
+def test_parse_mapping_freeform_normalizes_names_as_the_scorer(text, entries):
+    table_a = TableSchema("a", ("Id ", "name"))
+    table_b = TableSchema("b", ("id", "label"))
+    mapping = parse_mapping_response(resp(text), table_a, table_b)
+    assert [(e.source_headers, e.target_headers) for e in mapping.entries] == entries
 
 
 @given(st.text(max_size=300))
