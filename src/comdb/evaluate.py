@@ -19,7 +19,6 @@ import sqlite3
 import threading
 import time
 from contextlib import closing
-from dataclasses import dataclass
 
 from . import llm
 from .errors import ComdbError, ConfigError, FixtureMissing, TableMismatch, WriteAttempt
@@ -27,16 +26,20 @@ from .ingest import check_sqlite_file, open_readonly
 from .mapping import HeaderMapping
 from .nl import DEFAULT_STYLE, StyleFlags
 from .schema import TableSchema, ValidatedAnnotations, ValidatedSchema
+from .value import Value
 
 
-@dataclass(frozen=True)
-class MappingScore:
-    matched: int
-    gold_size: int
-    predicted_size: int
-    precision: float
-    recall: float
-    f1: float
+class MappingScore(Value):
+    __slots__ = ("matched", "gold_size", "predicted_size", "precision", "recall", "f1")
+
+    def __init__(self, matched: int, gold_size: int, predicted_size: int,
+                 precision: float, recall: float, f1: float):
+        object.__setattr__(self, "matched", matched)
+        object.__setattr__(self, "gold_size", gold_size)
+        object.__setattr__(self, "predicted_size", predicted_size)
+        object.__setattr__(self, "precision", precision)
+        object.__setattr__(self, "recall", recall)
+        object.__setattr__(self, "f1", f1)
 
 
 def score_mapping(predicted: HeaderMapping, gold: HeaderMapping) -> MappingScore:
@@ -58,17 +61,18 @@ def score_mapping(predicted: HeaderMapping, gold: HeaderMapping) -> MappingScore
     return MappingScore(matched, gold_size, predicted_size, precision, recall, f1)
 
 
-@dataclass(frozen=True)
-class SqlValidationReport:
-    success: bool
-    error_text: str | None
-    result_columns: tuple[str, ...]
-    row_count: int
+class SqlValidationReport(Value):
+    __slots__ = ("success", "error_text", "result_columns", "row_count")
 
-    def __post_init__(self):
-        object.__setattr__(self, "result_columns", tuple(self.result_columns))
-        if self.success != (self.error_text is None):
+    def __init__(self, success: bool, error_text: str | None,
+                 result_columns: tuple[str, ...], row_count: int):
+        result_columns = tuple(result_columns)
+        if success != (error_text is None):
             raise ValueError("error_text must be set exactly when success is false")
+        object.__setattr__(self, "success", success)
+        object.__setattr__(self, "error_text", error_text)
+        object.__setattr__(self, "result_columns", result_columns)
+        object.__setattr__(self, "row_count", row_count)
 
 
 _COMMENT_OR_WS = re.compile(r"(?:\s+|--[^\n]*(?:\n|$)|/\*.*?\*/)*", re.DOTALL)
@@ -135,30 +139,37 @@ def _execute(sql: str, con: sqlite3.Connection) -> SqlValidationReport:
         con.set_progress_handler(None, 0)
 
 
-@dataclass(frozen=True)
-class RunRecord:
-    ok: bool
-    prompt_sha256: str
-    response_sha256: str | None = None
-    error: str | None = None
-    score: MappingScore | None = None
-    sql: str | None = None
-    sql_report: SqlValidationReport | None = None
-    mapping: HeaderMapping | None = None
+class RunRecord(Value):
+    __slots__ = ("ok", "prompt_sha256", "response_sha256", "error", "score", "sql",
+                 "sql_report", "mapping")
+
+    def __init__(self, ok: bool, prompt_sha256: str, response_sha256: str | None = None,
+                 error: str | None = None, score: MappingScore | None = None,
+                 sql: str | None = None, sql_report: SqlValidationReport | None = None,
+                 mapping: HeaderMapping | None = None):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "prompt_sha256", prompt_sha256)
+        object.__setattr__(self, "response_sha256", response_sha256)
+        object.__setattr__(self, "error", error)
+        object.__setattr__(self, "score", score)
+        object.__setattr__(self, "sql", sql)
+        object.__setattr__(self, "sql_report", sql_report)
+        object.__setattr__(self, "mapping", mapping)
 
 
-@dataclass(frozen=True)
-class ExperimentReport:
-    task: str
-    arm: str
-    n: int
-    runs: tuple[RunRecord, ...]
-    aggregate: dict
+class ExperimentReport(Value):
+    __slots__ = ("task", "arm", "n", "runs", "aggregate")
 
-    def __post_init__(self):
-        object.__setattr__(self, "runs", tuple(self.runs))
-        if len(self.runs) != self.n:
-            raise ValueError(f"{len(self.runs)} runs recorded for n={self.n}")
+    def __init__(self, task: str, arm: str, n: int, runs: tuple[RunRecord, ...],
+                 aggregate: dict):
+        runs = tuple(runs)
+        if len(runs) != n:
+            raise ValueError(f"{len(runs)} runs recorded for n={n}")
+        object.__setattr__(self, "task", task)
+        object.__setattr__(self, "arm", arm)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "runs", runs)
+        object.__setattr__(self, "aggregate", aggregate)
 
 
 def _sha256(text: str) -> str:

@@ -10,9 +10,10 @@ without-context arm. A prompt is one text, sent as the single user
 message. Prompts are pure functions of schema + annotations + fixed task
 text, so they can never leak row data.
 
-Clients are pluggable: HttpChatClient speaks the common JSON
-chat-completions protocol, MockChatClient replays a scripted response per
-(task, arm, repetition) for offline, deterministic runs.
+Clients are pluggable: a client is any object with a client_id and
+complete(bundle, *, repetition) -> LLMResponse. HttpChatClient speaks the
+common JSON chat-completions protocol, MockChatClient replays a scripted
+response per (task, arm, repetition) for offline, deterministic runs.
 """
 
 from __future__ import annotations
@@ -24,8 +25,7 @@ import os
 import random
 import re
 import time
-from dataclasses import dataclass
-from typing import Callable, Protocol
+from collections.abc import Callable
 
 from .errors import (
     ApiError,
@@ -49,6 +49,7 @@ from .schema import (
     validate_annotations,
     validate_schema,
 )
+from .value import Value
 
 TASK_INTEGRATION = "semantic-integration"
 TASK_JOINING = "tables-joining"
@@ -79,42 +80,49 @@ SQL_DIRECTIVE = (
 )
 
 
-@dataclass(frozen=True)
-class PromptBundle:
-    task: str
-    arm: str
-    user_text: str
-    format_directive: str
+class PromptBundle(Value):
+    __slots__ = ("task", "arm", "user_text", "format_directive")
+
+    def __init__(self, task: str, arm: str, user_text: str, format_directive: str):
+        object.__setattr__(self, "task", task)
+        object.__setattr__(self, "arm", arm)
+        object.__setattr__(self, "user_text", user_text)
+        object.__setattr__(self, "format_directive", format_directive)
 
 
-@dataclass(frozen=True)
-class LLMResponse:
-    raw_text: str
-    latency_ms: float
-    client_id: str
+class LLMResponse(Value):
+    __slots__ = ("raw_text", "latency_ms", "client_id")
+
+    def __init__(self, raw_text: str, latency_ms: float, client_id: str):
+        object.__setattr__(self, "raw_text", raw_text)
+        object.__setattr__(self, "latency_ms", latency_ms)
+        object.__setattr__(self, "client_id", client_id)
 
 
-@dataclass(frozen=True)
-class ClientConfig:
-    endpoint_url: str
-    model: str
-    temperature: float = 0.0
-    timeout: float = 30.0
-    max_retries: int = 2
-    api_key_source: str = "COMDB_API_KEY"
+class ClientConfig(Value):
+    __slots__ = ("endpoint_url", "model", "temperature", "timeout", "max_retries",
+                 "api_key_source")
 
-    def __post_init__(self):
+    def __init__(self, endpoint_url: str, model: str, temperature: float = 0.0,
+                 timeout: float = 30.0, max_retries: int = 2,
+                 api_key_source: str = "COMDB_API_KEY"):
         # NaN passes the range checks below, and json.dumps would send a
         # NaN temperature as a bare NaN, which is not JSON.
-        for name in ("timeout", "temperature"):
-            if not math.isfinite(getattr(self, name)):
+        for name, value in (("timeout", timeout), ("temperature", temperature)):
+            if not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite")
-        if self.timeout <= 0:
+        if timeout <= 0:
             raise ConfigError("timeout must be positive")
-        if self.temperature < 0:
+        if temperature < 0:
             raise ConfigError("temperature must be >= 0")
-        if self.max_retries < 0:
+        if max_retries < 0:
             raise ConfigError("max_retries must be >= 0")
+        object.__setattr__(self, "endpoint_url", endpoint_url)
+        object.__setattr__(self, "model", model)
+        object.__setattr__(self, "temperature", temperature)
+        object.__setattr__(self, "timeout", timeout)
+        object.__setattr__(self, "max_retries", max_retries)
+        object.__setattr__(self, "api_key_source", api_key_source)
 
 
 def _check_arm(arm: str):
@@ -183,13 +191,6 @@ def build_prompt(task: str, arm: str, annotations: ValidatedAnnotations | None,
     if task == TASK_JOINING:
         return build_join_prompt(schema, annotations, goal, arm, style)
     raise ConfigError(f"unknown task {task!r}")
-
-
-class ChatClient(Protocol):
-    client_id: str
-
-    def complete(self, bundle: PromptBundle, *, repetition: int = 0) -> LLMResponse:
-        ...
 
 
 def _urllib_transport(url, payload, headers, timeout):
@@ -291,7 +292,9 @@ class MockChatClient:
     """Scripted client: (task, arm, repetition) -> canned response text.
 
     Script records may omit the repetition index to cover every
-    repetition; an exact-index record wins over such a wildcard.
+    repetition; an exact-index record wins over such a wildcard. A record
+    whose task or arm is not one comdb runs could never be used, so it is
+    rejected with the malformed ones.
     """
 
     client_id = "mock"
@@ -300,13 +303,16 @@ class MockChatClient:
         self._responses = {}
         for i, record in enumerate(records):
             try:
-                key = (record["task"], record["arm"], record.get("repetition"))
-                text = record["response"]
+                task, arm, text = record["task"], record["arm"], record["response"]
+                if task not in (TASK_INTEGRATION, TASK_JOINING):
+                    raise ValueError(f"unknown task {task!r}")
+                if arm not in ARMS:
+                    raise ValueError(f"unknown arm {arm!r}")
                 if not isinstance(text, str) or type(record.get("repetition", 0)) is not int:
                     raise TypeError("'response' must be a string, 'repetition' an integer")
-            except (TypeError, KeyError) as exc:
+            except (TypeError, KeyError, ValueError) as exc:
                 raise ConfigError(f"mock record {i} is malformed: {exc}") from exc
-            self._responses[key] = text
+            self._responses[(task, arm, record.get("repetition"))] = text
 
     @classmethod
     def from_file(cls, path) -> "MockChatClient":

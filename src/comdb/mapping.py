@@ -9,9 +9,8 @@ format is one entry per line, ``A-side -> B-side``, sides joined with
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import ParseError
+from .value import Value
 
 
 def normalize_header(name: str) -> str:
@@ -19,16 +18,15 @@ def normalize_header(name: str) -> str:
     return name.strip().casefold()
 
 
-@dataclass(frozen=True)
-class MappingEntry:
-    source_headers: tuple[str, ...]
-    target_headers: tuple[str, ...]
+class MappingEntry(Value):
+    __slots__ = ("source_headers", "target_headers")
 
-    def __post_init__(self):
-        object.__setattr__(self, "source_headers", tuple(self.source_headers))
-        object.__setattr__(self, "target_headers", tuple(self.target_headers))
-        if not self.source_headers or not self.target_headers:
+    def __init__(self, source_headers: tuple[str, ...], target_headers: tuple[str, ...]):
+        source_headers, target_headers = tuple(source_headers), tuple(target_headers)
+        if not source_headers or not target_headers:
             raise ValueError("mapping entry needs headers on both sides")
+        object.__setattr__(self, "source_headers", source_headers)
+        object.__setattr__(self, "target_headers", target_headers)
 
     def normalized(self) -> tuple[frozenset, frozenset]:
         return (frozenset(normalize_header(h) for h in self.source_headers),
@@ -58,20 +56,21 @@ def split_reused(entries) -> tuple[list[MappingEntry], list[tuple[MappingEntry, 
     return kept, rejected
 
 
-@dataclass(frozen=True)
-class HeaderMapping:
-    entries: tuple[MappingEntry, ...]
-    source_table: str | None = None
-    target_table: str | None = None
-    warnings: tuple[str, ...] = field(default=(), compare=False)
+class HeaderMapping(Value):
+    __slots__ = ("entries", "source_table", "target_table", "warnings")
+    _uncompared = ("warnings",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(self.entries))
-        object.__setattr__(self, "warnings", tuple(self.warnings))
-        _, rejected = split_reused(self.entries)
+    def __init__(self, entries: tuple[MappingEntry, ...], source_table: str | None = None,
+                 target_table: str | None = None, warnings: tuple[str, ...] = ()):
+        entries, warnings = tuple(entries), tuple(warnings)
+        _, rejected = split_reused(entries)
         if rejected:
             _, side, header = rejected[0]
             raise ValueError(f"{side} header {header!r} appears in two entries")
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "source_table", source_table)
+        object.__setattr__(self, "target_table", target_table)
+        object.__setattr__(self, "warnings", warnings)
 
     def __len__(self):
         return len(self.entries)

@@ -22,7 +22,6 @@ identifier marks a header group.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .errors import ParseError
 from .schema import (
@@ -34,15 +33,18 @@ from .schema import (
     ValidatedAnnotations,
     ValidatedSchema,
 )
+from .value import Value
 
 INPUT_ORDER = "input-order"
 ALPHABETICAL = "alphabetical"
 
 
-@dataclass(frozen=True)
-class StyleFlags:
-    prefixed_header_groups: bool = True
-    oxford_and: bool = True
+class StyleFlags(Value):
+    __slots__ = ("prefixed_header_groups", "oxford_and")
+
+    def __init__(self, prefixed_header_groups: bool = True, oxford_and: bool = True):
+        object.__setattr__(self, "prefixed_header_groups", prefixed_header_groups)
+        object.__setattr__(self, "oxford_and", oxford_and)
 
 
 DEFAULT_STYLE = StyleFlags()

@@ -9,14 +9,14 @@ comdb.mapping.normalize_header (stripped and casefolded), the rule the
 response parser and the scorer match names by. Names keep their spelling,
 and annotation references must match it exactly.
 
-Everything here is immutable after construction and validation is a pure
-function, so values can be shared freely between threads.
+Every type here is a slotted comdb.value.Value: immutable after
+construction, equal and hashed by value, and with no room for an
+attribute beyond its fields, so nothing can attach row data later.
+Validation is a pure function, so values can be shared freely between
+threads.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
-from functools import cached_property
 
 from .errors import (
     DuplicateHeader,
@@ -31,89 +31,91 @@ from .errors import (
     UnknownTable,
 )
 from .mapping import normalize_header
+from .value import Value
 
 
-@dataclass(frozen=True)
-class TableSchema:
+class TableSchema(Value):
     """One table: a name and its ordered header names."""
 
-    name: str
-    headers: tuple[str, ...]
+    __slots__ = ("name", "headers")
 
-    def __post_init__(self):
-        object.__setattr__(self, "headers", tuple(self.headers))
+    def __init__(self, name: str, headers: tuple[str, ...]):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "headers", tuple(headers))
 
 
-@dataclass(frozen=True)
-class DatabaseSchema:
-    name: str
-    tables: tuple[TableSchema, ...]
+class DatabaseSchema(Value):
+    __slots__ = ("name", "tables")
 
-    def __post_init__(self):
-        object.__setattr__(self, "tables", tuple(self.tables))
+    def __init__(self, name: str, tables: tuple[TableSchema, ...]):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "tables", tuple(tables))
 
     def table_names(self) -> tuple[str, ...]:
         return tuple(t.name for t in self.tables)
 
 
-@dataclass(frozen=True)
-class ContextRelation:
+class ContextRelation(Value):
     """Condensed table-level relation: every subject is in the context of
     every object."""
 
-    subjects: tuple[str, ...]
-    objects: tuple[str, ...]
+    __slots__ = ("subjects", "objects")
 
-    def __post_init__(self):
-        object.__setattr__(self, "subjects", tuple(self.subjects))
-        object.__setattr__(self, "objects", tuple(self.objects))
+    def __init__(self, subjects: tuple[str, ...], objects: tuple[str, ...]):
+        object.__setattr__(self, "subjects", tuple(subjects))
+        object.__setattr__(self, "objects", tuple(objects))
 
 
-@dataclass(frozen=True)
-class HeaderContextGroup:
+class HeaderContextGroup(Value):
     """Two or more headers of one table sharing a concept, e.g. the four
     address columns in the context of "patients' address"."""
 
-    table: str
-    headers: tuple[str, ...]
-    concept: str
+    __slots__ = ("table", "headers", "concept")
 
-    def __post_init__(self):
-        object.__setattr__(self, "headers", tuple(self.headers))
-
-
-@dataclass(frozen=True)
-class OntologyAnnotations:
-    table_relations: tuple[ContextRelation, ...] = ()
-    header_groups: tuple[HeaderContextGroup, ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "table_relations", tuple(self.table_relations))
-        object.__setattr__(self, "header_groups", tuple(self.header_groups))
+    def __init__(self, table: str, headers: tuple[str, ...], concept: str):
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "headers", tuple(headers))
+        object.__setattr__(self, "concept", concept)
 
 
-@dataclass(frozen=True)
-class DirectedContextPair:
-    subject: str
-    object: str
+class OntologyAnnotations(Value):
+    __slots__ = ("table_relations", "header_groups")
+
+    def __init__(self, table_relations: tuple[ContextRelation, ...] = (),
+                 header_groups: tuple[HeaderContextGroup, ...] = ()):
+        object.__setattr__(self, "table_relations", tuple(table_relations))
+        object.__setattr__(self, "header_groups", tuple(header_groups))
 
 
-@dataclass(frozen=True)
-class ValidatedSchema:
+_set_field = object.__setattr__
+
+
+class DirectedContextPair(Value):
+    __slots__ = ("subject", "object")
+
+    def __init__(self, subject: str, object: str):
+        # The parameter hides the builtin object here.
+        _set_field(self, "subject", subject)
+        _set_field(self, "object", object)
+
+
+class ValidatedSchema(Value):
     """Witness that a DatabaseSchema passed validate_schema.
 
     Downstream operations (emission, prompt building, annotation checks)
-    require this wrapper rather than a bare DatabaseSchema. Name lookups
-    go through an exact-match index built on first use, so table() and
-    has_table() cost O(1) each.
+    require this wrapper rather than a bare DatabaseSchema. The constructor
+    builds an exact-match name index, so table() and has_table() cost O(1)
+    each. The index is derived state: it takes no part in ==, hash, repr or
+    pickling.
     """
 
-    schema: DatabaseSchema
+    __slots__ = ("schema", "_by_name")
+    _fields = ("schema",)
 
-    @cached_property
-    def _by_name(self) -> dict[str, TableSchema]:
+    def __init__(self, schema: DatabaseSchema):
+        object.__setattr__(self, "schema", schema)
         # reversed, so the first table of a name wins, as a scan would
-        return {t.name: t for t in reversed(self.schema.tables)}
+        object.__setattr__(self, "_by_name", {t.name: t for t in reversed(schema.tables)})
 
     def table(self, name: str) -> TableSchema:
         return self._by_name[name]
@@ -126,12 +128,16 @@ class ValidatedSchema:
         return self.schema.tables
 
 
-@dataclass(frozen=True)
-class ValidatedAnnotations:
-    """Witness that annotations resolve against a validated schema."""
+class ValidatedAnnotations(Value):
+    """Witness that annotations resolve against a validated schema. Its
+    repr leaves the schema out."""
 
-    annotations: OntologyAnnotations
-    schema: ValidatedSchema = field(repr=False)
+    __slots__ = ("annotations", "schema")
+    _hidden = ("schema",)
+
+    def __init__(self, annotations: OntologyAnnotations, schema: ValidatedSchema):
+        object.__setattr__(self, "annotations", annotations)
+        object.__setattr__(self, "schema", schema)
 
     @property
     def table_relations(self) -> tuple[ContextRelation, ...]:

@@ -398,9 +398,11 @@ def test_import_loads_no_third_party_module():
 # Modules that only `comdb run` needs: the HTTP stack (which brings email
 # and ssl) for a live run, the thread pool (which brings logging) for more
 # than one worker, and hashlib for the report's hashes. No command needs
-# importlib.resources.
+# importlib.resources, and comdb's value types need neither dataclasses
+# (which brings inspect) nor typing.
 _DEFERRED = ("http.client", "urllib.request", "email.parser", "ssl",
-             "concurrent.futures", "logging", "hashlib", "importlib.resources")
+             "concurrent.futures", "logging", "hashlib", "importlib.resources",
+             "dataclasses", "inspect", "typing")
 
 
 def test_import_and_ingest_load_no_deferred_module(tmp_path):
@@ -513,6 +515,35 @@ def test_mock_client_rejects_mistyped_records(fields):
         MockChatClient([good, dict(good, arm=WITHOUT_CONTEXT, **fields)])
     assert str(excinfo.value) == ("mock record 1 is malformed: "
                                   "'response' must be a string, 'repetition' an integer")
+
+
+@pytest.mark.parametrize("fields, problem", [
+    ({"task": "integration"}, "unknown task 'integration'"),
+    ({"task": ["semantic-integration"]}, "unknown task ['semantic-integration']"),
+    ({"arm": "with_context"}, "unknown arm 'with_context'"),
+    ({"arm": None}, "unknown arm None"),
+])
+def test_mock_client_rejects_records_for_unknown_tasks_and_arms(fields, problem):
+    good = {"task": TASK_INTEGRATION, "arm": WITH_CONTEXT, "response": "ok"}
+    with pytest.raises(ConfigError) as excinfo:
+        MockChatClient([good, dict(good, **fields)])
+    assert str(excinfo.value) == f"mock record 1 is malformed: {problem}"
+
+
+def test_run_with_mock_record_for_unknown_arm_fails_before_any_repetition(tmp_path, capsys,
+                                                                          monkeypatch,
+                                                                          fixture_db):
+    script = tmp_path / "bad.mockjson"
+    records = json.loads(bundled.fixture_text(bundled.JOINING_MOCK))
+    records[1]["arm"] = "with_context"
+    script.write_text(json.dumps(records))
+    monkeypatch.setattr("comdb.evaluate._repetition",
+                        lambda *args: pytest.fail("a repetition ran"))
+    rc = cli_main(["run", "--task", "joining", "--mock", str(script), "--n", "1",
+                   "--db", str(fixture_db)])
+    assert rc == 1
+    assert capsys.readouterr().err == ("error: mock record 1 is malformed: "
+                                       "unknown arm 'with_context'\n")
 
 
 def test_run_with_mistyped_mock_record_fails_before_any_repetition(tmp_path, capsys,

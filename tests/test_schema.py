@@ -1,3 +1,4 @@
+import inspect
 import random
 import time
 
@@ -272,5 +273,12 @@ def test_validate_annotations_is_linear_at_scale():
 
 def test_no_row_data_representable():
     # construction surface accepts names only
-    assert set(TableSchema.__dataclass_fields__) == {"name", "headers"}
-    assert set(DatabaseSchema.__dataclass_fields__) == {"name", "tables"}
+    assert set(inspect.signature(TableSchema).parameters) == {"name", "headers"}
+    assert set(inspect.signature(DatabaseSchema).parameters) == {"name", "tables"}
+    # and no other attribute can be attached afterwards, not even past the
+    # frozen guard
+    for value in (table("t", "Id"), DatabaseSchema("d", (table("t", "Id"),))):
+        for setter in (setattr, object.__setattr__):
+            with pytest.raises(AttributeError):
+                setter(value, "rows", [("1",)])
+        assert not hasattr(value, "rows")
