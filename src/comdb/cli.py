@@ -95,6 +95,7 @@ def _add_style_flags(parser):
 
 
 def cmd_ingest(args) -> int:
+    _check_output(args.out)
     schema = _load_schema_file(args.source, args.schema_format)
     validate_schema(schema)
     if args.to == "db":

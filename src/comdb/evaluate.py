@@ -1,10 +1,10 @@
 """Score mappings, validate SQL by execution, and run the two-arm protocol.
 
 An experiment runs one task over one or both arms, N repetitions each
-(the protocol default is 10). Every repetition builds the prompt, asks
-the client, parses the answer, and either scores the mapping against
-gold (semantic integration) or executes the SQL against the fixture
-database (tables joining). Failed repetitions are recorded and score
+(the protocol default is 10). Every repetition asks the client for an
+answer; each distinct answer is parsed once, and its mapping is scored
+against gold (semantic integration) or its SQL executed against the
+fixture database (tables joining). Failed repetitions are recorded and score
 zero; they never abort the experiment, so aggregates stay comparable
 across arms.
 """
@@ -178,16 +178,21 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _repetition(bundle, prompt_hash, client, repetition, judge, failure_score) -> RunRecord:
-    """Ask the client once and judge the answer. Any exception on the way
-    becomes a failed record carrying failure_score; it never propagates.
-    A ComdbError keeps its message; any other exception is recorded as
-    ``ClassName: message``."""
+def _repetition(bundle, prompt_hash, client, repetition, judge, failure_score,
+                memo) -> RunRecord:
+    """Ask the client once and judge the answer, unless memo already holds
+    the (hash, outcome) of its text. Any exception on the way becomes a
+    failed record carrying failure_score; it is never memoized and never
+    propagates. A ComdbError keeps its message; any other exception is
+    recorded as ``ClassName: message``."""
     response_hash = None
     try:
         resp = client.complete(bundle, repetition=repetition)
-        response_hash = _sha256(resp.raw_text)
-        outcome = judge(resp)
+        judged = memo.get(resp.raw_text)
+        if judged is None:
+            response_hash = _sha256(resp.raw_text)
+            judged = memo[resp.raw_text] = (response_hash, judge(resp))
+        response_hash, outcome = judged
     except Exception as exc:
         error = str(exc) if isinstance(exc, ComdbError) else f"{type(exc).__name__}: {exc}"
         return RunRecord(False, prompt_hash, response_hash, error=error,
@@ -221,6 +226,13 @@ def run_experiment(task: str, *,
     (arm, repetition) pair. For tables joining each worker thread opens one
     read-only connection to the database on first use; all of them are
     closed before this function returns or raises.
+
+    Each distinct answer text is hashed and judged once per call, for both
+    arms: the judges read only the text and inputs fixed for the call, and
+    repeats share the immutable outcome. So repeats of an answer whose SQL
+    hit SQL_TIME_LIMIT_S get its verdict without waiting again. A judge
+    that raises is not remembered, so each repeat records its own error.
+    Without a lock, two workers may both judge one text.
     """
     if repetitions <= 0:
         raise ConfigError("repetitions must be >= 1")
@@ -277,10 +289,12 @@ def run_experiment(task: str, *,
                                   table_b=table_b, schema=schema, goal=goal)
         prepared.append((bundle, _sha256(bundle.user_text)))
 
+    memo = {}
+
     def one_run(job):
         (bundle, prompt_hash), rep = job
         return _repetition(bundle, prompt_hash, client_factory(), rep, judge,
-                           failure_score)
+                           failure_score, memo)
 
     jobs = [(p, rep) for p in prepared for rep in range(repetitions)]
     try:

@@ -22,7 +22,6 @@ import functools
 import json
 import math
 import os
-import random
 import re
 import time
 from collections.abc import Callable
@@ -265,6 +264,8 @@ class HttpChatClient:
         attempts = self.config.max_retries + 1
         for attempt in range(attempts):
             if attempt:
+                import random  # loaded on the first retry, so offline commands never pay
+
                 delay = min(self.backoff_cap, self.backoff_base * 2 ** (attempt - 1))
                 time.sleep(delay * (1 + random.random() * 0.25))
             try:

@@ -296,9 +296,10 @@ def test_unreadable_input_is_an_error(tmp_path, capsys, kind, command):
 @pytest.mark.parametrize("command", [
     ["emit", fx(bundled.SYNTHEA_SCHEMA)],
     ["ingest", fx(bundled.SYNTHEA_DDL), "--to", "fixture"],
+    ["ingest", fx(bundled.SYNTHEA_DDL), "--to", "db"],
     ["run", "--task", "integration", "--n", "1", "--mock", fx(bundled.INTEGRATION_MOCK),
      "--gold", fx(bundled.PATIENTS_GOLD_MAP)],
-], ids=["emit", "ingest", "run"])
+], ids=["emit", "ingest", "ingest-db", "run"])
 def test_out_naming_a_directory_is_an_error(tmp_path, capsys, command):
     assert main(command + ["--out", str(tmp_path)]) == 1
     captured = capsys.readouterr()

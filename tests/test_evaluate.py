@@ -8,7 +8,7 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
-from comdb import evaluate, fixtures as bundled
+from comdb import evaluate, fixtures as bundled, llm
 from comdb.errors import ConfigError, FixtureMissing, TableMismatch, WriteAttempt
 from comdb.evaluate import (
     ExperimentReport,
@@ -460,6 +460,108 @@ def test_run_joining_one_connection_per_worker(synthea_schema, synthea_annotatio
     for con in opened:
         with pytest.raises(sqlite3.ProgrammingError, match="closed"):
             con.execute("SELECT 1")
+
+
+def _count_calls(monkeypatch, owner, name):
+    """Wrap owner.name so that every call is appended to the returned list."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+@pytest.fixture
+def task_inputs(patient_tables, patient_annotations, gold_mapping, synthea_schema,
+                synthea_annotations, fixture_db):
+    table_a, table_b = patient_tables
+    return {
+        TASK_INTEGRATION: dict(table_a=table_a, table_b=table_b,
+                               annotations=patient_annotations, gold=gold_mapping),
+        TASK_JOINING: dict(schema=synthea_schema, annotations=synthea_annotations,
+                           database=fixture_db),
+    }
+
+
+_JUDGES = {TASK_INTEGRATION: (llm, "parse_mapping_response"),
+           TASK_JOINING: (evaluate, "execute_sql")}
+_MOCKS = {TASK_INTEGRATION: bundled.INTEGRATION_MOCK, TASK_JOINING: bundled.JOINING_MOCK}
+
+
+@pytest.mark.parametrize("task", [TASK_INTEGRATION, TASK_JOINING])
+def test_run_judges_each_distinct_answer_once(task_inputs, monkeypatch, task):
+    # The bundled scripts give one answer per arm, so 20 repetitions hold two.
+    calls = _count_calls(monkeypatch, *_JUDGES[task])
+    hashes = _count_calls(monkeypatch, evaluate, "_sha256")
+    reports = run_experiment(task, **task_inputs[task], repetitions=10,
+                             client_factory=_mock_factory(_MOCKS[task]))
+    assert len(calls) == 2
+    assert len(hashes) == 2 + 2  # the two prompts and the two answers
+    for report in reports:
+        assert len({run.response_sha256 for run in report.runs}) == 1
+
+
+@pytest.mark.parametrize("task", [TASK_INTEGRATION, TASK_JOINING])
+def test_run_judges_a_new_answer_on_every_repetition(task_inputs, monkeypatch, task):
+    texts = ([f"```\nGender -> GENDER\nName -> FIRST{i}\n```" for i in range(4)]
+             if task == TASK_INTEGRATION else [f"SELECT {i};" for i in range(4)])
+    records = [{"task": task, "arm": WITH_CONTEXT, "repetition": i, "response": text}
+               for i, text in enumerate(texts)]
+    calls = _count_calls(monkeypatch, *_JUDGES[task])
+    reports = run_experiment(task, **task_inputs[task], arms=(WITH_CONTEXT,),
+                             repetitions=4, client_factory=lambda: MockChatClient(records))
+    assert len(calls) == 4
+    assert len({run.response_sha256 for run in reports[0].runs}) == 4
+
+
+@pytest.mark.parametrize("task", [TASK_INTEGRATION, TASK_JOINING])
+def test_run_judge_that_raises_runs_on_every_repetition(task_inputs, monkeypatch, task):
+    owner, name = _JUDGES[task]
+    calls = []
+
+    def broken(*args):
+        calls.append(args)
+        raise RuntimeError(f"judge broke on call {len(calls)}")
+
+    monkeypatch.setattr(owner, name, broken)
+    reports = run_experiment(task, **task_inputs[task], repetitions=3,
+                             client_factory=_mock_factory(_MOCKS[task]))
+    assert len(calls) == 6
+    errors = [run.error for report in reports for run in report.runs]
+    assert errors == [f"RuntimeError: judge broke on call {i}" for i in range(1, 7)]
+    assert all(run.response_sha256 for report in reports for run in report.runs)
+
+
+@pytest.mark.parametrize("task", [TASK_INTEGRATION, TASK_JOINING])
+def test_run_memo_under_workers_matches_serial(task_inputs, task):
+    # Three answers repeated out of order, one of which fails its judge.
+    answers = {TASK_INTEGRATION: ["```\nGender -> GENDER\n```", "no mapping at all",
+                                  "```\nName -> FIRST\n```"],
+               TASK_JOINING: ["SELECT 1;", "SELECT nothing FROM nowhere;",
+                              "nothing to run"]}[task]
+    records = [{"task": task, "arm": arm, "repetition": rep,
+                "response": answers[(rep * 7 + len(arm)) % 3]}
+               for arm in (WITH_CONTEXT, WITHOUT_CONTEXT) for rep in range(30)]
+
+    def run(workers):
+        return run_experiment(task, **task_inputs[task], repetitions=30,
+                              workers=workers,
+                              client_factory=lambda: MockChatClient(records))
+
+    serial = run(1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        parallel = run(8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert [r.runs for r in serial] == [r.runs for r in parallel]
+    assert render_report(serial) == render_report(parallel)
+    assert {run.ok for r in serial for run in r.runs} == {True, False}
 
 
 class _RaisingClient:

@@ -397,12 +397,12 @@ def test_import_loads_no_third_party_module():
 
 # Modules that only `comdb run` needs: the HTTP stack (which brings email
 # and ssl) for a live run, the thread pool (which brings logging) for more
-# than one worker, and hashlib for the report's hashes. No command needs
-# importlib.resources, and comdb's value types need neither dataclasses
-# (which brings inspect) nor typing.
+# than one worker, hashlib for the report's hashes and random for the
+# retry jitter. No command needs importlib.resources, and comdb's value
+# types need neither dataclasses (which brings inspect) nor typing.
 _DEFERRED = ("http.client", "urllib.request", "email.parser", "ssl",
-             "concurrent.futures", "logging", "hashlib", "importlib.resources",
-             "dataclasses", "inspect", "typing")
+             "concurrent.futures", "logging", "hashlib", "random",
+             "importlib.resources", "dataclasses", "inspect", "typing")
 
 
 def test_import_and_ingest_load_no_deferred_module(tmp_path):
