@@ -95,12 +95,12 @@ def _add_style_flags(parser):
 
 
 def cmd_ingest(args) -> int:
+    if args.to == "db" and not args.out:
+        args.parser.error("--to db requires --out")
     _check_output(args.out)
     schema = _load_schema_file(args.source, args.schema_format)
     validate_schema(schema)
     if args.to == "db":
-        if not args.out:
-            args.parser.error("--to db requires --out")
         build_database(schema, args.out)
         print(f"created {args.out} with {len(schema.tables)} tables", file=sys.stderr)
         return 0

@@ -222,10 +222,13 @@ def run_experiment(task: str, *,
     """Run one task over the requested arms, N repetitions per arm.
 
     client_factory is called once per repetition so that concurrent
-    workers never share a client handle. One pool of workers runs every
-    (arm, repetition) pair. For tables joining each worker thread opens one
-    read-only connection to the database on first use; all of them are
-    closed before this function returns or raises.
+    workers never share a client handle. With workers > 1, a pool runs one
+    task per worker, and each task takes the next (arm, repetition) pair
+    from the shared list until none is left; every run keeps its position,
+    and an exception that escapes a task reaches the caller. For tables
+    joining each worker thread opens one read-only connection to the
+    database on first use; all of them are closed before this function
+    returns or raises.
 
     Each distinct answer text is hashed and judged once per call, for both
     arms: the judges read only the text and inputs fixed for the call, and
@@ -303,8 +306,21 @@ def run_experiment(task: str, *,
         else:
             from concurrent.futures import ThreadPoolExecutor  # serial runs never load it
 
+            runs = [None] * len(jobs)
+            pending = iter(range(len(jobs)))
+            lock = threading.Lock()
+
+            def drain():
+                while True:
+                    with lock:
+                        i = next(pending, None)
+                    if i is None:
+                        return
+                    runs[i] = one_run(jobs[i])
+
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                runs = list(pool.map(one_run, jobs))
+                for drained in [pool.submit(drain) for _ in range(workers)]:
+                    drained.result()
     finally:
         for con in connections:
             con.close()

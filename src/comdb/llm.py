@@ -12,8 +12,12 @@ text, so they can never leak row data.
 
 Clients are pluggable: a client is any object with a client_id and
 complete(bundle, *, repetition) -> LLMResponse. HttpChatClient speaks the
-common JSON chat-completions protocol, MockChatClient replays a scripted
-response per (task, arm, repetition) for offline, deterministic runs.
+common JSON chat-completions protocol, one http.client connection per
+request, through the proxy that http_proxy or https_proxy names unless
+no_proxy lists the host; it retries 429 and 5xx replies, waiting as long
+as a 429 or 503 reply's Retry-After asks (delta-seconds only, capped).
+MockChatClient replays a scripted response per (task, arm, repetition)
+for offline, deterministic runs.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import os
 import re
 import time
 from collections.abc import Callable
+from urllib.parse import unquote, urlsplit
 
 from .errors import (
     ApiError,
@@ -116,6 +121,15 @@ class ClientConfig(Value):
             raise ConfigError("temperature must be >= 0")
         if max_retries < 0:
             raise ConfigError("max_retries must be >= 0")
+        # Checked here, so that a URL no request can use fails before the first one.
+        try:
+            url = urlsplit(endpoint_url)
+            url.port  # raises ValueError unless the port is a number in range
+        except ValueError as exc:
+            raise ConfigError(f"endpoint_url {endpoint_url!r}: {exc}") from exc
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise ConfigError("endpoint_url must be an http:// or https:// URL with a "
+                              f"host, not {endpoint_url!r}")
         object.__setattr__(self, "endpoint_url", endpoint_url)
         object.__setattr__(self, "model", model)
         object.__setattr__(self, "temperature", temperature)
@@ -192,33 +206,78 @@ def build_prompt(task: str, arm: str, annotations: ValidatedAnnotations | None,
     raise ConfigError(f"unknown task {task!r}")
 
 
-def _urllib_transport(url, payload, headers, timeout):
-    """POST payload as JSON and return (status, body text) for any HTTP
-    reply, error statuses included, so that ApiError can carry the body.
-    The HTTP stack is imported here, on first use, because only live runs
-    need it."""
+def _http_transport(endpoint_url: str) -> Callable:
+    """The default transport for endpoint_url: a function that POSTs payload
+    as JSON over a new http.client connection (Connection: close) and
+    returns (status, headers, body text) for any HTTP reply, error statuses
+    included, so that ApiError can carry the body. The request is the one
+    urllib.request sends, byte for byte, User-Agent included.
+
+    The proxy is chosen here, once per client, by urllib's getproxies() and
+    proxy_bypass(): http_proxy or https_proxy by the endpoint's scheme (or
+    the platform's proxy settings), unless no_proxy lists its host. Through
+    a proxy, an http endpoint is asked for by its absolute URL, and an https
+    one through a CONNECT tunnel; credentials in the proxy URL go out as
+    Basic Proxy-Authorization. The HTTP stack is imported here, on first
+    use, because only live runs need it.
+    """
+    import base64
     import http.client
-    import urllib.error
     import urllib.request
 
-    data = json.dumps(payload).encode("utf-8")
-    try:
+    scheme, netloc = urlsplit(endpoint_url)[:2]
+    address, tunnel, absolute, extra = netloc, None, False, {}
+    secure = scheme == "https"
+    proxy = urllib.request.getproxies().get(scheme)
+    if proxy and not urllib.request.proxy_bypass(netloc):
+        parts = urlsplit(proxy if "://" in proxy else "http://" + proxy)
+        address = unquote(parts.netloc.rpartition("@")[2])
+        if parts.username and parts.password:
+            credentials = f"{unquote(parts.username)}:{unquote(parts.password)}"
+            extra["Proxy-Authorization"] = "Basic " + base64.b64encode(
+                credentials.encode()).decode("ascii")
+        if secure:
+            tunnel, extra = extra, {}
+        else:
+            absolute, secure = True, parts.scheme == "https"
+    connection_class = http.client.HTTPSConnection if secure else http.client.HTTPConnection
+    user_agent = f"Python-urllib/{urllib.request.__version__}"
+
+    def transport(url, payload, headers, timeout):
+        data = json.dumps(payload).encode("utf-8")
+        path, query = urlsplit(url)[2:4]
+        target = url if absolute else path + ("?" + query if query else "")
+        # urllib's order: its own headers, the caller's, then Connection.
+        headers = {"Content-Length": str(len(data)), "Host": netloc,
+                   "User-Agent": user_agent, **headers, **extra, "Connection": "close"}
         try:
-            request = urllib.request.Request(url, data, headers, method="POST")
-            response = urllib.request.urlopen(request, timeout=timeout)
-        except urllib.error.HTTPError as exc:
-            response = exc
-        with response:
-            return response.status, response.read().decode("utf-8", "replace")
-    except urllib.error.URLError as exc:
-        # A timeout while connecting arrives wrapped, one while reading bare.
-        if isinstance(exc.reason, TimeoutError):
+            # The constructor parses the address: a bad port is InvalidURL.
+            connection = connection_class(address, timeout=timeout)
+            try:
+                if tunnel is not None:
+                    connection.set_tunnel(netloc, headers=tunnel)
+                connection.request("POST", target, data, headers)
+                response = connection.getresponse()
+                return (response.status, response.headers,
+                        response.read().decode("utf-8", "replace"))
+            finally:
+                connection.close()
+        except TimeoutError as exc:
             raise Timeout(timeout) from exc
-        raise TransportError(str(exc.reason)) from exc
-    except TimeoutError as exc:
-        raise Timeout(timeout) from exc
-    except (OSError, ValueError, http.client.HTTPException) as exc:
-        raise TransportError(str(exc)) from exc
+        except (OSError, ValueError, http.client.HTTPException) as exc:
+            raise TransportError(str(exc)) from exc
+
+    return transport
+
+
+def _retry_after(status: int, headers, cap: float) -> float | None:
+    """The wait a 429 or 503 reply asks for in Retry-After (RFC 9110
+    §10.2.3), at most cap; None for other replies, an HTTP-date or a
+    malformed value. Only the delta-seconds form is read."""
+    if status not in (429, 503):
+        return None
+    value = (headers.get("Retry-After") or "").strip()
+    return min(int(value), cap) if value.isascii() and value.isdigit() else None
 
 
 class HttpChatClient:
@@ -226,19 +285,25 @@ class HttpChatClient:
 
     Transport failures, timeouts and HTTP 429 and 5xx replies are retried
     with exponential backoff plus jitter, up to max_retries extra attempts.
-    If the last attempt still gets such a reply, it is an ApiError with that
-    status and body. Other error statuses are not retried, and a reply
-    without string content is an ApiError. The credential is read from the
-    environment variable named by the config and never logged.
+    A 429 or 503 reply whose Retry-After gives delta-seconds waits that
+    long instead, at most backoff_cap and the timeout. If the last attempt
+    still gets such a reply, it is an ApiError with that status and body.
+    Other error statuses are not retried, and a reply without string
+    content is an ApiError. The credential is read from the environment
+    variable named by the config and never logged.
+
+    transport(url, payload, headers, timeout) -> (status, headers, body)
+    sends one request; the default, _http_transport, opens one connection
+    per request.
     """
 
     backoff_base = 0.5
     backoff_cap = 8.0
 
-    def __init__(self, config: ClientConfig, transport: Callable = _urllib_transport):
+    def __init__(self, config: ClientConfig, transport: Callable | None = None):
         self.config = config
         self.client_id = f"http:{config.model}"
-        self._transport = transport
+        self._transport = transport or _http_transport(config.endpoint_url)
 
     def _bearer(self) -> str | None:
         source = self.config.api_key_source
@@ -262,21 +327,27 @@ class HttpChatClient:
         }
         start = time.perf_counter()
         attempts = self.config.max_retries + 1
+        wait = None
         for attempt in range(attempts):
             if attempt:
-                import random  # loaded on the first retry, so offline commands never pay
+                if wait is None:
+                    import random  # loaded on the first retry, so offline commands never pay
 
-                delay = min(self.backoff_cap, self.backoff_base * 2 ** (attempt - 1))
-                time.sleep(delay * (1 + random.random() * 0.25))
+                    delay = min(self.backoff_cap, self.backoff_base * 2 ** (attempt - 1))
+                    wait = delay * (1 + random.random() * 0.25)
+                time.sleep(wait)
+            wait = None
             try:
-                status, body = self._transport(url, payload, headers,
-                                               self.config.timeout)
+                status, reply_headers, body = self._transport(url, payload, headers,
+                                                              self.config.timeout)
             except (TransportError, Timeout):
                 if attempt + 1 >= attempts:
                     raise
                 continue
             if status != 429 and not 500 <= status <= 599:
                 break
+            wait = _retry_after(status, reply_headers,
+                                min(self.backoff_cap, self.config.timeout))
         latency_ms = (time.perf_counter() - start) * 1000.0
         if not 200 <= status < 300:
             raise ApiError(status, body)

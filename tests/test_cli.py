@@ -82,6 +82,13 @@ def test_ingest_db_requires_out():
     assert excinfo.value.code == 2
 
 
+def test_ingest_db_requires_out_before_reading_the_input(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["ingest", "missing.sql", "--to", "db"])
+    assert excinfo.value.code == 2
+    assert capsys.readouterr().err.endswith("error: --to db requires --out\n")
+
+
 def test_prompt_with_and_without_context(capsys):
     rc = main(["prompt", "--task", "integration", "--arm", "with"])
     assert rc == 0
@@ -260,6 +267,34 @@ def test_run_bad_client_setting_is_usage_error(capsys, flag, value, message):
               "--gold", fx(bundled.PATIENTS_GOLD_MAP), flag, value])
     assert excinfo.value.code == 2
     assert capsys.readouterr().err.endswith(f"error: {message}\n")
+
+
+@pytest.mark.parametrize("endpoint", ["localhost:8000", "ftp://llm.example/v1"])
+def test_run_endpoint_that_is_not_an_http_url_is_usage_error(capsys, monkeypatch, endpoint):
+    def no_backoff(seconds):
+        raise AssertionError("a request was retried")
+
+    monkeypatch.setattr("comdb.llm.time.sleep", no_backoff)
+    with pytest.raises(SystemExit) as excinfo:
+        main(["run", "--task", "integration", "--n", "1", "--arm", "with",
+              "--endpoint", endpoint, "--gold", fx(bundled.PATIENTS_GOLD_MAP)])
+    assert excinfo.value.code == 2
+    assert "error: endpoint_url must be an http:// or https:// URL" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("task", ["integration", "joining"])
+def test_run_report_bytes_do_not_depend_on_workers(tmp_path, task):
+    db = tmp_path / "synthea.db"
+    assert main(["ingest", fx(bundled.SYNTHEA_DDL), "--to", "db", "--out", str(db)]) == 0
+    mock = bundled.INTEGRATION_MOCK if task == "integration" else bundled.JOINING_MOCK
+    reports = []
+    for workers in ("1", "2", "8"):
+        out = tmp_path / f"report-{workers}.json"
+        assert main(["run", "--task", task, "--n", "10", "--workers", workers,
+                     "--mock", fx(mock), "--gold", fx(bundled.PATIENTS_GOLD_MAP),
+                     "--db", str(db), "--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1] == reports[2]
 
 
 def test_run_mock_not_json_is_an_error(tmp_path, capsys):

@@ -3,10 +3,12 @@ import os
 import random
 import sqlite3
 import sys
+import tempfile
 import time
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from comdb import evaluate, fixtures as bundled, llm
 from comdb.errors import ConfigError, FixtureMissing, TableMismatch, WriteAttempt
@@ -28,10 +30,11 @@ from comdb.llm import (
     WITHOUT_CONTEXT,
     MockChatClient,
 )
-from comdb.ingest import open_readonly
+from comdb.ingest import build_database, open_readonly
 from comdb.mapping import HeaderMapping, MappingEntry, parse_map_text
+from comdb.schema import DatabaseSchema, validate_annotations, validate_schema
 
-from conftest import data_text
+from conftest import data_text, rand_annotations, rand_schema
 
 FLAWED_JOIN = """\
 SELECT careplans.Id, providers.NAME
@@ -462,6 +465,35 @@ def test_run_joining_one_connection_per_worker(synthea_schema, synthea_annotatio
             con.execute("SELECT 1")
 
 
+@pytest.mark.parametrize("workers", [1, 3])
+def test_run_exception_outside_a_repetition_reaches_the_caller(
+        synthea_schema, synthea_annotations, fixture_db, monkeypatch, workers):
+    # client_factory runs outside the per-repetition guard; what it raises
+    # on the fifth call leaves run_experiment, and every connection closes.
+    opened, calls = [], []
+
+    def recording_open(location, **kwargs):
+        con = open_readonly(location, **kwargs)
+        opened.append(con)
+        return con
+
+    def factory():
+        calls.append(1)
+        if len(calls) == 5:
+            raise RuntimeError("factory broke")
+        return _mock_factory(bundled.JOINING_MOCK)()
+
+    monkeypatch.setattr(evaluate, "open_readonly", recording_open)
+    with pytest.raises(RuntimeError, match="factory broke"):
+        run_experiment(TASK_JOINING, repetitions=10, workers=workers,
+                       client_factory=factory, schema=synthea_schema,
+                       annotations=synthea_annotations, database=fixture_db)
+    assert opened
+    for con in opened:
+        with pytest.raises(sqlite3.ProgrammingError, match="closed"):
+            con.execute("SELECT 1")
+
+
 def _count_calls(monkeypatch, owner, name):
     """Wrap owner.name so that every call is appended to the returned list."""
     calls = []
@@ -602,6 +634,83 @@ def test_run_records_database_removed_mid_run(synthea_schema, synthea_annotation
 def test_experiment_report_invariant():
     with pytest.raises(ValueError):
         ExperimentReport(TASK_JOINING, WITH_CONTEXT, 2, (), {})
+
+
+# --- metamorphic properties of whole runs (random schemas, mock client) ---
+
+def _random_runs(task, schema, annotations, database, arms=llm.ARMS):
+    """One repetition per arm of task over schema, with a mock client that
+    gives every repetition the same answer. Integration pairs the two
+    tables first by name, so the pair does not depend on the table order.
+    An arm whose prompt the annotations cannot fill is left out."""
+    validated = validate_schema(schema)
+    ann = None if annotations is None else validate_annotations(annotations, validated)
+    table_a, table_b = (validated.table(name)
+                        for name in sorted(t.name for t in schema.tables)[:2])
+    if annotations is None:
+        usable = False
+    elif task == TASK_JOINING:
+        usable = bool(annotations.table_relations or annotations.header_groups)
+    else:
+        usable = any(g.table in (table_a.name, table_b.name)
+                     for g in annotations.header_groups)
+    arms = tuple(arm for arm in arms if arm == WITHOUT_CONTEXT or usable)
+    answer = "SELECT 1;" if task == TASK_JOINING else "no mapping"
+    client = MockChatClient([{"task": task, "arm": arm, "response": answer}
+                             for arm in llm.ARMS])
+    return run_experiment(task, arms=arms, repetitions=1, client_factory=lambda: client,
+                          table_a=table_a, table_b=table_b, annotations=ann,
+                          gold=HeaderMapping((), table_a.name, table_b.name),
+                          schema=validated, database=database)
+
+
+def _prompt_hashes(reports) -> dict:
+    return {report.arm: [run.prompt_sha256 for run in report.runs] for report in reports}
+
+
+_seeds = st.integers(0, 2**32 - 1)
+
+
+def _two_table_schema(rng):
+    schema = rand_schema(rng)
+    while len(schema.tables) < 2:
+        schema = rand_schema(rng)
+    return schema
+
+
+@settings(deadline=None, max_examples=40)
+@given(seed=_seeds, order_seed=_seeds)
+@pytest.mark.parametrize("task", [TASK_INTEGRATION, TASK_JOINING])
+def test_run_prompt_hashes_ignore_table_order(task, seed, order_seed):
+    rng = random.Random(seed)
+    schema = _two_table_schema(rng)
+    annotations = rand_annotations(rng, schema)
+    tables = list(schema.tables)
+    random.Random(order_seed).shuffle(tables)
+    shuffled = DatabaseSchema(schema.name, tuple(tables))
+    with tempfile.TemporaryDirectory() as tmp:
+        database = Path(tmp) / "db.sqlite"
+        build_database(schema, database)
+        before = _random_runs(task, schema, annotations, database)
+        after = _random_runs(task, shuffled, annotations, database)
+    assert _prompt_hashes(after) == _prompt_hashes(before)
+    assert render_report(after) == render_report(before)
+
+
+@settings(deadline=None, max_examples=40)
+@given(seed=_seeds)
+@pytest.mark.parametrize("task", [TASK_INTEGRATION, TASK_JOINING])
+def test_run_without_context_prompt_ignores_annotations(task, seed):
+    rng = random.Random(seed)
+    schema = _two_table_schema(rng)
+    annotations = rand_annotations(rng, schema)
+    with tempfile.TemporaryDirectory() as tmp:
+        database = Path(tmp) / "db.sqlite"
+        build_database(schema, database)
+        bare = _random_runs(task, schema, None, database)
+        annotated = _random_runs(task, schema, annotations, database)
+    assert list(_prompt_hashes(bare)) == [WITHOUT_CONTEXT]
+    assert _prompt_hashes(annotated)[WITHOUT_CONTEXT] == _prompt_hashes(bare)[WITHOUT_CONTEXT]
 
 
 # --- reports ---
