@@ -12,10 +12,11 @@ text, so they can never leak row data.
 
 Clients are pluggable: a client is any object with a client_id and
 complete(bundle, *, repetition) -> LLMResponse. HttpChatClient speaks the
-common JSON chat-completions protocol, one http.client connection per
-request, through the proxy that http_proxy or https_proxy names unless
-no_proxy lists the host; it retries 429 and 5xx replies, waiting as long
-as a 429 or 503 reply's Retry-After asks (delta-seconds only, capped).
+common JSON chat-completions protocol, one connection per request (over
+comdb.wire, loaded on first live use), through the proxy that http_proxy
+or https_proxy names unless no_proxy lists the host; it retries 429 and
+5xx replies, waiting as long as a 429 or 503 reply's Retry-After asks
+(delta-seconds only, capped).
 MockChatClient replays a scripted response per (task, arm, repetition)
 for offline, deterministic runs.
 """
@@ -29,7 +30,7 @@ import os
 import re
 import time
 from collections.abc import Callable
-from urllib.parse import unquote, urlsplit
+from urllib.parse import urlsplit
 
 from .errors import (
     ApiError,
@@ -130,6 +131,12 @@ class ClientConfig(Value):
         if url.scheme not in ("http", "https") or not url.hostname:
             raise ConfigError("endpoint_url must be an http:// or https:// URL with a "
                               f"host, not {endpoint_url!r}")
+        if "@" in url.netloc:
+            raise ConfigError("endpoint_url must not carry user:password@; name the "
+                              "API key's environment variable instead")
+        if re.search(r"[\x00-\x20\x7f]", endpoint_url):
+            raise ConfigError(f"endpoint_url {endpoint_url!r} contains a space or "
+                              "control character")
         object.__setattr__(self, "endpoint_url", endpoint_url)
         object.__setattr__(self, "model", model)
         object.__setattr__(self, "temperature", temperature)
@@ -206,70 +213,6 @@ def build_prompt(task: str, arm: str, annotations: ValidatedAnnotations | None,
     raise ConfigError(f"unknown task {task!r}")
 
 
-def _http_transport(endpoint_url: str) -> Callable:
-    """The default transport for endpoint_url: a function that POSTs payload
-    as JSON over a new http.client connection (Connection: close) and
-    returns (status, headers, body text) for any HTTP reply, error statuses
-    included, so that ApiError can carry the body. The request is the one
-    urllib.request sends, byte for byte, User-Agent included.
-
-    The proxy is chosen here, once per client, by urllib's getproxies() and
-    proxy_bypass(): http_proxy or https_proxy by the endpoint's scheme (or
-    the platform's proxy settings), unless no_proxy lists its host. Through
-    a proxy, an http endpoint is asked for by its absolute URL, and an https
-    one through a CONNECT tunnel; credentials in the proxy URL go out as
-    Basic Proxy-Authorization. The HTTP stack is imported here, on first
-    use, because only live runs need it.
-    """
-    import base64
-    import http.client
-    import urllib.request
-
-    scheme, netloc = urlsplit(endpoint_url)[:2]
-    address, tunnel, absolute, extra = netloc, None, False, {}
-    secure = scheme == "https"
-    proxy = urllib.request.getproxies().get(scheme)
-    if proxy and not urllib.request.proxy_bypass(netloc):
-        parts = urlsplit(proxy if "://" in proxy else "http://" + proxy)
-        address = unquote(parts.netloc.rpartition("@")[2])
-        if parts.username and parts.password:
-            credentials = f"{unquote(parts.username)}:{unquote(parts.password)}"
-            extra["Proxy-Authorization"] = "Basic " + base64.b64encode(
-                credentials.encode()).decode("ascii")
-        if secure:
-            tunnel, extra = extra, {}
-        else:
-            absolute, secure = True, parts.scheme == "https"
-    connection_class = http.client.HTTPSConnection if secure else http.client.HTTPConnection
-    user_agent = f"Python-urllib/{urllib.request.__version__}"
-
-    def transport(url, payload, headers, timeout):
-        data = json.dumps(payload).encode("utf-8")
-        path, query = urlsplit(url)[2:4]
-        target = url if absolute else path + ("?" + query if query else "")
-        # urllib's order: its own headers, the caller's, then Connection.
-        headers = {"Content-Length": str(len(data)), "Host": netloc,
-                   "User-Agent": user_agent, **headers, **extra, "Connection": "close"}
-        try:
-            # The constructor parses the address: a bad port is InvalidURL.
-            connection = connection_class(address, timeout=timeout)
-            try:
-                if tunnel is not None:
-                    connection.set_tunnel(netloc, headers=tunnel)
-                connection.request("POST", target, data, headers)
-                response = connection.getresponse()
-                return (response.status, response.headers,
-                        response.read().decode("utf-8", "replace"))
-            finally:
-                connection.close()
-        except TimeoutError as exc:
-            raise Timeout(timeout) from exc
-        except (OSError, ValueError, http.client.HTTPException) as exc:
-            raise TransportError(str(exc)) from exc
-
-    return transport
-
-
 def _retry_after(status: int, headers, cap: float) -> float | None:
     """The wait a 429 or 503 reply asks for in Retry-After (RFC 9110
     §10.2.3), at most cap; None for other replies, an HTTP-date or a
@@ -292,9 +235,13 @@ class HttpChatClient:
     content is an ApiError. The credential is read from the environment
     variable named by the config and never logged.
 
+    The request goes to the endpoint's path joined with /chat/completions,
+    and the endpoint's query, if any, follows it. latency_ms is the time
+    spent in attempts, not the backoff waits between them.
+
     transport(url, payload, headers, timeout) -> (status, headers, body)
-    sends one request; the default, _http_transport, opens one connection
-    per request.
+    sends one request; the default, comdb.wire.http_transport, opens one
+    connection per request.
     """
 
     backoff_base = 0.5
@@ -303,7 +250,14 @@ class HttpChatClient:
     def __init__(self, config: ClientConfig, transport: Callable | None = None):
         self.config = config
         self.client_id = f"http:{config.model}"
-        self._transport = transport or _http_transport(config.endpoint_url)
+        url = urlsplit(config.endpoint_url)
+        self._url = url._replace(path=url.path.rstrip("/") + "/chat/completions",
+                                 fragment="").geturl()
+        if transport is None:
+            from .wire import http_transport  # only live runs load the HTTP code
+
+            transport = http_transport(config.endpoint_url)
+        self._transport = transport
 
     def _bearer(self) -> str | None:
         source = self.config.api_key_source
@@ -319,13 +273,12 @@ class HttpChatClient:
         key = self._bearer()
         if key:
             headers["Authorization"] = f"Bearer {key}"
-        url = self.config.endpoint_url.rstrip("/") + "/chat/completions"
         payload = {
             "model": self.config.model,
             "messages": [{"role": "user", "content": bundle.user_text}],
             "temperature": self.config.temperature,
         }
-        start = time.perf_counter()
+        latency = 0.0
         attempts = self.config.max_retries + 1
         wait = None
         for attempt in range(attempts):
@@ -337,18 +290,20 @@ class HttpChatClient:
                     wait = delay * (1 + random.random() * 0.25)
                 time.sleep(wait)
             wait = None
+            start = time.perf_counter()
             try:
-                status, reply_headers, body = self._transport(url, payload, headers,
+                status, reply_headers, body = self._transport(self._url, payload, headers,
                                                               self.config.timeout)
             except (TransportError, Timeout):
                 if attempt + 1 >= attempts:
                     raise
                 continue
+            finally:
+                latency += time.perf_counter() - start
             if status != 429 and not 500 <= status <= 599:
                 break
             wait = _retry_after(status, reply_headers,
                                 min(self.backoff_cap, self.config.timeout))
-        latency_ms = (time.perf_counter() - start) * 1000.0
         if not 200 <= status < 300:
             raise ApiError(status, body)
         try:
@@ -357,7 +312,7 @@ class HttpChatClient:
             raise ApiError(status, body) from exc
         if not isinstance(content, str):
             raise ApiError(status, body)
-        return LLMResponse(content, latency_ms, self.client_id)
+        return LLMResponse(content, latency * 1000.0, self.client_id)
 
 
 class MockChatClient:

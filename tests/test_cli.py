@@ -282,6 +282,20 @@ def test_run_endpoint_that_is_not_an_http_url_is_usage_error(capsys, monkeypatch
     assert "error: endpoint_url must be an http:// or https:// URL" in capsys.readouterr().err
 
 
+def test_run_endpoint_with_userinfo_is_usage_error(capsys, monkeypatch):
+    def no_request(*args):
+        raise AssertionError("a request was sent")
+
+    monkeypatch.setattr("comdb.llm.HttpChatClient.complete", no_request)
+    with pytest.raises(SystemExit) as excinfo:
+        main(["run", "--task", "integration", "--n", "1", "--arm", "with",
+              "--endpoint", "http://user:pw@127.0.0.1:9/v1", "--gold", fx(bundled.PATIENTS_GOLD_MAP)])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: endpoint_url must not carry user:password@" in err
+    assert "pw" not in err
+
+
 @pytest.mark.parametrize("task", ["integration", "joining"])
 def test_run_report_bytes_do_not_depend_on_workers(tmp_path, task):
     db = tmp_path / "synthea.db"

@@ -310,6 +310,29 @@ def test_http_client_retry_after_applies_to_its_own_retry_only(patient_tables, a
     assert delays[0] == 4 and 1.0 <= delays[1] <= 1.0 * 1.25
 
 
+def test_http_client_latency_leaves_out_the_backoff(patient_tables, api_key, monkeypatch):
+    class Clock:  # each attempt takes 0.25 s; sleeping moves the clock too
+        now = 0.0
+
+        def perf_counter(self):
+            return self.now
+
+        def sleep(self, seconds):
+            self.now += seconds
+
+    clock = Clock()
+    monkeypatch.setattr(llm, "time", clock)
+    replies = _status_transport((503, {"Retry-After": "3"}, "busy"))
+
+    def transport(*args):
+        clock.now += 0.25
+        return replies(*args)
+
+    client = HttpChatClient(make_config(max_retries=1), transport=transport)
+    assert client.complete(simple_bundle(patient_tables)).latency_ms == 500.0
+    assert clock.now == 3.5
+
+
 def test_http_client_malformed_body(patient_tables, api_key):
     def transport(url, payload, headers, timeout):
         return 200, {}, "not json"
@@ -446,7 +469,7 @@ def _read_request(con) -> bytes:
 def raw_server():
     """A TCP server on 127.0.0.1 that records the raw bytes of each request.
     It answers the n-th connection with replies[n] (a 200 reply when the
-    list runs out) and hangs up on a CONNECT without answering."""
+    list runs out) and hangs up on a CONNECT when no reply is queued."""
     listener = socket.socket()
     listener.bind(("127.0.0.1", 0))
     listener.listen()
@@ -465,7 +488,7 @@ def raw_server():
                 con.settimeout(5)
                 request = _read_request(con)
                 server.requests.append(request)
-                if not request.startswith(b"CONNECT"):
+                if server.replies or not request.startswith(b"CONNECT"):
                     con.sendall(server.replies.pop(0) if server.replies else _ok_reply())
 
     thread = threading.Thread(target=serve, daemon=True)
@@ -586,6 +609,194 @@ def test_default_transport_honours_retry_after(patient_tables, raw_server, api_k
     assert delays == [7] and len(raw_server.requests) == 2
 
 
+def test_default_transport_keeps_the_endpoint_query_after_the_path(patient_tables, raw_server,
+                                                                   api_key, monkeypatch):
+    _proxy_env(monkeypatch)
+    client = HttpChatClient(make_config(
+        endpoint_url=f"http://127.0.0.1:{raw_server.port}/v1/?api-version=2#part"))
+    assert client.complete(simple_bundle(patient_tables)).raw_text == "hi"
+    [request] = raw_server.requests
+    assert request.startswith(b"POST /v1/chat/completions?api-version=2 HTTP/1.1\r\n")
+
+
+def _chunked_ok_reply(content="hi"):
+    body = json.dumps({"choices": [{"message": {"content": content}}]}).encode()
+    return (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+            b"%x;ext=1\r\n%s\r\n%x\r\n%s\r\n0\r\nX-Trailer: t\r\n\r\n"
+            % (5, body[:5], len(body) - 5, body[5:]))
+
+
+def _header_lines(count, length=len(b"X-Pad: 0\r\n")):
+    """count header lines, each length bytes long with its CRLF."""
+    return b"".join(b"X-Pad: %s\r\n" % b"0".rjust(length - 9, b"0") for _ in range(count))
+
+
+@pytest.mark.parametrize("reply", [
+    _chunked_ok_reply(),
+    _ok_reply().replace(b"Content-Length", b"X-Length"),   # no length: read to close
+    b"HTTP/1.1 100 Continue\r\nX-Info: 1\r\n\r\n" + _ok_reply(),
+    _ok_reply(extra=_header_lines(1, 65536)),
+    _ok_reply(extra=_header_lines(98)),                   # 100 header lines in all
+    _ok_reply().replace(b"HTTP/1.1", b"HTTP/1.0"),
+], ids=["chunked", "to-close", "100-continue", "65536-byte-line", "100-headers", "http-1.0"])
+def test_default_transport_reads_the_reply(patient_tables, raw_server, api_key, monkeypatch,
+                                           reply):
+    _proxy_env(monkeypatch)
+    raw_server.replies.append(reply)
+    client = HttpChatClient(make_config(endpoint_url=f"http://127.0.0.1:{raw_server.port}",
+                                        max_retries=0))
+    assert client.complete(simple_bundle(patient_tables)).raw_text == "hi"
+
+
+@pytest.mark.parametrize("reply, message", [
+    (_ok_reply()[:-5], "incomplete read"),
+    (_chunked_ok_reply()[:-30], "incomplete read"),
+    (_chunked_ok_reply().replace(b"5;ext=1", b"five"), "invalid literal"),
+    (_chunked_ok_reply().replace(b"5;ext=1", b"-5"), "negative chunk size"),
+    (b"ICY 200 OK\r\n\r\n{}", "bad status line"),
+    (b"HTTP/1.1 2000 OK\r\n\r\n{}", "bad status line"),
+    (b"", "closed connection without response"),
+    (_ok_reply(extra=_header_lines(1, 65537)), "header line longer than 65536 bytes"),
+    (b"HTTP/1.1 200 " + b"O" * 65537, "status line longer than 65536 bytes"),
+    (_ok_reply(extra=_header_lines(99)), "more than 100 header lines"),
+], ids=["truncated-body", "truncated-chunk", "bad-chunk-size", "negative-chunk-size",
+        "not-http", "status-2000", "no-reply", "65537-byte-line", "long-status-line",
+        "101-headers"])
+def test_default_transport_rejects_a_bad_reply(patient_tables, raw_server, api_key,
+                                               monkeypatch, reply, message):
+    _proxy_env(monkeypatch)
+    raw_server.replies.append(reply)
+    client = HttpChatClient(make_config(endpoint_url=f"http://127.0.0.1:{raw_server.port}",
+                                        max_retries=0))
+    with pytest.raises(TransportError, match=message):
+        client.complete(simple_bundle(patient_tables))
+
+
+@pytest.mark.parametrize("key", ["sk-test\r\nX-Injected: 1", "sk-test\n", "sk-\rtest"])
+def test_default_transport_refuses_cr_or_lf_in_the_api_key(patient_tables, raw_server,
+                                                           monkeypatch, key):
+    _proxy_env(monkeypatch)
+    monkeypatch.setenv("TEST_LLM_KEY", key)
+    client = HttpChatClient(make_config(endpoint_url=f"http://127.0.0.1:{raw_server.port}",
+                                        max_retries=0))
+    with pytest.raises(TransportError, match="header Authorization contains CR or LF") as excinfo:
+        client.complete(simple_bundle(patient_tables))
+    assert "sk-" not in str(excinfo.value)  # the key stays out of the report
+    time.sleep(0.2)  # the server would have accepted a connection by now
+    assert raw_server.requests == []
+
+
+def test_default_transport_tunnel_refused_by_the_proxy(patient_tables, raw_server, api_key,
+                                                       monkeypatch):
+    _proxy_env(monkeypatch, https_proxy=f"http://127.0.0.1:{raw_server.port}")
+    raw_server.replies.append(b"HTTP/1.0 407 Proxy Authentication Required\r\n\r\n")
+    client = HttpChatClient(make_config(endpoint_url="https://llm.example/v1", max_retries=0))
+    with pytest.raises(TransportError, match="Tunnel connection failed: 407 Proxy Auth"):
+        client.complete(simple_bundle(patient_tables))
+
+
+# A test CA (its key thrown away) and the certificate it signed for
+# localhost and 127.0.0.1, valid 2000-2100, made with the openssl CLI.
+TLS_CA, TLS_CERT, TLS_KEY = (Path(__file__).parent / "data" / f"loopback_tls_{name}.pem"
+                             for name in ("ca", "cert", "key"))
+
+
+@pytest.fixture()
+def tls_server():
+    """A TLS server on 127.0.0.1 with the certificate that TLS_CA signed
+    (for localhost and 127.0.0.1). It answers one request per
+    connection with a 200 reply. A connection that opens with CONNECT gets
+    a 200 and then TLS inside the tunnel, so it is its own proxy. It keeps
+    each request's bytes, the CONNECT heads included, and the server name
+    (SNI) and the ALPN protocol of each TLS connection."""
+    import ssl
+
+    context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+    context.load_cert_chain(str(TLS_CERT), str(TLS_KEY))
+    context.set_alpn_protocols(["http/1.1"])
+    context.sni_callback = lambda tls, name, context: server.sni.append(name)
+    listener = socket.socket()
+    listener.bind(("127.0.0.1", 0))
+    listener.listen()
+    listener.settimeout(0.05)
+    server = type("TlsServer", (), {})()
+    server.port, server.requests, server.alpn, server.sni = listener.getsockname()[1], [], [], []
+    stop = threading.Event()
+
+    def serve():
+        while not stop.is_set():
+            try:
+                con, _ = listener.accept()
+            except TimeoutError:
+                continue
+            with con:
+                con.settimeout(5)
+                try:
+                    if con.recv(1, socket.MSG_PEEK) == b"C":
+                        server.requests.append(_read_request(con))
+                        con.sendall(b"HTTP/1.0 200 Connection established\r\n\r\n")
+                    with context.wrap_socket(con, server_side=True) as tls:
+                        server.alpn.append(tls.selected_alpn_protocol())
+                        server.requests.append(_read_request(tls))
+                        tls.sendall(_ok_reply())
+                except OSError:  # a client that refused the certificate
+                    server.requests.append(None)
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    try:
+        yield server
+    finally:
+        stop.set()
+        thread.join(timeout=5)
+        listener.close()
+
+
+def test_default_transport_https_round_trip(patient_tables, tls_server, api_key, monkeypatch):
+    _proxy_env(monkeypatch)
+    monkeypatch.setenv("SSL_CERT_FILE", str(TLS_CA))
+    client = HttpChatClient(make_config(endpoint_url=f"https://127.0.0.1:{tls_server.port}/v1",
+                                        max_retries=0))
+    assert client.complete(simple_bundle(patient_tables)).raw_text == "hi"
+    [request] = tls_server.requests
+    assert request.startswith(b"POST /v1/chat/completions HTTP/1.1\r\n")
+    assert b"\r\nAuthorization: Bearer sk-test\r\n" in request
+    assert tls_server.alpn == ["http/1.1"]
+    assert tls_server.sni == [None]  # no server name is sent for an IP address
+
+
+def test_default_transport_https_through_a_connect_tunnel(patient_tables, tls_server, api_key,
+                                                          monkeypatch):
+    _proxy_env(monkeypatch, https_proxy=f"http://joe:pw@127.0.0.1:{tls_server.port}")
+    monkeypatch.setenv("SSL_CERT_FILE", str(TLS_CA))
+    client = HttpChatClient(make_config(endpoint_url="https://localhost:8443/v1",
+                                        max_retries=0))
+    assert client.complete(simple_bundle(patient_tables)).raw_text == "hi"
+    connect, request = tls_server.requests
+    credentials = base64.b64encode(b"joe:pw")
+    assert connect == (b"CONNECT localhost:8443 HTTP/1.0\r\n"
+                       b"Proxy-Authorization: Basic %s\r\n\r\n" % credentials)
+    assert request.startswith(b"POST /v1/chat/completions HTTP/1.1\r\n")
+    assert b"\r\nHost: localhost:8443\r\n" in request
+    assert b"Proxy-Authorization" not in request
+    assert tls_server.sni == ["localhost"]  # the endpoint's name, not the proxy's
+
+
+def test_default_transport_refuses_an_untrusted_certificate(patient_tables, tls_server,
+                                                            api_key, monkeypatch):
+    _proxy_env(monkeypatch)
+    monkeypatch.delenv("SSL_CERT_FILE", raising=False)
+    monkeypatch.delenv("SSL_CERT_DIR", raising=False)
+    client = HttpChatClient(make_config(endpoint_url=f"https://127.0.0.1:{tls_server.port}",
+                                        max_retries=0))
+    with pytest.raises(TransportError, match="CERTIFICATE_VERIFY_FAILED"):
+        client.complete(simple_bundle(patient_tables))
+    deadline = time.monotonic() + 5
+    while not tls_server.requests and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert tls_server.requests == [None]
+
+
 def src_env() -> dict:
     """The environment for a fresh interpreter that imports comdb from src/."""
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -603,12 +814,12 @@ def test_import_loads_no_third_party_module():
     assert loaded - set(sys.stdlib_module_names) == {"comdb"}
 
 
-# Modules that only `comdb run` needs: the HTTP stack (which brings email
-# and ssl) for a live run, the thread pool (which brings logging) for more
-# than one worker, hashlib for the report's hashes and random for the
-# retry jitter. No command needs importlib.resources, and comdb's value
+# Modules that only `comdb run` needs: comdb.wire and the stdlib HTTP
+# modules it uses (which bring email and ssl) for a live run, the thread
+# pool (which brings logging) for more than one worker, hashlib for the
+# report's hashes and random for the retry jitter. No command needs importlib.resources, and comdb's value
 # types need neither dataclasses (which brings inspect) nor typing.
-_DEFERRED = ("http.client", "urllib.request", "email.parser", "ssl",
+_DEFERRED = ("comdb.wire", "http.client", "urllib.request", "email.parser", "ssl",
              "concurrent.futures", "logging", "hashlib", "random",
              "importlib.resources", "dataclasses", "inspect", "typing")
 
@@ -672,7 +883,8 @@ def test_client_config_validation():
 @pytest.mark.parametrize("url", ["localhost:8000", "127.0.0.1:8000/v1", "ftp://llm.example",
                                  "file:///tmp/x", "http://", "https:///v1", "//llm.example",
                                  "http://llm.example:port", "http://llm.example:99999",
-                                 "http://[::1"])
+                                 "http://[::1", "http://user:pw@llm.example", "http://@llm.example",
+                                 "http://llm.example/v 1", "http://llm.example/v1\x00"])
 def test_client_config_rejects_endpoint_that_is_not_an_http_url(url):
     with pytest.raises(ConfigError, match="endpoint_url"):
         make_config(endpoint_url=url)
