@@ -178,7 +178,8 @@ def cmd_run(args) -> int:
         args.parser.error("--workers must be >= 1")
     if args.mock is None and args.endpoint is None:
         args.parser.error("one of --mock or --endpoint is required")
-    # Neither client holds mutable state, so every repetition shares one.
+    # The mock holds no mutable state and the HTTP client's connection
+    # pool is locked, so every repetition shares one client.
     if args.mock:
         client = MockChatClient.from_file(args.mock)
     else:
@@ -199,10 +200,14 @@ def cmd_run(args) -> int:
     gold = None
     if task == TASK_INTEGRATION:
         gold = _read_gold(args.gold, inputs["table_a"], inputs["table_b"])
-    reports = run_experiment(task, arms=_ARM_CHOICES[args.arm], repetitions=args.n,
-                             client_factory=lambda: client, gold=gold,
-                             database=args.db, style=_style(args),
-                             workers=args.workers, **inputs)
+    try:
+        reports = run_experiment(task, arms=_ARM_CHOICES[args.arm], repetitions=args.n,
+                                 client_factory=lambda: client, gold=gold,
+                                 database=args.db, style=_style(args),
+                                 workers=args.workers, **inputs)
+    finally:
+        if isinstance(client, HttpChatClient):
+            client.close()
     _write_output(render_report(reports), args.out)
     return 0
 

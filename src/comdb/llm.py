@@ -12,11 +12,12 @@ text, so they can never leak row data.
 
 Clients are pluggable: a client is any object with a client_id and
 complete(bundle, *, repetition) -> LLMResponse. HttpChatClient speaks the
-common JSON chat-completions protocol, one connection per request (over
-comdb.wire, loaded on first live use), through the proxy that http_proxy
-or https_proxy names unless no_proxy lists the host; it retries 429 and
-5xx replies, waiting as long as a 429 or 503 reply's Retry-After asks
-(delta-seconds only, capped).
+common JSON chat-completions protocol over comdb.wire (loaded on first
+live use), which keeps connections open and reuses them across requests,
+through the proxy that http_proxy or https_proxy names unless no_proxy
+lists the host; it retries 429 and 5xx replies, waiting as long as a 429
+or 503 reply's Retry-After asks (delta-seconds only, capped). Its close()
+closes the idle connections.
 MockChatClient replays a scripted response per (task, arm, repetition)
 for offline, deterministic runs.
 """
@@ -29,6 +30,7 @@ import math
 import os
 import re
 import time
+import weakref
 from collections.abc import Callable
 from urllib.parse import urlsplit
 
@@ -61,6 +63,10 @@ TASK_JOINING = "tables-joining"
 WITH_CONTEXT = "with-context"
 WITHOUT_CONTEXT = "without-context"
 ARMS = (WITH_CONTEXT, WITHOUT_CONTEXT)
+
+# A socket waits in poll(), which takes its timeout as a C int of
+# milliseconds: a longer timeout wraps, and ends at once or never.
+MAX_TIMEOUT_S = (2**31 - 1) // 1000
 
 INTEGRATION_TASK_TEMPLATE = (
     "Identify the headers from table '{a}' and table '{b}' which contain the "
@@ -118,6 +124,8 @@ class ClientConfig(Value):
                 raise ConfigError(f"{name} must be finite")
         if timeout <= 0:
             raise ConfigError("timeout must be positive")
+        if timeout > MAX_TIMEOUT_S:
+            raise ConfigError(f"timeout must be at most {MAX_TIMEOUT_S} s")
         if temperature < 0:
             raise ConfigError("temperature must be >= 0")
         if max_retries < 0:
@@ -240,8 +248,13 @@ class HttpChatClient:
     spent in attempts, not the backoff waits between them.
 
     transport(url, payload, headers, timeout) -> (status, headers, body)
-    sends one request; the default, comdb.wire.http_transport, opens one
-    connection per request.
+    sends one request. The default, comdb.wire.HttpTransport, keeps its
+    connections open for later requests. A request on a connection the
+    server closed while it was idle goes once more on a new one, which is
+    not an attempt, and TCP_QUICKACK keeps a reply written in two sends
+    from waiting on a delayed ACK. close() closes the idle connections, as
+    does collecting the client. An API key with a CR or LF is a
+    TransportError before the first attempt, since no retry could send it.
     """
 
     backoff_base = 0.5
@@ -254,10 +267,18 @@ class HttpChatClient:
         self._url = url._replace(path=url.path.rstrip("/") + "/chat/completions",
                                  fragment="").geturl()
         if transport is None:
-            from .wire import http_transport  # only live runs load the HTTP code
+            from .wire import HttpTransport  # only live runs load the HTTP code
 
-            transport = http_transport(config.endpoint_url)
+            transport = HttpTransport(config.endpoint_url)
+            weakref.finalize(self, transport.close)
         self._transport = transport
+
+    def close(self) -> None:
+        """Close the idle connections of the transport, if it has a close().
+        The client stays usable."""
+        close = getattr(self._transport, "close", None)
+        if close is not None:
+            close()
 
     def _bearer(self) -> str | None:
         source = self.config.api_key_source
@@ -272,6 +293,8 @@ class HttpChatClient:
         headers = {"Content-Type": "application/json"}
         key = self._bearer()
         if key:
+            if "\r" in key or "\n" in key:  # the key itself stays out of the message
+                raise TransportError("header Authorization contains CR or LF")
             headers["Authorization"] = f"Bearer {key}"
         payload = {
             "model": self.config.model,

@@ -1,10 +1,24 @@
-"""HTTP/1.1 for live runs: one POST per connection, on a plain or TLS socket.
+"""HTTP/1.1 for live runs: POSTs on kept-alive plain or TLS sockets.
 
-An exchange writes the request head and body in one sendall (Connection:
-close) and reads one reply with http.client's bounds: a status line, then
-at most 100 header lines of at most 65 536 bytes each. A 100 Continue head
-is skipped; the body is taken by chunked coding, by Content-Length, or up
-to the end of the stream.
+An exchange writes the request head and body in one sendall and reads one
+reply with http.client's bounds: a status line, then at most 100 header
+lines of at most 65 536 bytes each. A 100 Continue head is skipped; the
+body is taken by chunked coding (its trailer section read and dropped), by
+Content-Length, or up to the end of the stream; a 204 or 304 reply has
+none.
+
+A connection carries the next request too (RFC 9112 §9.3) when its reply
+was HTTP/1.1, did not say Connection: close, and was framed by
+Content-Length or chunked coding (or had no body), not by the end of the
+stream. Any error closes it. A server may close or reset a connection
+while it is idle; a request sent on such a connection fails before the
+first byte of its reply, and it is then sent once more on a new
+connection. A timeout, or a failure after that first byte, is not
+resent. After each request the socket sets TCP_QUICKACK, where the
+platform has it, so that the reply head is acknowledged at once: a server
+that writes the head and the body in two sends would otherwise hold the
+body back (Nagle, RFC 896) until the delayed ACK (RFC 1122 §4.2.3.2),
+~40 ms later on Linux.
 
 llm imports this module on first live use, so that `import comdb`,
 offline commands and --mock runs never load it, ssl or urllib.request.
@@ -16,6 +30,7 @@ import base64
 import json
 import socket
 import ssl
+import threading
 import urllib.request
 from urllib.parse import unquote, urlsplit
 
@@ -23,6 +38,7 @@ from .errors import Timeout, TransportError
 
 MAX_LINE = 65536
 MAX_HEADERS = 100
+_QUICKACK = getattr(socket, "TCP_QUICKACK", None)  # Linux only
 
 
 class Headers(dict):
@@ -42,8 +58,23 @@ def _line(reader, what: str) -> bytes:
     return line
 
 
-def read_head(reader) -> tuple[int, str, Headers]:
-    """The status code, reason and header fields of one reply head."""
+def _fields(reader) -> Headers:
+    """The fields of a header or trailer section, up to its blank line."""
+    headers = Headers()
+    for _ in range(MAX_HEADERS + 1):
+        line = _line(reader, "header line")
+        if line in (b"\r\n", b"\n"):
+            return headers
+        if not line:
+            raise ValueError("incomplete read: the stream ended inside a header section")
+        name, colon, value = line.decode("iso-8859-1").partition(":")
+        if colon:
+            headers.setdefault(name.strip().lower(), value.strip())
+    raise ValueError(f"more than {MAX_HEADERS} header lines")
+
+
+def read_head(reader) -> tuple[str, int, str, Headers]:
+    """The version, status code, reason and header fields of one reply head."""
     line = _line(reader, "status line")
     if not line:
         raise ConnectionResetError("remote end closed connection without response")
@@ -51,15 +82,7 @@ def read_head(reader) -> tuple[int, str, Headers]:
     if not (version.startswith("HTTP/1.") and status.isascii() and status.isdigit()
             and 100 <= int(status) <= 999):
         raise ValueError(f"bad status line {line!r}")
-    headers = Headers()
-    for _ in range(MAX_HEADERS + 1):
-        line = _line(reader, "header line")
-        if line in (b"\r\n", b"\n", b""):
-            return int(status), reason.strip(), headers
-        name, colon, value = line.decode("iso-8859-1").partition(":")
-        if colon:
-            headers.setdefault(name.strip().lower(), value.strip())
-    raise ValueError(f"more than {MAX_HEADERS} header lines")
+    return version, int(status), reason.strip(), _fields(reader)
 
 
 def _exactly(reader, n: int) -> bytes:
@@ -79,21 +102,30 @@ def _chunked(reader) -> bytes:
             break
         chunks.append(_exactly(reader, size))
         _exactly(reader, 2)  # the CRLF after the chunk data
-    return b"".join(chunks)  # the trailer, if any, is left unread with the connection
+    _fields(reader)  # the trailer section, so that the next reply starts clean
+    return b"".join(chunks)
 
 
-def read_reply(reader) -> tuple[int, Headers, bytes]:
-    """One reply from a buffered binary reader: (status, headers, body)."""
-    status, _, headers = read_head(reader)
+def read_reply(reader) -> tuple[int, Headers, bytes, bool]:
+    """One reply from a buffered binary reader: (status, headers, body,
+    keep), where keep says whether the connection may carry another
+    request."""
+    version, status, _, headers = read_head(reader)
     while status == 100:
-        status, _, headers = read_head(reader)
+        version, status, _, headers = read_head(reader)
+    keep = version == "HTTP/1.1" and "close" not in (
+        token.strip() for token in (headers.get("connection") or "").lower().split(","))
+    if status in (204, 304):  # no body, whatever the headers say (RFC 9112 §6.3)
+        return status, headers, b"", keep
     if (headers.get("transfer-encoding") or "").lower() == "chunked":
-        return status, headers, _chunked(reader)
+        return status, headers, _chunked(reader), keep
     try:
         length = int(headers.get("content-length"))
     except (TypeError, ValueError):  # absent or malformed: read to the end
         length = -1
-    return status, headers, reader.read() if length < 0 else _exactly(reader, length)
+    if length < 0:
+        return status, headers, reader.read(), False
+    return status, headers, _exactly(reader, length), keep
 
 
 def _host_port(netloc: str, default_port: int) -> tuple[str, int]:
@@ -118,75 +150,87 @@ def _head(start_line: str, fields: dict) -> bytes:
         f"{name}: {value}\r\n" for name, value in fields.items()).encode("latin-1") + b"\r\n"
 
 
-def http_transport(endpoint_url: str):
-    """The default transport for endpoint_url: a function that POSTs payload
-    as JSON over a new connection (Connection: close) and returns (status,
+class _Connection:
+    """A socket and the one reader over it, kept for the socket's whole
+    life so that bytes it has read ahead are never lost."""
+
+    __slots__ = ("sock", "reader")
+
+    def __init__(self, sock):
+        self.sock, self.reader = sock, sock.makefile("rb")
+
+    def send(self, request: bytes):
+        self.sock.sendall(request)
+        if _QUICKACK is not None:
+            self.sock.setsockopt(socket.IPPROTO_TCP, _QUICKACK, 1)
+
+    def close(self):
+        self.reader.close()
+        self.sock.close()
+
+
+class HttpTransport:
+    """The default transport for endpoint_url: called as (url, payload,
+    headers, timeout), it POSTs payload as JSON and returns (status,
     headers, body text) for any HTTP reply, error statuses included, so
-    that ApiError can carry the body. The request is the one urllib.request
-    sends, byte for byte, User-Agent included.
+    that ApiError can carry the body. The request is the one
+    urllib.request sends, byte for byte, User-Agent included, except that
+    it does not ask for Connection: close.
 
-    The proxy is chosen here, once per client: http_proxy or https_proxy by
-    the endpoint's scheme (or the platform's proxy settings), unless
-    no_proxy lists its host. Through a proxy, an http endpoint is asked for
-    by its absolute URL, and an https one through a CONNECT tunnel;
-    credentials in the proxy URL go out as Basic Proxy-Authorization. TLS,
-    to an https endpoint or proxy, uses one ssl.create_default_context()
-    per client, with ALPN http/1.1. Timeouts raise Timeout; connection, TLS
-    and protocol failures raise TransportError.
+    Idle connections wait on a stack guarded by a lock: a request takes
+    the most recently used one, or opens a new one, and puts it back once
+    a reply has ended in a way that lets the connection carry another
+    (see the module docstring). So concurrent callers never share a
+    connection, and n of them open at most n. close() closes the idle
+    ones; the transport stays usable.
+
+    The proxy is chosen here, once per transport: http_proxy or
+    https_proxy by the endpoint's scheme (or the platform's proxy
+    settings), unless no_proxy lists its host. Through a proxy, an http
+    endpoint is asked for by its absolute URL, and an https one through a
+    CONNECT tunnel, set up once per connection; credentials in the proxy
+    URL go out as Basic Proxy-Authorization. TLS, to an https endpoint or
+    proxy, uses one ssl.create_default_context() per transport, with ALPN
+    http/1.1. Timeouts raise Timeout; connection, TLS and protocol
+    failures raise TransportError.
     """
-    scheme, netloc = urlsplit(endpoint_url)[:2]
-    address, tunnel, absolute, extra = netloc, None, False, {}
-    secure = scheme == "https"
-    proxy = urllib.request.getproxies().get(scheme)
-    if proxy and not urllib.request.proxy_bypass(netloc):
-        parts = urlsplit(proxy if "://" in proxy else "http://" + proxy)
-        address = unquote(parts.netloc.rpartition("@")[2])
-        if parts.username and parts.password:
-            credentials = f"{unquote(parts.username)}:{unquote(parts.password)}"
-            extra["Proxy-Authorization"] = "Basic " + base64.b64encode(
-                credentials.encode()).decode("ascii")
+
+    def __init__(self, endpoint_url: str):
+        scheme, netloc = urlsplit(endpoint_url)[:2]
+        address, tunnel, absolute, extra = netloc, None, False, {}
+        secure = scheme == "https"
+        proxy = urllib.request.getproxies().get(scheme)
+        if proxy and not urllib.request.proxy_bypass(netloc):
+            parts = urlsplit(proxy if "://" in proxy else "http://" + proxy)
+            address = unquote(parts.netloc.rpartition("@")[2])
+            if parts.username and parts.password:
+                credentials = f"{unquote(parts.username)}:{unquote(parts.password)}"
+                extra["Proxy-Authorization"] = "Basic " + base64.b64encode(
+                    credentials.encode()).decode("ascii")
+            if secure:
+                tunnel, extra = extra, {}
+            else:
+                absolute, secure = True, parts.scheme == "https"
+        self._context = None
         if secure:
-            tunnel, extra = extra, {}
-        else:
-            absolute, secure = True, parts.scheme == "https"
-    context = None
-    if secure:
-        context = ssl.create_default_context()
-        context.set_alpn_protocols(["http/1.1"])
-    user_agent = f"Python-urllib/{urllib.request.__version__}"
+            self._context = ssl.create_default_context()
+            self._context.set_alpn_protocols(["http/1.1"])
+        self._netloc, self._address, self._secure = netloc, address, secure
+        self._tunnel, self._absolute, self._extra = tunnel, absolute, extra
+        self._user_agent = f"Python-urllib/{urllib.request.__version__}"
+        self._idle: list[_Connection] = []
+        self._lock = threading.Lock()
 
-    def exchange(request: bytes, timeout: float):
-        host, port = _host_port(address, 443 if secure else 80)
-        sock = socket.create_connection((host, port), timeout)
-        try:
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            if tunnel is not None:
-                # From here on the peer, TLS server name included, is the endpoint.
-                host, port = _host_port(netloc, 443)
-                authority = f"[{host}]:{port}" if ":" in host else f"{host}:{port}"
-                sock.sendall(_head(f"CONNECT {authority} HTTP/1.0", tunnel))
-                with sock.makefile("rb") as reader:
-                    status, reason, _ = read_head(reader)
-                if status != 200:
-                    raise OSError(f"Tunnel connection failed: {status} {reason}")
-            if context is not None:
-                sock = context.wrap_socket(sock, server_hostname=host)
-            sock.sendall(request)
-            with sock.makefile("rb") as reader:
-                return read_reply(reader)
-        finally:
-            sock.close()
-
-    def transport(url, payload, headers, timeout):
+    def __call__(self, url, payload, headers, timeout):
         data = json.dumps(payload).encode("utf-8")
         path, query = urlsplit(url)[2:4]
-        target = url if absolute else path + ("?" + query if query else "")
-        # urllib's order: its own headers, the caller's, then Connection.
+        target = url if self._absolute else path + ("?" + query if query else "")
+        # urllib's order: its own headers, then the caller's.
         fields = {"Accept-Encoding": "identity", "Content-Length": str(len(data)),
-                  "Host": netloc, "User-Agent": user_agent, **headers, **extra,
-                  "Connection": "close"}
+                  "Host": self._netloc, "User-Agent": self._user_agent, **headers,
+                  **self._extra}
         try:
-            status, reply_headers, body = exchange(
+            status, reply_headers, body = self._exchange(
                 _head(f"POST {target} HTTP/1.1", fields) + data, timeout)
         except TimeoutError as exc:
             raise Timeout(timeout) from exc
@@ -194,4 +238,61 @@ def http_transport(endpoint_url: str):
             raise TransportError(str(exc)) from exc
         return status, reply_headers, body.decode("utf-8", "replace")
 
-    return transport
+    def close(self):
+        with self._lock:
+            idle, self._idle = self._idle, []
+        for con in idle:
+            con.close()
+
+    def _connect(self, timeout: float) -> _Connection:
+        host, port = _host_port(self._address, 443 if self._secure else 80)
+        sock = socket.create_connection((host, port), timeout)
+        try:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if self._tunnel is not None:
+                # From here on the peer, TLS server name included, is the endpoint.
+                host, port = _host_port(self._netloc, 443)
+                authority = f"[{host}]:{port}" if ":" in host else f"{host}:{port}"
+                sock.sendall(_head(f"CONNECT {authority} HTTP/1.0", self._tunnel))
+                with sock.makefile("rb") as reader:
+                    _, status, reason, _ = read_head(reader)
+                if status != 200:
+                    raise OSError(f"Tunnel connection failed: {status} {reason}")
+            if self._context is not None:
+                sock = self._context.wrap_socket(sock, server_hostname=host)
+            return _Connection(sock)
+        except BaseException:
+            sock.close()
+            raise
+
+    def _exchange(self, request: bytes, timeout: float):
+        with self._lock:
+            con = self._idle.pop() if self._idle else None
+        keep = False
+        try:
+            if con is not None:
+                con.sock.settimeout(timeout)
+                try:
+                    con.send(request)
+                    stale = not con.reader.peek(1)
+                except TimeoutError:
+                    raise
+                except OSError:
+                    stale = True
+                if stale:
+                    # Closed or reset by the server before any reply byte:
+                    # the request goes once more, on a new connection.
+                    con.close()
+                    con = None
+            if con is None:
+                con = self._connect(timeout)
+                con.send(request)
+            status, headers, body, keep = read_reply(con.reader)
+        finally:
+            if con is not None:
+                if keep:
+                    with self._lock:
+                        self._idle.append(con)
+                else:
+                    con.close()
+        return status, headers, body

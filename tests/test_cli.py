@@ -259,8 +259,10 @@ def test_run_zero_workers_is_usage_error():
     ("--timeout", "inf", "timeout must be finite"),
     ("--temperature", "nan", "temperature must be finite"),
     ("--temperature", "inf", "temperature must be finite"),
+    ("--timeout", "2147484", "timeout must be at most 2147483 s"),
+    ("--timeout", "1e10", "timeout must be at most 2147483 s"),
 ], ids=["max-retries", "timeout", "temperature", "timeout-nan", "timeout-inf",
-        "temperature-nan", "temperature-inf"])
+        "temperature-nan", "temperature-inf", "timeout-2147484", "timeout-1e10"])
 def test_run_bad_client_setting_is_usage_error(capsys, flag, value, message):
     with pytest.raises(SystemExit) as excinfo:
         main(["run", "--task", "integration", "--endpoint", "http://127.0.0.1:9",

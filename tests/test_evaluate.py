@@ -31,7 +31,7 @@ from comdb.llm import (
     MockChatClient,
 )
 from comdb.ingest import build_database, open_readonly
-from comdb.mapping import HeaderMapping, MappingEntry, parse_map_text
+from comdb.mapping import HeaderMapping, MappingEntry, parse_map_text, split_reused
 from comdb.schema import DatabaseSchema, validate_annotations, validate_schema
 
 from conftest import data_text, rand_annotations, rand_schema
@@ -711,6 +711,62 @@ def test_run_without_context_prompt_ignores_annotations(task, seed):
         annotated = _random_runs(task, schema, annotations, database)
     assert list(_prompt_hashes(bare)) == [WITHOUT_CONTEXT]
     assert _prompt_hashes(annotated)[WITHOUT_CONTEXT] == _prompt_hashes(bare)[WITHOUT_CONTEXT]
+
+
+def _random_entries(rng, a_headers, b_headers, count):
+    """count entries of one to three random headers a side; they may reuse headers."""
+    return [entry(rng.sample(a_headers, rng.randint(1, min(3, len(a_headers)))),
+                  rng.sample(b_headers, rng.randint(1, min(3, len(b_headers)))))
+            for _ in range(count)]
+
+
+def _fenced(entries) -> str:
+    lines = (" + ".join(e.source_headers) + " -> " + " + ".join(e.target_headers)
+             for e in entries)
+    return "Here it is:\n```\n" + "\n".join(lines) + "\n```\n"
+
+
+def _inverted(entries):
+    return [entry(e.target_headers, e.source_headers) for e in entries]
+
+
+@settings(deadline=None, max_examples=40)
+@given(seed=_seeds)
+def test_run_swapping_the_tables_swaps_precision_and_recall(seed):
+    """Swapping table A and table B, with the gold mapping and the mock
+    answer inverted, leaves every run's score as it was. Exchanging the
+    gold mapping and the answer as well swaps each run's precision and
+    recall and leaves F1 equal."""
+    rng = random.Random(seed)
+    schema = _two_table_schema(rng)
+    validated = validate_schema(schema)
+    annotations = validate_annotations(rand_annotations(rng, schema), validated)
+    table_a, table_b = (validated.table(t.name) for t in rng.sample(schema.tables, 2))
+    gold, _ = split_reused(_random_entries(rng, table_a.headers, table_b.headers,
+                                           rng.randint(1, 6)))
+    answer = [e for e in gold if rng.random() < 0.5]
+    answer += _random_entries(rng, table_a.headers, table_b.headers, rng.randint(0, 4))
+    rng.shuffle(answer)
+    answer = answer or gold[:1]
+    usable = any(g.table in (table_a.name, table_b.name) for g in annotations.header_groups)
+    arms = llm.ARMS if usable else (WITHOUT_CONTEXT,)
+
+    def scores(a, b, gold_entries, answer_entries):
+        client = MockChatClient([{"task": TASK_INTEGRATION, "arm": arm,
+                                  "response": _fenced(answer_entries)} for arm in llm.ARMS])
+        reports = run_experiment(TASK_INTEGRATION, arms=arms, repetitions=2,
+                                 client_factory=lambda: client, table_a=a, table_b=b,
+                                 annotations=annotations,
+                                 gold=HeaderMapping(tuple(gold_entries), a.name, b.name))
+        runs = [run for report in reports for run in report.runs]
+        assert len(runs) == 2 * len(arms) and all(run.ok for run in runs)
+        return [(run.score.precision, run.score.recall, run.score.f1) for run in runs]
+
+    forward = scores(table_a, table_b, gold, answer)
+    assert scores(table_b, table_a, _inverted(gold), _inverted(answer)) == forward
+    scored, _ = split_reused(answer)  # the entries the answer is scored by
+    exchanged = scores(table_b, table_a, _inverted(scored), _inverted(gold))
+    assert exchanged == [(recall, precision, f1) for precision, recall, f1 in forward]
 
 
 # --- reports ---

@@ -1,8 +1,10 @@
 import base64
+import io
 import json
 import os
 import re
 import socket
+import struct
 import subprocess
 import sys
 import threading
@@ -13,7 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from comdb import fixtures as bundled, llm
+from comdb import fixtures as bundled, llm, wire
 from comdb.cli import main as cli_main
 from comdb.errors import (
     ApiError,
@@ -517,7 +519,7 @@ def _unused_port() -> int:
 
 def test_default_transport_request_bytes(patient_tables, raw_server, api_key, monkeypatch):
     """The request is the one urllib.request sent: request line, header
-    order and body, byte for byte."""
+    order and body, byte for byte, without urllib's Connection: close."""
     _proxy_env(monkeypatch)
     client = HttpChatClient(make_config(endpoint_url=f"http://127.0.0.1:{raw_server.port}/v1/"))
     bundle = simple_bundle(patient_tables)
@@ -532,7 +534,6 @@ def test_default_transport_request_bytes(patient_tables, raw_server, api_key, mo
         b"User-Agent: Python-urllib/%d.%d\r\n"
         b"Content-Type: application/json\r\n"
         b"Authorization: Bearer sk-test\r\n"
-        b"Connection: close\r\n"
         b"\r\n" % (len(body), raw_server.port, *sys.version_info[:2]) + body]
 
 
@@ -546,7 +547,7 @@ def test_default_transport_http_proxy_gets_the_absolute_url(patient_tables, raw_
     assert lines[0] == b"POST http://llm.example:8080/v1/chat/completions HTTP/1.1"
     assert b"Host: llm.example:8080" in lines
     credentials = base64.b64encode(b"joe:s@cret")
-    assert lines[-2:] == [b"Proxy-Authorization: Basic " + credentials, b"Connection: close"]
+    assert lines[-1] == b"Proxy-Authorization: Basic " + credentials
 
 
 def test_default_transport_https_proxy_gets_connect(patient_tables, raw_server, api_key,
@@ -797,6 +798,251 @@ def test_default_transport_refuses_an_untrusted_certificate(patient_tables, tls_
     assert tls_server.requests == [None]
 
 
+# --- reply framing on a kept connection ---
+
+def _reader(data: bytes):
+    return io.BufferedReader(io.BytesIO(data))
+
+
+@pytest.mark.parametrize("status", [b"204 No Content", b"304 Not Modified"])
+def test_read_reply_without_body(status):
+    """A 204 or 304 reply ends with its head, whatever its headers say, so
+    the next reply on the connection is read whole."""
+    reader = _reader(b"HTTP/1.1 %s\r\nContent-Length: 5\r\n\r\n" % status + _ok_reply())
+    assert wire.read_reply(reader)[::2] == (int(status[:3]), b"")
+    status, _, body, keep = wire.read_reply(reader)
+    assert (status, json.loads(body)["choices"][0]["message"]["content"], keep) == (200, "hi", True)
+
+
+def test_read_reply_chunked_reads_the_trailer_before_the_next_reply():
+    reader = _reader(_chunked_ok_reply("one") + _chunked_ok_reply("two"))
+    for content in ("one", "two"):
+        status, _, body, keep = wire.read_reply(reader)
+        assert (status, json.loads(body)["choices"][0]["message"]["content"], keep) == (
+            200, content, True)
+    assert reader.read() == b""
+
+
+@pytest.mark.parametrize("reply, keep", [
+    (_ok_reply(), True),
+    (_chunked_ok_reply(), True),
+    (_ok_reply().replace(b"HTTP/1.1", b"HTTP/1.0"), False),
+    (_ok_reply(extra=b"Connection: keep-alive, Close\r\n"), False),
+    (_ok_reply().replace(b"Content-Length", b"X-Length"), False),
+], ids=["content-length", "chunked", "http-1.0", "connection-close", "to-close"])
+def test_read_reply_says_whether_the_connection_can_be_kept(reply, keep):
+    assert wire.read_reply(_reader(reply))[3] is keep
+
+
+# --- keep-alive against a loopback HTTP/1.1 server ---
+
+class _KeepAliveHandler(BaseHTTPRequestHandler):
+    """HTTP/1.1 with keep-alive. Like the benchmark's stand-in endpoint, it
+    writes each reply's head and body in two sends, with Nagle's algorithm
+    on. server.modes says how to answer the next requests ("ok" once the
+    list runs out):
+      ok           a 200 reply with Content-Length
+      http-1.0     the same as HTTP/1.0
+      close        the same with Connection: close
+      to-close     no Content-Length; the body ends with the connection
+      drop         an ok reply, then the server closes the connection
+      reset        an ok reply, then the server resets the connection
+      status-line  the status line only, then the server closes
+      slow         an ok reply, half a second late
+    After an http-1.0 or close reply the server would serve the next
+    request, so only the client can have closed the connection."""
+
+    protocol_version = "HTTP/1.1"
+    timeout = 5
+
+    def log_message(self, format, *args):
+        pass
+
+    def setup(self):
+        super().setup()
+        self.server.accepted.append(self.client_address)
+
+    def finish(self):
+        super().finish()
+        self.server.ended.append(self.client_address)
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        self.server.requests.append(self.path)
+        mode = self.server.modes.pop(0) if self.server.modes else "ok"
+        if mode == "status-line":
+            self.wfile.write(b"HTTP/1.1 200 OK\r\n")
+            self.close_connection = True
+            return
+        body = json.dumps({"choices": [{"message": {"content": "hi"}}]}).encode()
+        if mode == "slow":
+            time.sleep(0.5)
+        if mode == "http-1.0":
+            self.protocol_version = "HTTP/1.0"
+        self.send_response(200)
+        if mode == "close":
+            self.send_header("Connection", "close")
+        if mode != "to-close":
+            self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+        if mode == "reset":
+            self.connection.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                                       struct.pack("ii", 1, 0))
+        self.close_connection = mode in ("to-close", "drop", "reset")
+
+
+@pytest.fixture()
+def keepalive(monkeypatch, api_key):
+    monkeypatch.setenv("no_proxy", "*")
+    server = _Server(("127.0.0.1", 0), _KeepAliveHandler)
+    server.accepted, server.ended, server.requests, server.modes = [], [], [], []
+    server.url = f"http://127.0.0.1:{server.server_address[1]}"
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+
+
+def _wait_for(condition):
+    deadline = time.monotonic() + 5
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return condition()
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_default_transport_reuses_one_connection_per_worker(patient_tables, gold_mapping,
+                                                            keepalive, workers):
+    """n requests open at most one connection per worker. Three workers
+    on two or fewer cores, with threads switching often, would garble a
+    reply if two of them ever shared a connection."""
+    client = HttpChatClient(make_config(endpoint_url=keepalive.url))
+    table_a, table_b = patient_tables
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        [report] = run_experiment(TASK_INTEGRATION, arms=(WITHOUT_CONTEXT,), repetitions=30,
+                                  client_factory=lambda: client, table_a=table_a,
+                                  table_b=table_b, gold=gold_mapping, workers=workers)
+    finally:
+        sys.setswitchinterval(interval)
+    # Every reply arrived whole: "hi" is an answer without a mapping.
+    assert {run.error for run in report.runs} == {NoMappingFound().args[0]}
+    assert len(keepalive.requests) == 30
+    assert 1 <= len(keepalive.accepted) <= workers
+    client.close()
+    assert _wait_for(lambda: len(keepalive.ended) == len(keepalive.accepted))
+
+
+@pytest.mark.parametrize("mode", ["http-1.0", "close", "to-close"])
+def test_default_transport_does_not_keep_a_connection_the_reply_ends(patient_tables, keepalive,
+                                                                     mode):
+    keepalive.modes.append(mode)
+    client = HttpChatClient(make_config(endpoint_url=keepalive.url, max_retries=0))
+    for _ in range(2):
+        assert client.complete(simple_bundle(patient_tables)).raw_text == "hi"
+    assert len(keepalive.requests) == 2 and len(keepalive.accepted) == 2
+    assert _wait_for(lambda: len(keepalive.ended) == 1)  # the client closed the first
+
+
+@pytest.mark.parametrize("mode", ["drop", "reset"])
+def test_default_transport_resends_once_when_an_idle_connection_was_closed(
+        patient_tables, keepalive, monkeypatch, mode):
+    """The server closes (or resets) the connection after its reply. The
+    next request fails on it before any reply byte and is sent once more
+    on a new connection: no retry, no backoff."""
+    delays = []
+    monkeypatch.setattr("comdb.llm.time.sleep", delays.append)
+    keepalive.modes.append(mode)
+    client = HttpChatClient(make_config(endpoint_url=keepalive.url))
+    for _ in range(3):
+        assert client.complete(simple_bundle(patient_tables)).raw_text == "hi"
+    assert len(keepalive.requests) == 3 and len(keepalive.accepted) == 2
+    assert delays == []
+
+
+@pytest.mark.parametrize("mode, error, message", [
+    ("status-line", TransportError, "stream ended inside a header section"),
+    ("slow", Timeout, "timed out"),
+])
+def test_default_transport_does_not_resend_a_cut_or_late_reply(patient_tables, keepalive,
+                                                                mode, error, message):
+    """On a kept connection, a reply cut after its status line, or one
+    later than the timeout, fails the attempt; the request is not sent
+    again."""
+    keepalive.modes += ["ok", mode]
+    client = HttpChatClient(make_config(endpoint_url=keepalive.url, max_retries=0,
+                                        timeout=0.25))
+    assert client.complete(simple_bundle(patient_tables)).raw_text == "hi"
+    with pytest.raises(error, match=message):
+        client.complete(simple_bundle(patient_tables))
+    assert len(keepalive.requests) == 2 and len(keepalive.accepted) == 1
+
+
+def test_default_transport_waits_out_the_longest_timeout_the_config_allows(patient_tables,
+                                                                           keepalive):
+    """A socket timeout past MAX_TIMEOUT_S wraps in poll(): 4294968 s ends
+    after 0.7 s, and 2147484 s never."""
+    keepalive.modes.append("slow")
+    client = HttpChatClient(make_config(endpoint_url=keepalive.url, max_retries=0,
+                                        timeout=llm.MAX_TIMEOUT_S))
+    assert client.complete(simple_bundle(patient_tables)).raw_text == "hi"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="TCP_QUICKACK is Linux's")
+def test_default_transport_does_not_wait_for_a_delayed_ack(patient_tables, keepalive):
+    """Each reply comes in two sends. Unless the client acknowledges the
+    head at once, Nagle's algorithm holds the body back until the delayed
+    ACK, ~40 ms per request on Linux."""
+    client = HttpChatClient(make_config(endpoint_url=keepalive.url, max_retries=0))
+    bundle = simple_bundle(patient_tables)
+    start = time.perf_counter()
+    for _ in range(20):
+        assert client.complete(bundle).raw_text == "hi"
+    elapsed = time.perf_counter() - start
+    assert len(keepalive.accepted) == 1
+    assert elapsed < 20 * 0.040 / 2, f"20 requests took {elapsed * 1000:.0f} ms"
+
+
+def test_client_closes_its_connections_when_collected(patient_tables, keepalive):
+    client = HttpChatClient(make_config(endpoint_url=keepalive.url))
+    assert client.complete(simple_bundle(patient_tables)).raw_text == "hi"
+    assert keepalive.ended == []
+    del client
+    assert _wait_for(lambda: len(keepalive.ended) == 1)
+
+
+def test_run_closes_the_client_once_the_run_ends(tmp_path, keepalive, monkeypatch):
+    closed = []
+    original = HttpChatClient.close
+    monkeypatch.setattr(HttpChatClient, "close",
+                        lambda self: closed.append(self) or original(self))
+    assert cli_main(["run", "--task", "integration", "--arm", "without", "--n", "4",
+                     "--workers", "2", "--endpoint", keepalive.url,
+                     "--api-key-env", "TEST_LLM_KEY", "--out", str(tmp_path / "r.json"),
+                     "--gold", str(bundled.fixture_path(bundled.PATIENTS_GOLD_MAP))]) == 0
+    assert len(closed) == 1
+    assert len(keepalive.requests) == 4 and 1 <= len(keepalive.accepted) <= 2
+    assert _wait_for(lambda: len(keepalive.ended) == len(keepalive.accepted))
+
+
+def test_cr_or_lf_in_the_api_key_fails_before_any_attempt(patient_tables, keepalive,
+                                                         monkeypatch):
+    delays = []
+    monkeypatch.setattr("comdb.llm.time.sleep", delays.append)
+    monkeypatch.setenv("TEST_LLM_KEY", "sk-test\r\nX-Injected: 1")
+    client = HttpChatClient(make_config(endpoint_url=keepalive.url))
+    with pytest.raises(TransportError, match="header Authorization contains CR or LF") as excinfo:
+        client.complete(simple_bundle(patient_tables))
+    assert "sk-" not in str(excinfo.value)
+    assert delays == [] and keepalive.accepted == []
+
+
 def src_env() -> dict:
     """The environment for a fresh interpreter that imports comdb from src/."""
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -874,6 +1120,9 @@ def test_live_run_in_fresh_interpreter_writes_the_mock_report(tmp_path, capsys,
 def test_client_config_validation():
     with pytest.raises(ConfigError):
         make_config(timeout=0)
+    for timeout in (llm.MAX_TIMEOUT_S + 0.001, 9.3e9):
+        with pytest.raises(ConfigError, match="timeout must be at most"):
+            make_config(timeout=timeout)
     with pytest.raises(ConfigError):
         make_config(temperature=-1)
     with pytest.raises(ConfigError):
