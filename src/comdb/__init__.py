@@ -38,7 +38,6 @@ from .llm import (
     WITHOUT_CONTEXT,
     ClientConfig,
     HttpChatClient,
-    LLMResponse,
     MockChatClient,
     PromptBundle,
     build_integration_prompt,

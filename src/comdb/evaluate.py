@@ -140,21 +140,15 @@ def _execute(sql: str, con: sqlite3.Connection) -> SqlValidationReport:
 
 
 class RunRecord(Value):
-    __slots__ = ("ok", "prompt_sha256", "response_sha256", "error", "score", "sql",
-                 "sql_report", "mapping")
+    __slots__ = ("ok", "prompt_sha256", "response_sha256", "error", "score")
 
     def __init__(self, ok: bool, prompt_sha256: str, response_sha256: str | None = None,
-                 error: str | None = None, score: MappingScore | None = None,
-                 sql: str | None = None, sql_report: SqlValidationReport | None = None,
-                 mapping: HeaderMapping | None = None):
+                 error: str | None = None, score: MappingScore | None = None):
         object.__setattr__(self, "ok", ok)
         object.__setattr__(self, "prompt_sha256", prompt_sha256)
         object.__setattr__(self, "response_sha256", response_sha256)
         object.__setattr__(self, "error", error)
         object.__setattr__(self, "score", score)
-        object.__setattr__(self, "sql", sql)
-        object.__setattr__(self, "sql_report", sql_report)
-        object.__setattr__(self, "mapping", mapping)
 
 
 class ExperimentReport(Value):
@@ -180,25 +174,23 @@ def _sha256(text: str) -> str:
 
 def _repetition(bundle, prompt_hash, client, repetition, judge, failure_score,
                 memo) -> RunRecord:
-    """Ask the client once and judge the answer, unless memo already holds
-    the (hash, outcome) of its text. Any exception on the way becomes a
-    failed record carrying failure_score; it is never memoized and never
+    """Ask the client once and judge the answer text, unless memo already
+    holds its (hash, (ok, error, score)). Any exception on the way becomes
+    a failed record carrying failure_score; it is never memoized and never
     propagates. A ComdbError keeps its message; any other exception is
     recorded as ``ClassName: message``."""
     response_hash = None
     try:
-        resp = client.complete(bundle, repetition=repetition)
-        judged = memo.get(resp.raw_text)
+        text = client.complete(bundle, repetition=repetition)
+        judged = memo.get(text)
         if judged is None:
-            response_hash = _sha256(resp.raw_text)
-            judged = memo[resp.raw_text] = (response_hash, judge(resp))
-        response_hash, outcome = judged
+            response_hash = _sha256(text)
+            judged = memo[text] = (response_hash, judge(text))
+        response_hash, (ok, error, score) = judged
     except Exception as exc:
         error = str(exc) if isinstance(exc, ComdbError) else f"{type(exc).__name__}: {exc}"
-        return RunRecord(False, prompt_hash, response_hash, error=error,
-                         score=failure_score)
-    return RunRecord(prompt_sha256=prompt_hash, response_sha256=response_hash,
-                     **outcome)
+        return RunRecord(False, prompt_hash, response_hash, error, failure_score)
+    return RunRecord(ok, prompt_hash, response_hash, error, score)
 
 
 def _mean(values) -> float:
@@ -221,14 +213,16 @@ def run_experiment(task: str, *,
                    workers: int = 1) -> list[ExperimentReport]:
     """Run one task over the requested arms, N repetitions per arm.
 
-    client_factory is called once per repetition so that concurrent
-    workers never share a client handle. With workers > 1, a pool runs one
-    task per worker, and each task takes the next (arm, repetition) pair
-    from the shared list until none is left; every run keeps its position,
-    and an exception that escapes a task reaches the caller. For tables
-    joining each worker thread opens one read-only connection to the
-    database on first use; all of them are closed before this function
-    returns or raises.
+    client_factory is called once per repetition, and the client's
+    complete(bundle, repetition=...) returns the answer text. The calling
+    thread and workers - 1 more threads run one loop: each takes the next
+    (arm, repetition) pair from the shared list until none is left, so
+    workers=1 starts no thread. Every run keeps its position, so the
+    report does not depend on workers. An exception that escapes a
+    repetition (from client_factory, say) stops every loop and reaches
+    the caller once all threads have ended. For tables joining each
+    thread opens one read-only connection to the database on first use;
+    all of them are closed before this function returns or raises.
 
     Each distinct answer text is hashed and judged once per call, for both
     arms: the judges read only the text and inputs fixed for the call, and
@@ -249,10 +243,9 @@ def run_experiment(task: str, *,
             raise FixtureMissing("gold mapping for semantic integration")
         failure_score = MappingScore(0, len(gold.entries), 0, 0.0, 0.0, 0.0)
 
-        def judge(resp):
-            predicted = llm.parse_mapping_response(resp, table_a, table_b)
-            return {"ok": True, "score": score_mapping(predicted, gold),
-                    "mapping": predicted}
+        def judge(text):
+            predicted = llm.parse_mapping_response(text, table_a, table_b)
+            return True, None, score_mapping(predicted, gold)
     elif task == llm.TASK_JOINING:
         if schema is None:
             raise FixtureMissing("database schema for tables joining")
@@ -273,14 +266,13 @@ def run_experiment(task: str, *,
                 connections.append(con)
             return con
 
-        def judge(resp):
-            sql = llm.extract_sql(resp)
+        def judge(text):
+            sql = llm.extract_sql(text)
             try:
                 report = execute_sql(sql, connection())
             except WriteAttempt as exc:
-                return {"ok": False, "error": str(exc), "sql": sql}
-            return {"ok": report.success, "error": report.error_text, "sql": sql,
-                    "sql_report": report}
+                return False, str(exc), None
+            return report.success, report.error_text, None
     else:
         raise ConfigError(f"unknown task {task!r}")
     if llm.WITH_CONTEXT in arms and annotations is None:
@@ -292,38 +284,39 @@ def run_experiment(task: str, *,
                                   table_b=table_b, schema=schema, goal=goal)
         prepared.append((bundle, _sha256(bundle.user_text)))
 
-    memo = {}
-
-    def one_run(job):
-        (bundle, prompt_hash), rep = job
-        return _repetition(bundle, prompt_hash, client_factory(), rep, judge,
-                           failure_score, memo)
-
+    memo, escaped = {}, []
     jobs = [(p, rep) for p in prepared for rep in range(repetitions)]
+    runs = [None] * len(jobs)
+    pending = iter(range(len(jobs)))
+    lock = threading.Lock()
+
+    def drain():
+        try:
+            while not escaped:
+                with lock:
+                    i = next(pending, None)
+                if i is None:
+                    return
+                (bundle, prompt_hash), rep = jobs[i]
+                runs[i] = _repetition(bundle, prompt_hash, client_factory(), rep, judge,
+                                      failure_score, memo)
+        except BaseException as exc:  # stops the other loops, then reaches the caller
+            escaped.append(exc)
+
+    threads = []
     try:
-        if workers == 1:
-            runs = [one_run(job) for job in jobs]
-        else:
-            from concurrent.futures import ThreadPoolExecutor  # serial runs never load it
-
-            runs = [None] * len(jobs)
-            pending = iter(range(len(jobs)))
-            lock = threading.Lock()
-
-            def drain():
-                while True:
-                    with lock:
-                        i = next(pending, None)
-                    if i is None:
-                        return
-                    runs[i] = one_run(jobs[i])
-
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                for drained in [pool.submit(drain) for _ in range(workers)]:
-                    drained.result()
+        for _ in range(workers - 1):
+            thread = threading.Thread(target=drain)
+            thread.start()
+            threads.append(thread)
+        drain()
     finally:
+        for thread in threads:
+            thread.join()
         for con in connections:
             con.close()
+    if escaped:
+        raise escaped[0]
 
     reports = []
     for i, arm in enumerate(arms):

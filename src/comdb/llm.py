@@ -10,14 +10,14 @@ without-context arm. A prompt is one text, sent as the single user
 message. Prompts are pure functions of schema + annotations + fixed task
 text, so they can never leak row data.
 
-Clients are pluggable: a client is any object with a client_id and
-complete(bundle, *, repetition) -> LLMResponse. HttpChatClient speaks the
-common JSON chat-completions protocol over comdb.wire (loaded on first
-live use), which keeps connections open and reuses them across requests,
-through the proxy that http_proxy or https_proxy names unless no_proxy
-lists the host; it retries 429 and 5xx replies, waiting as long as a 429
-or 503 reply's Retry-After asks (delta-seconds only, capped). Its close()
-closes the idle connections.
+Clients are pluggable: a client is any object with
+complete(bundle, *, repetition) -> str, which returns the answer text.
+HttpChatClient speaks the common JSON chat-completions protocol over
+comdb.wire (loaded on first live use), which keeps connections open and
+reuses them across requests, through the proxy that http_proxy or
+https_proxy names unless no_proxy lists the host; it retries 429 and 5xx
+replies, waiting as long as a 429 or 503 reply's Retry-After asks
+(delta-seconds only, capped). Its close() closes the idle connections.
 MockChatClient replays a scripted response per (task, arm, repetition)
 for offline, deterministic runs.
 """
@@ -92,22 +92,12 @@ SQL_DIRECTIVE = (
 
 
 class PromptBundle(Value):
-    __slots__ = ("task", "arm", "user_text", "format_directive")
+    __slots__ = ("task", "arm", "user_text")
 
-    def __init__(self, task: str, arm: str, user_text: str, format_directive: str):
+    def __init__(self, task: str, arm: str, user_text: str):
         object.__setattr__(self, "task", task)
         object.__setattr__(self, "arm", arm)
         object.__setattr__(self, "user_text", user_text)
-        object.__setattr__(self, "format_directive", format_directive)
-
-
-class LLMResponse(Value):
-    __slots__ = ("raw_text", "latency_ms", "client_id")
-
-    def __init__(self, raw_text: str, latency_ms: float, client_id: str):
-        object.__setattr__(self, "raw_text", raw_text)
-        object.__setattr__(self, "latency_ms", latency_ms)
-        object.__setattr__(self, "client_id", client_id)
 
 
 class ClientConfig(Value):
@@ -180,9 +170,8 @@ def build_integration_prompt(table_a: TableSchema, table_b: TableSchema,
         local = validate_annotations(OntologyAnnotations((), groups), pair)
         parts.append(emit_contextual_schema(local, style).rstrip("\n"))
     parts.append(INTEGRATION_TASK_TEMPLATE.format(a=table_a.name, b=table_b.name))
-    directive = MAPPING_DIRECTIVE_TEMPLATE.format(a=table_a.name, b=table_b.name)
-    parts.append(directive)
-    return PromptBundle(TASK_INTEGRATION, arm, "\n".join(parts), directive)
+    parts.append(MAPPING_DIRECTIVE_TEMPLATE.format(a=table_a.name, b=table_b.name))
+    return PromptBundle(TASK_INTEGRATION, arm, "\n".join(parts))
 
 
 def build_join_prompt(schema: ValidatedSchema, ann: ValidatedAnnotations | None,
@@ -203,7 +192,7 @@ def build_join_prompt(schema: ValidatedSchema, ann: ValidatedAnnotations | None,
         parts.append(context_text)
     parts.append(goal)
     parts.append(SQL_DIRECTIVE)
-    return PromptBundle(TASK_JOINING, arm, "\n".join(parts), SQL_DIRECTIVE)
+    return PromptBundle(TASK_JOINING, arm, "\n".join(parts))
 
 
 def build_prompt(task: str, arm: str, annotations: ValidatedAnnotations | None,
@@ -243,9 +232,9 @@ class HttpChatClient:
     content is an ApiError. The credential is read from the environment
     variable named by the config and never logged.
 
-    The request goes to the endpoint's path joined with /chat/completions,
-    and the endpoint's query, if any, follows it. latency_ms is the time
-    spent in attempts, not the backoff waits between them.
+    complete() returns the reply's message content. The request goes to
+    the endpoint's path joined with /chat/completions, and the endpoint's
+    query, if any, follows it.
 
     transport(url, payload, headers, timeout) -> (status, headers, body)
     sends one request. The default, comdb.wire.HttpTransport, keeps its
@@ -262,7 +251,6 @@ class HttpChatClient:
 
     def __init__(self, config: ClientConfig, transport: Callable | None = None):
         self.config = config
-        self.client_id = f"http:{config.model}"
         url = urlsplit(config.endpoint_url)
         self._url = url._replace(path=url.path.rstrip("/") + "/chat/completions",
                                  fragment="").geturl()
@@ -289,7 +277,7 @@ class HttpChatClient:
             raise MissingCredentials(source)
         return key
 
-    def complete(self, bundle: PromptBundle, *, repetition: int = 0) -> LLMResponse:
+    def complete(self, bundle: PromptBundle, *, repetition: int = 0) -> str:
         headers = {"Content-Type": "application/json"}
         key = self._bearer()
         if key:
@@ -301,7 +289,6 @@ class HttpChatClient:
             "messages": [{"role": "user", "content": bundle.user_text}],
             "temperature": self.config.temperature,
         }
-        latency = 0.0
         attempts = self.config.max_retries + 1
         wait = None
         for attempt in range(attempts):
@@ -313,7 +300,6 @@ class HttpChatClient:
                     wait = delay * (1 + random.random() * 0.25)
                 time.sleep(wait)
             wait = None
-            start = time.perf_counter()
             try:
                 status, reply_headers, body = self._transport(self._url, payload, headers,
                                                               self.config.timeout)
@@ -321,8 +307,6 @@ class HttpChatClient:
                 if attempt + 1 >= attempts:
                     raise
                 continue
-            finally:
-                latency += time.perf_counter() - start
             if status != 429 and not 500 <= status <= 599:
                 break
             wait = _retry_after(status, reply_headers,
@@ -335,7 +319,7 @@ class HttpChatClient:
             raise ApiError(status, body) from exc
         if not isinstance(content, str):
             raise ApiError(status, body)
-        return LLMResponse(content, latency * 1000.0, self.client_id)
+        return content
 
 
 class MockChatClient:
@@ -346,8 +330,6 @@ class MockChatClient:
     whose task or arm is not one comdb runs could never be used, so it is
     rejected with the malformed ones.
     """
-
-    client_id = "mock"
 
     def __init__(self, records):
         self._responses = {}
@@ -374,8 +356,7 @@ class MockChatClient:
             raise ConfigError("mock script must be a JSON array of records")
         return cls(data)
 
-    def complete(self, bundle: PromptBundle, *, repetition: int = 0) -> LLMResponse:
-        start = time.perf_counter()
+    def complete(self, bundle: PromptBundle, *, repetition: int = 0) -> str:
         text = self._responses.get((bundle.task, bundle.arm, repetition))
         if text is None:
             text = self._responses.get((bundle.task, bundle.arm, None))
@@ -383,8 +364,7 @@ class MockChatClient:
             raise ConfigError(
                 f"mock script has no response for ({bundle.task}, {bundle.arm}, "
                 f"{repetition})")
-        latency_ms = (time.perf_counter() - start) * 1000.0
-        return LLMResponse(text, latency_ms, self.client_id)
+        return text
 
 
 # --- response parsing ---
@@ -458,9 +438,9 @@ def _freeform_entries(text, vocab_a, canon_a, vocab_b, canon_b) -> list[MappingE
     return entries
 
 
-def parse_mapping_response(resp: LLMResponse, table_a: TableSchema,
+def parse_mapping_response(text: str, table_a: TableSchema,
                            table_b: TableSchema) -> HeaderMapping:
-    """Read a header mapping out of a model response.
+    """Read a header mapping out of a model's answer text.
 
     Fenced ``A -> B`` lines are the primary channel; failing that, free
     text is scanned for sentences that pair exactly one known table-A
@@ -471,9 +451,9 @@ def parse_mapping_response(resp: LLMResponse, table_a: TableSchema,
     warnings: list[str] = []
     vocab_a, canon_a = _vocabulary(table_a.headers)
     vocab_b, canon_b = _vocabulary(table_b.headers)
-    entries = _fenced_entries(resp.raw_text, canon_a, canon_b, warnings)
+    entries = _fenced_entries(text, canon_a, canon_b, warnings)
     if not entries:
-        entries = _freeform_entries(resp.raw_text, vocab_a, canon_a, vocab_b, canon_b)
+        entries = _freeform_entries(text, vocab_a, canon_a, vocab_b, canon_b)
     entries, rejected = split_reused(entries)
     for entry, _, _ in rejected:
         warnings.append(f"dropped entry reusing already-mapped headers: "
@@ -485,18 +465,18 @@ def parse_mapping_response(resp: LLMResponse, table_a: TableSchema,
                          tuple(warnings))
 
 
-def extract_sql(resp: LLMResponse) -> str:
-    """First fenced code block, else the span from the first SELECT to the
-    last semicolon (or end of text). Raises NoSqlFound if neither exists."""
-    for block in _FENCE_RE.findall(resp.raw_text):
+def extract_sql(text: str) -> str:
+    """First fenced code block of an answer text, else the span from the
+    first SELECT to the last semicolon (or end of text). Raises NoSqlFound
+    if neither exists."""
+    for block in _FENCE_RE.findall(text):
         sql = block.strip()
         if sql:
             return sql
-    lowered = resp.raw_text.casefold()
-    idx = lowered.find("select")
+    idx = text.casefold().find("select")
     if idx < 0:
         raise NoSqlFound()
-    tail = resp.raw_text[idx:]
+    tail = text[idx:]
     semi = tail.rfind(";")
     if semi >= 0:
         tail = tail[:semi + 1]

@@ -2,10 +2,13 @@
 
 An exchange writes the request head and body in one sendall and reads one
 reply with http.client's bounds: a status line, then at most 100 header
-lines of at most 65 536 bytes each. A 100 Continue head is skipped; the
-body is taken by chunked coding (its trailer section read and dropped), by
-Content-Length, or up to the end of the stream; a 204 or 304 reply has
-none.
+lines of at most 65 536 bytes each; repeated lines of one field are
+joined with ", " (RFC 9110 §5.3). A 100 Continue head is skipped; the
+body is taken by chunked coding (a chunk size is hex digits only, and the
+trailer section is read and dropped), by a Content-Length of digits only
+or a list of equal such values, or, with no Content-Length, up to the end
+of the stream; a 204 or 304 reply has none. Any other Content-Length or
+chunk size is an error.
 
 A connection carries the next request too (RFC 9112 §9.3) when its reply
 was HTTP/1.1, did not say Connection: close, and was framed by
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import base64
 import json
+import re
 import socket
 import ssl
 import threading
@@ -39,11 +43,12 @@ from .errors import Timeout, TransportError
 MAX_LINE = 65536
 MAX_HEADERS = 100
 _QUICKACK = getattr(socket, "TCP_QUICKACK", None)  # Linux only
+_CHUNK_SIZE = re.compile(rb"([0-9A-Fa-f]+)(?:[ \t]*;.*)?\r?\n")  # RFC 9112 §7.1
 
 
 class Headers(dict):
-    """Reply header fields under their lower-cased names, the first of
-    each name kept; get() takes a name in any case."""
+    """Reply header fields under their lower-cased names, the lines of a
+    repeated name joined with ", "; get() takes a name in any case."""
 
     __slots__ = ()
 
@@ -69,7 +74,8 @@ def _fields(reader) -> Headers:
             raise ValueError("incomplete read: the stream ended inside a header section")
         name, colon, value = line.decode("iso-8859-1").partition(":")
         if colon:
-            headers.setdefault(name.strip().lower(), value.strip())
+            name, value = name.strip().lower(), value.strip()
+            headers[name] = f"{headers[name]}, {value}" if name in headers else value
     raise ValueError(f"more than {MAX_HEADERS} header lines")
 
 
@@ -95,9 +101,11 @@ def _exactly(reader, n: int) -> bytes:
 def _chunked(reader) -> bytes:
     chunks = []
     while True:
-        size = int(_line(reader, "chunk size line").partition(b";")[0], 16)
-        if size < 0:
-            raise ValueError(f"negative chunk size {size}")
+        line = _line(reader, "chunk size line")
+        match = _CHUNK_SIZE.fullmatch(line)
+        if match is None:
+            raise ValueError(f"invalid literal for a chunk size: {line!r}")
+        size = int(match[1], 16)
         if not size:
             break
         chunks.append(_exactly(reader, size))
@@ -119,13 +127,13 @@ def read_reply(reader) -> tuple[int, Headers, bytes, bool]:
         return status, headers, b"", keep
     if (headers.get("transfer-encoding") or "").lower() == "chunked":
         return status, headers, _chunked(reader), keep
-    try:
-        length = int(headers.get("content-length"))
-    except (TypeError, ValueError):  # absent or malformed: read to the end
-        length = -1
-    if length < 0:
+    field = headers.get("content-length")
+    if field is None:  # the body ends with the stream
         return status, headers, reader.read(), False
-    return status, headers, _exactly(reader, length), keep
+    values = {value.strip() for value in field.split(",")}
+    if not all(v.isascii() and v.isdigit() for v in values) or len(set(map(int, values))) > 1:
+        raise ValueError(f"bad Content-Length {field!r}")
+    return status, headers, _exactly(reader, int(values.pop())), keep
 
 
 def _host_port(netloc: str, default_port: int) -> tuple[str, int]:

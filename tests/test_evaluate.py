@@ -1,9 +1,11 @@
+import hashlib
 import json
 import os
 import random
 import sqlite3
 import sys
 import tempfile
+import threading
 import time
 from pathlib import Path
 
@@ -435,6 +437,30 @@ def test_run_workers_match_serial(patient_tables, patient_annotations,
     assert [r.aggregate for r in serial] == [r.aggregate for r in parallel]
 
 
+@pytest.mark.parametrize("workers", [1, 3])
+def test_run_calling_thread_is_the_first_worker(task_inputs, monkeypatch, workers):
+    # workers=1 starts no thread; every started thread has ended on return.
+    started, callers = [], set()
+
+    class RecordingThread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    def factory():
+        callers.add(threading.current_thread())
+        time.sleep(0.005)  # so that every worker is busy when the next job is taken
+        return _mock_factory(bundled.JOINING_MOCK)()
+
+    monkeypatch.setattr(evaluate.threading, "Thread", RecordingThread)
+    run_experiment(TASK_JOINING, **task_inputs[TASK_JOINING], repetitions=10,
+                   workers=workers, client_factory=factory)
+    assert len(started) == workers - 1
+    assert not any(thread.is_alive() for thread in started)
+    assert threading.current_thread() in callers
+    assert callers <= {threading.current_thread(), *started}
+
+
 @pytest.mark.parametrize("workers", [1, 8])
 def test_run_joining_one_connection_per_worker(synthea_schema, synthea_annotations,
                                                fixture_db, monkeypatch, workers):
@@ -492,6 +518,23 @@ def test_run_exception_outside_a_repetition_reaches_the_caller(
     for con in opened:
         with pytest.raises(sqlite3.ProgrammingError, match="closed"):
             con.execute("SELECT 1")
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_run_keeps_the_database_read_only(synthea_schema, fixture_db, workers):
+    # The keyword check refuses the DROP; the CTE passes it, and the
+    # read-only connection refuses its DELETE. Each answer comes 3 times.
+    before = hashlib.sha256(fixture_db.read_bytes()).hexdigest()
+    answers = ["DROP TABLE patients;", "WITH t AS (SELECT 1) DELETE FROM patients;"]
+    records = [{"task": TASK_JOINING, "arm": WITHOUT_CONTEXT, "repetition": rep,
+                "response": f"```sql\n{answers[rep % 2]}\n```"} for rep in range(6)]
+    [report] = run_experiment(TASK_JOINING, arms=(WITHOUT_CONTEXT,), repetitions=6,
+                              workers=workers, client_factory=lambda: MockChatClient(records),
+                              schema=synthea_schema, database=fixture_db)
+    assert [(run.ok, run.error) for run in report.runs] == 3 * [
+        (False, "refusing non-read-only statement (DROP)"),
+        (False, "attempt to write a readonly database")]
+    assert hashlib.sha256(fixture_db.read_bytes()).hexdigest() == before
 
 
 def _count_calls(monkeypatch, owner, name):

@@ -10,7 +10,7 @@ import pytest
 
 from comdb.errors import ConfigError
 from comdb.evaluate import ExperimentReport, MappingScore, RunRecord, SqlValidationReport
-from comdb.llm import ClientConfig, LLMResponse, PromptBundle
+from comdb.llm import ClientConfig, PromptBundle
 from comdb.mapping import HeaderMapping, MappingEntry
 from comdb.nl import StyleFlags
 from comdb.schema import (
@@ -100,23 +100,18 @@ CASES = {
         lambda: _run(ok=False),
         "RunRecord(ok=True, prompt_sha256='pppp', response_sha256=None, error=None, "
         "score=MappingScore(matched=1, gold_size=1, predicted_size=1, precision=1.0, "
-        "recall=1.0, f1=1.0), sql=None, sql_report=None, mapping=None)"),
+        "recall=1.0, f1=1.0))"),
     "ExperimentReport": (
         lambda: ExperimentReport("t", "with-context", 1, [_run()], {"successRate": 1.0}),
         lambda: ExperimentReport("t", "with-context", 1, [_run()], {"successRate": 0.0}),
         "ExperimentReport(task='t', arm='with-context', n=1, runs=(RunRecord(ok=True, "
         "prompt_sha256='pppp', response_sha256=None, error=None, score=MappingScore("
-        "matched=1, gold_size=1, predicted_size=1, precision=1.0, recall=1.0, f1=1.0), "
-        "sql=None, sql_report=None, mapping=None),), aggregate={'successRate': 1.0})"),
+        "matched=1, gold_size=1, predicted_size=1, precision=1.0, recall=1.0, f1=1.0)),), "
+        "aggregate={'successRate': 1.0})"),
     "PromptBundle": (
-        lambda: PromptBundle("t", "with-context", "text", "directive"),
-        lambda: PromptBundle("t", "without-context", "text", "directive"),
-        "PromptBundle(task='t', arm='with-context', user_text='text', "
-        "format_directive='directive')"),
-    "LLMResponse": (
-        lambda: LLMResponse("answer", 1.5, "mock"),
-        lambda: LLMResponse("answer", 2.5, "mock"),
-        "LLMResponse(raw_text='answer', latency_ms=1.5, client_id='mock')"),
+        lambda: PromptBundle("t", "with-context", "text"),
+        lambda: PromptBundle("t", "without-context", "text"),
+        "PromptBundle(task='t', arm='with-context', user_text='text')"),
     "ClientConfig": (
         lambda: ClientConfig("http://h", "m"),
         lambda: ClientConfig("http://h", "m", max_retries=0),
@@ -148,11 +143,9 @@ FIELDS = {
     "ValidatedAnnotations": ("annotations", "schema"),
     "MappingScore": ("matched", "gold_size", "predicted_size", "precision", "recall", "f1"),
     "SqlValidationReport": ("success", "error_text", "result_columns", "row_count"),
-    "RunRecord": ("ok", "prompt_sha256", "response_sha256", "error", "score", "sql",
-                  "sql_report", "mapping"),
+    "RunRecord": ("ok", "prompt_sha256", "response_sha256", "error", "score"),
     "ExperimentReport": ("task", "arm", "n", "runs", "aggregate"),
-    "PromptBundle": ("task", "arm", "user_text", "format_directive"),
-    "LLMResponse": ("raw_text", "latency_ms", "client_id"),
+    "PromptBundle": ("task", "arm", "user_text"),
     "ClientConfig": ("endpoint_url", "model", "temperature", "timeout", "max_retries",
                      "api_key_source"),
     "MappingEntry": ("source_headers", "target_headers"),
@@ -177,7 +170,7 @@ TYPES = sorted(CASES)
 
 
 def test_every_value_type_is_covered():
-    assert len(CASES) == 18
+    assert len(CASES) == 17
     assert set(CASES) == set(FIELDS)
     assert set(TUPLE_FIELDS) <= set(CASES)
 
@@ -246,7 +239,7 @@ def test_list_arguments_become_tuples(name):
 
 def test_defaults():
     assert OntologyAnnotations() == OntologyAnnotations((), ())
-    assert RunRecord(True, "p") == RunRecord(True, "p", None, None, None, None, None, None)
+    assert RunRecord(True, "p") == RunRecord(True, "p", None, None, None)
     assert HeaderMapping([MappingEntry(["a"], ["b"])]).warnings == ()
     assert StyleFlags() == StyleFlags(True, True)
     config = ClientConfig(model="m", endpoint_url="http://h")
