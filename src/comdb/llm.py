@@ -15,7 +15,10 @@ complete(bundle, *, repetition) -> str, which returns the answer text.
 HttpChatClient speaks the common JSON chat-completions protocol over
 comdb.wire (loaded on first live use), which keeps connections open and
 reuses them across requests, through the proxy that http_proxy or
-https_proxy names unless no_proxy lists the host; it retries 429 and 5xx
+https_proxy names unless no_proxy lists the host. comdb.wire loads ssl
+only for an https endpoint or proxy, and urllib.request only to read
+proxy settings where one may be set, so a live run against a plain
+http:// server on localhost loads neither. The client retries 429 and 5xx
 replies, waiting as long as a 429 or 503 reply's Retry-After asks
 (delta-seconds only, capped). Its close() closes the idle connections.
 MockChatClient replays a scripted response per (task, arm, repetition)
@@ -213,11 +216,12 @@ def build_prompt(task: str, arm: str, annotations: ValidatedAnnotations | None,
 def _retry_after(status: int, headers, cap: float) -> float | None:
     """The wait a 429 or 503 reply asks for in Retry-After (RFC 9110
     §10.2.3), at most cap; None for other replies, an HTTP-date or a
-    malformed value. Only the delta-seconds form is read."""
+    malformed value. Only the delta-seconds form is read; float() takes
+    any number of digits, where int() stops at 4300."""
     if status not in (429, 503):
         return None
     value = (headers.get("Retry-After") or "").strip()
-    return min(int(value), cap) if value.isascii() and value.isdigit() else None
+    return min(float(value), cap) if value.isascii() and value.isdigit() else None
 
 
 class HttpChatClient:
@@ -370,6 +374,7 @@ class MockChatClient:
 # --- response parsing ---
 
 _FENCE_RE = re.compile(r"```[^\n]*\n(.*?)```", re.DOTALL)
+_SELECT_RE = re.compile("select", re.IGNORECASE)
 
 
 @functools.lru_cache(maxsize=8)
@@ -473,10 +478,10 @@ def extract_sql(text: str) -> str:
         sql = block.strip()
         if sql:
             return sql
-    idx = text.casefold().find("select")
-    if idx < 0:
+    match = _SELECT_RE.search(text)
+    if match is None:
         raise NoSqlFound()
-    tail = text[idx:]
+    tail = text[match.start():]
     semi = tail.rfind(";")
     if semi >= 0:
         tail = tail[:semi + 1]

@@ -3,20 +3,21 @@
 An exchange writes the request head and body in one sendall and reads one
 reply with http.client's bounds: a status line, then at most 100 header
 lines of at most 65 536 bytes each; repeated lines of one field are
-joined with ", " (RFC 9110 §5.3). A 100 Continue head is skipped; the
-body is taken by chunked coding (a chunk size is hex digits only, and the
-trailer section is read and dropped), by a Content-Length of digits only
-or a list of equal such values, or, with no Content-Length, up to the end
-of the stream; a 204 or 304 reply has none. Any other Content-Length or
-chunk size is an error.
+joined with ", " (RFC 9110 §5.3). A 100 Continue head is skipped; a 204
+or 304 reply has no body. Otherwise the body is taken by chunked coding
+if Transfer-Encoding is one "chunked" (a chunk size is hex digits only;
+the trailer section is read and dropped), else by a Content-Length of
+digits only or a list of equal such values, else up to the end of the
+stream. Any other Transfer-Encoding (no other coding is undone),
+Content-Length or chunk size, or a length above sys.maxsize, is an error.
 
 A connection carries the next request too (RFC 9112 §9.3) when its reply
 was HTTP/1.1, did not say Connection: close, and was framed by
-Content-Length or chunked coding (or had no body), not by the end of the
-stream. Any error closes it. A server may close or reset a connection
-while it is idle; a request sent on such a connection fails before the
-first byte of its reply, and it is then sent once more on a new
-connection. A timeout, or a failure after that first byte, is not
+Content-Length or chunked coding without Content-Length (RFC 9112 §6.3),
+or had no body. Any error closes it. A server may close or reset a
+connection while it is idle; a request sent on such a connection fails
+before the first byte of its reply, and it is then sent once more on a
+new connection. A timeout, or a failure after that first byte, is not
 resent. After each request the socket sets TCP_QUICKACK, where the
 platform has it, so that the reply head is acknowledged at once: a server
 that writes the head and the body in two sends would otherwise hold the
@@ -24,18 +25,20 @@ body back (Nagle, RFC 896) until the delayed ACK (RFC 1122 §4.2.3.2),
 ~40 ms later on Linux.
 
 llm imports this module on first live use, so that `import comdb`,
-offline commands and --mock runs never load it, ssl or urllib.request.
+offline commands and --mock runs never load it. It imports ssl only for
+an https endpoint or proxy, and urllib.request (which brings http.client
+and email) only where a proxy may be set (see _proxy).
 """
 
 from __future__ import annotations
 
 import base64
 import json
+import os
 import re
 import socket
-import ssl
+import sys
 import threading
-import urllib.request
 from urllib.parse import unquote, urlsplit
 
 from .errors import Timeout, TransportError
@@ -92,6 +95,8 @@ def read_head(reader) -> tuple[str, int, str, Headers]:
 
 
 def _exactly(reader, n: int) -> bytes:
+    if n > sys.maxsize:  # more than any read can ask for
+        raise ValueError(f"length {n} is too large")
     data = reader.read(n)
     if len(data) < n:
         raise ValueError(f"incomplete read: {len(data)} of {n} bytes")
@@ -125,9 +130,12 @@ def read_reply(reader) -> tuple[int, Headers, bytes, bool]:
         token.strip() for token in (headers.get("connection") or "").lower().split(","))
     if status in (204, 304):  # no body, whatever the headers say (RFC 9112 §6.3)
         return status, headers, b"", keep
-    if (headers.get("transfer-encoding") or "").lower() == "chunked":
-        return status, headers, _chunked(reader), keep
+    coding = headers.get("transfer-encoding")
     field = headers.get("content-length")
+    if coding is not None:  # it overrides Content-Length (RFC 9112 §6.3)
+        if coding.lower() != "chunked":
+            raise ValueError(f"unsupported Transfer-Encoding {coding!r}")
+        return status, headers, _chunked(reader), keep and field is None
     if field is None:  # the body ends with the stream
         return status, headers, reader.read(), False
     values = {value.strip() for value in field.split(",")}
@@ -177,6 +185,20 @@ class _Connection:
         self.sock.close()
 
 
+def _proxy(scheme: str, netloc: str) -> str | None:
+    """getproxies()[scheme] unless proxy_bypass(netloc), as urllib.request
+    answers, or None. Where proxies come only from the environment (not on
+    macOS or Windows) and no <scheme>_proxy, in any case, has a value, the
+    answer is None without loading urllib.request."""
+    if sys.platform != "darwin" and os.name != "nt" and not any(
+            value and name.lower() == scheme + "_proxy" for name, value in os.environ.items()):
+        return None
+    import urllib.request
+
+    proxy = urllib.request.getproxies().get(scheme)
+    return proxy if proxy and not urllib.request.proxy_bypass(netloc) else None
+
+
 class HttpTransport:
     """The default transport for endpoint_url: called as (url, payload,
     headers, timeout), it POSTs payload as JSON and returns (status,
@@ -194,21 +216,23 @@ class HttpTransport:
 
     The proxy is chosen here, once per transport: http_proxy or
     https_proxy by the endpoint's scheme (or the platform's proxy
-    settings), unless no_proxy lists its host. Through a proxy, an http
-    endpoint is asked for by its absolute URL, and an https one through a
-    CONNECT tunnel, set up once per connection; credentials in the proxy
-    URL go out as Basic Proxy-Authorization. TLS, to an https endpoint or
-    proxy, uses one ssl.create_default_context() per transport, with ALPN
-    http/1.1. Timeouts raise Timeout; connection, TLS and protocol
-    failures raise TransportError.
+    settings), unless no_proxy lists its host. urllib.request is consulted
+    for it only on macOS and Windows, or when a variable of that name, in
+    any case, has a value. Through a proxy, an http endpoint is asked for
+    by its absolute URL, and an https one through a CONNECT tunnel, set up
+    once per connection; credentials in the proxy URL go out as Basic
+    Proxy-Authorization. TLS, to an https endpoint or proxy, uses one
+    ssl.create_default_context() per transport, with ALPN http/1.1; only
+    such a transport imports ssl. Timeouts raise Timeout; connection, TLS
+    and protocol failures raise TransportError.
     """
 
     def __init__(self, endpoint_url: str):
         scheme, netloc = urlsplit(endpoint_url)[:2]
         address, tunnel, absolute, extra = netloc, None, False, {}
         secure = scheme == "https"
-        proxy = urllib.request.getproxies().get(scheme)
-        if proxy and not urllib.request.proxy_bypass(netloc):
+        proxy = _proxy(scheme, netloc)
+        if proxy:
             parts = urlsplit(proxy if "://" in proxy else "http://" + proxy)
             address = unquote(parts.netloc.rpartition("@")[2])
             if parts.username and parts.password:
@@ -221,11 +245,13 @@ class HttpTransport:
                 absolute, secure = True, parts.scheme == "https"
         self._context = None
         if secure:
+            import ssl
+
             self._context = ssl.create_default_context()
             self._context.set_alpn_protocols(["http/1.1"])
         self._netloc, self._address, self._secure = netloc, address, secure
         self._tunnel, self._absolute, self._extra = tunnel, absolute, extra
-        self._user_agent = f"Python-urllib/{urllib.request.__version__}"
+        self._user_agent = "Python-urllib/%d.%d" % sys.version_info[:2]
         self._idle: list[_Connection] = []
         self._lock = threading.Lock()
 

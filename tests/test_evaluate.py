@@ -2,7 +2,9 @@ import hashlib
 import json
 import os
 import random
+import re
 import sqlite3
+import string
 import sys
 import tempfile
 import threading
@@ -32,7 +34,13 @@ from comdb.llm import (
     WITHOUT_CONTEXT,
     MockChatClient,
 )
-from comdb.ingest import build_database, open_readonly
+from comdb.ingest import (
+    build_database,
+    open_readonly,
+    parse_annotations,
+    parse_ddl,
+    parse_fixture,
+)
 from comdb.mapping import HeaderMapping, MappingEntry, parse_map_text, split_reused
 from comdb.schema import DatabaseSchema, validate_annotations, validate_schema
 
@@ -810,6 +818,68 @@ def test_run_swapping_the_tables_swaps_precision_and_recall(seed):
     scored, _ = split_reused(answer)  # the entries the answer is scored by
     exchanged = scores(table_b, table_a, _inverted(scored), _inverted(gold))
     assert exchanged == [(recall, precision, f1) for precision, recall, f1 in forward]
+
+
+def _renamer(schema, rng):
+    """A function that renames every table and header name of schema, each
+    as a whole word and case-sensitively, to a fresh identifier, in one
+    pass (so a new name is never renamed again). Longer names go first, so
+    that "Date of Birth" is renamed whole."""
+    names = sorted({t.name for t in schema.tables} | {h for t in schema.tables
+                                                     for h in t.headers}, key=len, reverse=True)
+    fresh = {name: "".join(rng.choices(string.ascii_letters, k=rng.randint(1, 6))) + f"_{i}"
+             for i, name in enumerate(rng.sample(names, len(names)))}
+    pattern = re.compile(r"\b(?:%s)\b" % "|".join(map(re.escape, names)))
+    return lambda text: pattern.sub(lambda match: fresh[match[0]], text)
+
+
+def _bundled_runs(task, rename, workers):
+    """Three repetitions per arm of task on the bundled fixtures and mock
+    answers, every text of which (schema, .ctx, gold, DDL, answers) goes
+    through rename first."""
+    records = [dict(record, response=rename(record["response"])) for record in
+               json.loads(bundled.fixture_text(_MOCKS[task]))]
+    kwargs = dict(repetitions=3, workers=workers,
+                  client_factory=lambda: MockChatClient(records))
+    if task == TASK_INTEGRATION:
+        schema = validate_schema(parse_fixture(rename(bundled.fixture_text(
+            bundled.PATIENTS_SCHEMA))))
+        table_a, table_b = (schema.table(rename(name)) for name in ("patients_A", "patients_B"))
+        return run_experiment(task, **kwargs, table_a=table_a, table_b=table_b,
+                              annotations=validate_annotations(parse_annotations(rename(
+                                  bundled.fixture_text(bundled.PATIENTS_CONTEXT))), schema),
+                              gold=parse_map_text(rename(bundled.fixture_text(
+                                  bundled.PATIENTS_GOLD_MAP)), table_a.name, table_b.name))
+    schema = validate_schema(parse_fixture(rename(bundled.fixture_text(
+        bundled.SYNTHEA_SCHEMA)), name="synthea"))
+    annotations = validate_annotations(parse_annotations(rename(bundled.fixture_text(
+        bundled.SYNTHEA_CONTEXT))), schema)
+    with tempfile.TemporaryDirectory() as tmp:
+        database = Path(tmp) / "synthea.db"
+        build_database(parse_ddl(rename(bundled.fixture_text(bundled.SYNTHEA_DDL))), database)
+        return run_experiment(task, **kwargs, schema=schema, annotations=annotations,
+                              database=database)
+
+
+@settings(deadline=None, max_examples=10)
+@given(seed=_seeds)
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("task", [TASK_INTEGRATION, TASK_JOINING])
+def test_run_verdicts_and_scores_do_not_depend_on_names(task, workers, seed):
+    """Renaming tables and headers the same way in the schema, the .ctx,
+    the gold mapping, the database and the mock answers leaves every
+    run's verdict and score as it was; an error text is renamed with them."""
+    fixture = (bundled.PATIENTS_SCHEMA if task == TASK_INTEGRATION
+               else bundled.SYNTHEA_SCHEMA)
+    rename = _renamer(parse_fixture(bundled.fixture_text(fixture)), random.Random(seed))
+    before = _bundled_runs(task, lambda text: text, workers)
+    after = _bundled_runs(task, rename, workers)
+    assert [(r.arm, r.aggregate) for r in after] == [(r.arm, r.aggregate) for r in before]
+    assert [[(run.ok, run.error, run.score) for run in r.runs] for r in after] == [
+        [(run.ok, run.error and rename(run.error), run.score) for run in r.runs]
+        for r in before]
+    assert {run.ok for r in before for run in r.runs} == (
+        {True} if task == TASK_INTEGRATION else {True, False})
 
 
 # --- reports ---

@@ -600,6 +600,9 @@ def test_default_transport_looks_up_the_proxy_once_per_client(patient_tables, lo
                                                               monkeypatch):
     import urllib.request
 
+    # A proxy that no_proxy bypasses, so that urllib.request is consulted.
+    _proxy_env(monkeypatch, http_proxy=f"http://127.0.0.1:{_unused_port()}",
+               no_proxy="127.0.0.1")
     calls = []
     for name in ("getproxies", "proxy_bypass"):
         original = getattr(urllib.request, name)
@@ -610,6 +613,43 @@ def test_default_transport_looks_up_the_proxy_once_per_client(patient_tables, lo
         assert client.complete(simple_bundle(patient_tables)) == "hi"
     assert len(loopback.seen) == 3
     assert calls.count("getproxies") == 1 and calls.count("proxy_bypass") <= 1
+
+
+_PROXY_ENVIRONMENTS = [
+    {},
+    {"http_proxy": "http://p:1"},
+    {"HTTP_PROXY": "http://p:1"},
+    {"Http_Proxy": "http://p:1"},
+    {"https_proxy": "p:2", "HTTPS_PROXY": "http://q:3"},
+    {"http_proxy": "", "HTTP_PROXY": "http://p:1"},
+    {"http_proxy": "http://p:1", "HTTP_PROXY": ""},
+    {"HTTP_PROXY": "http://p:1", "REQUEST_METHOD": "GET"},
+    {"http_proxy": "http://p:1", "REQUEST_METHOD": "GET"},
+    {"ftp_proxy": "http://p:1", "all_proxy": "http://p:1", "FOO_PROXY": "x"},
+    {"http_proxy": "http://p:1", "no_proxy": "*"},
+    {"http_proxy": "http://p:1", "https_proxy": "http://p:1", "NO_PROXY": "h.example:8080"},
+    {"http_proxy": "http://p:1", "https_proxy": "http://p:1", "no_proxy": ".example"},
+    {"http_proxy": "http://p:1", "https_proxy": "http://p:1", "no_proxy": "example, 127.0.0.1"},
+    {"HTTPS_PROXY": "http://p:1", "no_proxy": "other.example,:443"},
+]
+
+
+@pytest.mark.parametrize("environ", _PROXY_ENVIRONMENTS)
+def test_proxy_choice_is_the_one_urllib_makes(monkeypatch, environ):
+    """The stdlib is the reference: getproxies() by scheme, unless
+    proxy_bypass() names the host."""
+    import urllib.request
+
+    for name in list(os.environ):
+        if name.lower().endswith("_proxy") or name == "REQUEST_METHOD":
+            monkeypatch.delenv(name)
+    for name, value in environ.items():
+        monkeypatch.setenv(name, value)
+    for scheme in ("http", "https"):
+        for netloc in ("127.0.0.1:8000", "h.example:8080", "h.example", "example"):
+            proxy = urllib.request.getproxies().get(scheme)
+            expected = proxy if proxy and not urllib.request.proxy_bypass(netloc) else None
+            assert wire._proxy(scheme, netloc) == expected, (scheme, netloc)
 
 
 def test_default_transport_honours_retry_after(patient_tables, raw_server, api_key,
@@ -623,6 +663,20 @@ def test_default_transport_honours_retry_after(patient_tables, raw_server, api_k
                                         max_retries=1))
     assert client.complete(simple_bundle(patient_tables)) == "hi"
     assert delays == [7] and len(raw_server.requests) == 2
+
+
+def test_default_transport_caps_a_retry_after_too_long_for_int(patient_tables, raw_server,
+                                                               api_key, monkeypatch):
+    """int() refuses more than 4300 digits; such a wait is longer than the cap."""
+    _proxy_env(monkeypatch)
+    delays = []
+    monkeypatch.setattr("comdb.llm.time.sleep", delays.append)
+    raw_server.replies.append(_ok_reply("busy", "429 Too Many Requests",
+                                        b"Retry-After: %s\r\n" % (b"9" * 5000)))
+    client = HttpChatClient(make_config(endpoint_url=f"http://127.0.0.1:{raw_server.port}",
+                                        max_retries=1))
+    assert client.complete(simple_bundle(patient_tables)) == "hi"
+    assert delays == [HttpChatClient.backoff_cap] and len(raw_server.requests) == 2
 
 
 def test_default_transport_keeps_the_endpoint_query_after_the_path(patient_tables, raw_server,
@@ -682,10 +736,21 @@ def test_default_transport_reads_the_reply(patient_tables, raw_server, api_key, 
     (_ok_reply(extra=_header_lines(1, 65537)), "header line longer than 65536 bytes"),
     (b"HTTP/1.1 200 " + b"O" * 65537, "status line longer than 65536 bytes"),
     (_ok_reply(extra=_header_lines(99)), "more than 100 header lines"),
+    (re.sub(rb"Content-Length: \d+", b"Content-Length: " + b"9" * 30, _ok_reply()),
+     "length 9{30} is too large"),
+    (_chunked_ok_reply().replace(b"5;ext=1", b"f" * 40), "length %d is too large" % (16**40 - 1)),
+    (_chunked_ok_reply().replace(b"chunked", b"gzip, chunked\r\nContent-Length: 3"),
+     "unsupported Transfer-Encoding 'gzip, chunked'"),
+    (_chunked_ok_reply().replace(b"chunked\r\n", b"chunked\r\nTransfer-Encoding: chunked\r\n"),
+     "unsupported Transfer-Encoding 'chunked, chunked'"),
+    (_ok_reply(extra=b"Transfer-Encoding: identity\r\n"),
+     "unsupported Transfer-Encoding 'identity'"),
 ], ids=["truncated-body", "truncated-chunk", "bad-chunk-size", "negative-chunk-size",
         "0x-chunk-size", "signed-chunk-size", "underscored-chunk-size",
         "space-before-chunk-size", "space-after-chunk-size", "not-http", "status-2000",
-        "no-reply", "65537-byte-line", "long-status-line", "101-headers"])
+        "no-reply", "65537-byte-line", "long-status-line", "101-headers",
+        "content-length-past-maxsize", "chunk-size-past-maxsize", "gzip-then-chunked",
+        "chunked-twice", "identity-coding"])
 def test_default_transport_rejects_a_bad_reply(patient_tables, raw_server, api_key,
                                                monkeypatch, reply, message):
     _proxy_env(monkeypatch)
@@ -852,9 +917,19 @@ def test_read_reply_chunked_reads_the_trailer_before_the_next_reply():
     (_ok_reply().replace(b"HTTP/1.1", b"HTTP/1.0"), False),
     (_ok_reply(extra=b"Connection: keep-alive, Close\r\n"), False),
     (_ok_reply().replace(b"Content-Length", b"X-Length"), False),
-], ids=["content-length", "chunked", "http-1.0", "connection-close", "to-close"])
+    (_chunked_ok_reply().replace(b"chunked", b"Chunked"), True),
+], ids=["content-length", "chunked", "http-1.0", "connection-close", "to-close",
+        "chunked-any-case"])
 def test_read_reply_says_whether_the_connection_can_be_kept(reply, keep):
     assert wire.read_reply(_reader(reply))[3] is keep
+
+
+def test_read_reply_reads_chunked_before_content_length():
+    """Transfer-Encoding overrides Content-Length, and a reply with both
+    does not keep its connection (RFC 9112 §6.3)."""
+    reader = _reader(b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\nContent-Length: 2\r\n"
+                     b"\r\n2\r\nhi\r\n3\r\n!!!\r\n0\r\n\r\n")
+    assert wire.read_reply(reader)[2:] == (b"hi!!!", False)
 
 
 # --- keep-alive against a loopback HTTP/1.1 server ---
@@ -1122,9 +1197,10 @@ def test_import_loads_no_third_party_module():
     assert loaded - set(sys.stdlib_module_names) == {"comdb"}
 
 
-# Modules that only `comdb run` needs: comdb.wire and the stdlib HTTP
-# modules it uses (which bring email and ssl) for a live run, hashlib for
-# the report's hashes and random for the retry jitter. No command needs
+# Modules that only `comdb run` needs: comdb.wire for a live run, ssl for
+# an https endpoint or proxy, urllib.request (which brings http.client and
+# email) only to read proxy settings where one may be set, hashlib for the
+# report's hashes and random for the retry jitter. No command needs
 # importlib.resources, or concurrent.futures and the logging it brings
 # (a run's workers are plain threads), and comdb's value types need
 # neither dataclasses (which brings inspect) nor typing.
@@ -1147,6 +1223,45 @@ def test_import_and_ingest_load_no_deferred_module(tmp_path):
     assert rc == "0"
     assert "comdb.cli" in loaded
     assert sorted(set(_DEFERRED) & set(loaded)) == []
+
+
+def _no_proxy_env() -> dict:
+    """src_env() without any proxy variable, as urllib.request reads them."""
+    return {name: value for name, value in src_env().items()
+            if not name.lower().endswith("_proxy") or name.lower() == "no_proxy"}
+
+
+def _loaded_by(code: str, *args: str) -> list[str]:
+    """The modules a fresh interpreter loads while it runs code, which
+    prints its result first."""
+    code = f"import sys; before = set(sys.modules); {code}; " + \
+        "print(*sorted(set(sys.modules) - before))"
+    # -S: no site .pth file may load a module before comdb does.
+    proc = subprocess.run([sys.executable, "-S", "-c", code, *args], env=_no_proxy_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+def test_live_run_on_plain_http_loads_neither_ssl_nor_urllib_request(tmp_path, loopback):
+    rc, *loaded = _loaded_by(
+        "import comdb.cli; print(comdb.cli.main(sys.argv[1:]), end=' ')",
+        "run", "--task", "integration", "--n", "2", "--workers", "2",
+        "--endpoint", f"http://127.0.0.1:{loopback.server_address[1]}",
+        "--api-key-env", "TEST_LLM_KEY", "--out", str(tmp_path / "live.json"),
+        "--gold", str(bundled.fixture_path(bundled.PATIENTS_GOLD_MAP)))
+    assert rc == "0" and len(loopback.seen) == 4
+    assert "comdb.wire" in loaded
+    assert [name for name in ("ssl", "urllib.request", "http.client", "email.parser")
+            if name in loaded] == []
+
+
+def test_https_transport_loads_ssl_but_not_urllib_request():
+    loaded = _loaded_by("from comdb.wire import HttpTransport; "
+                        "HttpTransport('https://127.0.0.1:1/v1')")
+    assert "ssl" in loaded
+    assert [name for name in ("urllib.request", "http.client", "email.parser")
+            if name in loaded] == []
 
 
 @pytest.mark.parametrize("task", ["integration", "joining"])
@@ -1454,6 +1569,11 @@ def test_extract_sql_bare_select():
 
 def test_extract_sql_lowercase_no_semicolon():
     assert extract_sql("try select * from t") == "select * from t"
+
+
+@pytest.mark.parametrize("prefix", ["Straße: ", "İİİ ", "ǰǰ "])
+def test_extract_sql_finds_select_after_letters_that_casefold_longer(prefix):
+    assert extract_sql(prefix + "select 1;") == "select 1;"
 
 
 def test_extract_sql_none():
