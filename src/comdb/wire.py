@@ -97,10 +97,13 @@ def read_head(reader) -> tuple[str, int, str, Headers]:
 def _exactly(reader, n: int) -> bytes:
     if n > sys.maxsize:  # more than any read can ask for
         raise ValueError(f"length {n} is too large")
-    data = reader.read(n)
+    # In pieces: a length the stream does not hold allocates only what it sent.
+    data = bytearray()
+    while len(data) < n and (piece := reader.read(min(n - len(data), 1 << 20))):
+        data += piece
     if len(data) < n:
         raise ValueError(f"incomplete read: {len(data)} of {n} bytes")
-    return data
+    return bytes(data)
 
 
 def _chunked(reader) -> bytes:
@@ -214,17 +217,14 @@ class HttpTransport:
     connection, and n of them open at most n. close() closes the idle
     ones; the transport stays usable.
 
-    The proxy is chosen here, once per transport: http_proxy or
-    https_proxy by the endpoint's scheme (or the platform's proxy
-    settings), unless no_proxy lists its host. urllib.request is consulted
-    for it only on macOS and Windows, or when a variable of that name, in
-    any case, has a value. Through a proxy, an http endpoint is asked for
-    by its absolute URL, and an https one through a CONNECT tunnel, set up
-    once per connection; credentials in the proxy URL go out as Basic
-    Proxy-Authorization. TLS, to an https endpoint or proxy, uses one
-    ssl.create_default_context() per transport, with ALPN http/1.1; only
-    such a transport imports ssl. Timeouts raise Timeout; connection, TLS
-    and protocol failures raise TransportError.
+    The proxy is chosen here, once per transport (see _proxy): http_proxy or
+    https_proxy by the endpoint's scheme, unless no_proxy lists its host.
+    Through a proxy, an http endpoint is asked for by its absolute URL, and an
+    https one through a CONNECT tunnel, set up once per connection; credentials
+    in the proxy URL go out as Basic Proxy-Authorization. TLS, to an https
+    endpoint or proxy, uses one ssl.create_default_context() per transport,
+    with ALPN http/1.1. Timeouts raise Timeout; connection, TLS and protocol
+    failures raise TransportError.
     """
 
     def __init__(self, endpoint_url: str):

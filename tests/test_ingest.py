@@ -2,6 +2,8 @@ import importlib.util
 import random
 import re
 import sqlite3
+import tempfile
+from contextlib import closing
 from pathlib import Path
 from unittest import mock
 
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from comdb.errors import (
-    ComdbError,
+    BuildFailed,
     DuplicateTable,
     EmptyInput,
     MixedScope,
@@ -473,13 +475,22 @@ def test_introspect_ignores_rows(tmp_path):
     assert introspect_database(empty).tables == introspect_database(full).tables
 
 
-def test_build_database_failure_leaves_no_file(tmp_path):
-    # SQLite reserves the sqlite_ prefix; the second table fails after the
-    # first was created, and the whole build is undone.
-    schema = parse_fixture("t: a\nsqlite_t: b")
+@pytest.mark.parametrize("tables, message", [
+    ([("t", ("a",)), ("SQLITE_T", ("b",))], "object name reserved for internal use: SQLITE_T"),
+    ([("t", tuple(f"h{i}" for i in range(2001)))], "too many columns on t"),
+    ([("a\0b", ("x",))], None),
+    ([("t", ("x\0y",))], None),
+    ([("t", ("a",)), ("T", ("b",))], "already exists"),
+    ([("t", ("a", "A"))], "duplicate column name: A"),
+    ([("a\udc80", ("x",))], "surrogates not allowed"),
+], ids=["sqlite-prefix", "2001-headers", "nul-in-table", "nul-in-header", "tables-t-and-T",
+        "headers-a-and-A", "lone-surrogate"])
+def test_build_database_failure_leaves_no_file(tmp_path, tables, message):
+    """Whatever SQLite would refuse to create, and a name with no UTF-8
+    encoding, is a BuildFailed that leaves nothing behind."""
     path = tmp_path / "x.db"
-    with pytest.raises(ComdbError, match="reserved"):
-        build_database(schema, path)
+    with pytest.raises(BuildFailed, match=message):
+        build_database(_schema(tables), path)
     assert list(tmp_path.iterdir()) == []
     build_database(parse_fixture("t: a"), path)
     assert introspect_database(path).table_names() == ("t",)
@@ -491,6 +502,119 @@ def test_build_database_refuses_overwrite(tmp_path):
     build_database(schema, path)
     with pytest.raises(FileExistsError):
         build_database(schema, path)
+
+
+# --- the database writer against SQLite's own CREATE TABLE ---
+
+def _reference_build(schema: DatabaseSchema, path) -> None:
+    """The database as SQLite builds it: one CREATE TABLE per table, in one
+    transaction. build_database must produce a database that reads the same."""
+    with closing(sqlite3.connect(path, isolation_level=None)) as con:
+        con.execute("BEGIN")
+        for table in schema.tables:
+            cols = ", ".join(f"{_quote(h)} TEXT" for h in table.headers)
+            con.execute(f"CREATE TABLE {_quote(table.name)} ({cols})")
+        con.execute("COMMIT")
+
+
+def _quote(name: str) -> str:
+    return '"' + name.replace('"', '""') + '"'
+
+
+def _observed(path) -> tuple:
+    """The sqlite_schema rows, each table's columns and the integrity check;
+    then one row inserted into the first table, read back, and the check again."""
+    with closing(sqlite3.connect(path)) as con:
+        rows = con.execute(
+            "SELECT type, name, tbl_name, sql FROM sqlite_schema ORDER BY rowid").fetchall()
+        columns = [con.execute(f"PRAGMA table_info({_quote(row[1])})").fetchall()
+                   for row in rows]
+        check = con.execute("PRAGMA integrity_check").fetchall()
+        first, width = _quote(rows[0][1]), len(columns[0])
+        with con:
+            con.execute(f"INSERT INTO {first} VALUES ({', '.join('?' * width)})",
+                        [f"v{i}" for i in range(width)])
+        inserted = con.execute(f"SELECT * FROM {first}").fetchall()
+        return rows, columns, check, inserted, con.execute("PRAGMA integrity_check").fetchall()
+
+
+def _assert_builds_as_sqlite_does(schema: DatabaseSchema, directory: Path) -> None:
+    built, reference = directory / "built.db", directory / "reference.db"
+    build_database(schema, built)
+    _reference_build(schema, reference)
+    observed = _observed(built)
+    assert observed[2] == observed[4] == [("ok",)]
+    assert observed == _observed(reference)
+
+
+def _schema(tables) -> DatabaseSchema:
+    return DatabaseSchema("d", tuple(TableSchema(name, headers) for name, headers in tables))
+
+
+# Names from an alphabet with a quote, a space and non-ASCII letters: short
+# ones, and in some tables a few long enough to carry the statement onto
+# overflow pages.
+_SHORT_NAMES = st.text(st.sampled_from('aB"é Ω_1'), min_size=1, max_size=8)
+_LONG_NAMES = st.builds(lambda name, size: (name * size)[:size],
+                        _SHORT_NAMES, st.integers(1500, 5000))
+_BUILD_TABLES = st.lists(
+    st.tuples(_SHORT_NAMES | _LONG_NAMES,
+              st.lists(_SHORT_NAMES, min_size=1, max_size=40, unique_by=str.lower),
+              st.lists(_LONG_NAMES, max_size=2, unique_by=str.lower)),
+    min_size=1, max_size=60, unique_by=lambda table: table[0].lower())
+
+
+@given(tables=_BUILD_TABLES)
+def test_build_database_reads_as_sqlite_builds_it(tables):
+    schema = _schema((name, short + long) for name, short, long in tables)
+    with tempfile.TemporaryDirectory() as directory:
+        _assert_builds_as_sqlite_does(schema, Path(directory))
+
+
+def _page_types(path) -> list[int]:
+    """The b-tree page types from page 1 down the left-most children."""
+    data = Path(path).read_bytes()
+    types, at = [], 100
+    while True:
+        types.append(data[at])
+        if data[at] != 0x05:
+            return types
+        # An interior page's header holds its cell count at offset 3 and its
+        # right-most child at 8; the first cell pointer follows at 12, and
+        # the cell starts with the child's page number.
+        child = at + 8
+        if int.from_bytes(data[at + 3:at + 5], "big"):
+            child = (at // 4096) * 4096 + int.from_bytes(data[at + 12:at + 14], "big")
+        at = (int.from_bytes(data[child:child + 4], "big") - 1) * 4096
+
+
+def test_build_database_one_table_of_2000_headers(tmp_path):
+    """The statement is ~25 KB: its cell continues on a chain of overflow pages."""
+    _assert_builds_as_sqlite_does(_schema([("wide", tuple(f"h{i}" for i in range(2000)))]),
+                                  tmp_path)
+    assert _page_types(tmp_path / "built.db") == [0x0D]
+
+
+def test_build_database_one_leaf_under_page_1(tmp_path):
+    """~4000 bytes of rows fit on one leaf but not beside page 1's file
+    header: page 1 becomes an interior page whose one child is that leaf."""
+    _assert_builds_as_sqlite_does(_schema([("t", ("h" * 3960,))]), tmp_path)
+    assert _page_types(tmp_path / "built.db") == [0x05, 0x0D]
+
+
+def test_build_database_3000_tables_take_two_interior_levels(tmp_path):
+    headers = tuple(f"header_{i:03}_name" for i in range(30))
+    schema = _schema([(f"table_{i:04}", headers) for i in range(3000)])
+    _assert_builds_as_sqlite_does(schema, tmp_path)
+    assert _page_types(tmp_path / "built.db") == [0x05, 0x05, 0x0D]
+
+
+def test_build_database_quotes_spaces_and_non_ascii_names(tmp_path):
+    _assert_builds_as_sqlite_does(_schema([
+        ('my "quoted" table', ('a "b"', "c d", '"', "名前")),
+        ("Ünïcödé tåble", ("Ωmega", "straße", "  padded  ")),
+        ('"', ("x",)),
+    ]), tmp_path)
 
 
 def test_parse_annotations_relation():

@@ -739,6 +739,10 @@ def test_default_transport_reads_the_reply(patient_tables, raw_server, api_key, 
     (re.sub(rb"Content-Length: \d+", b"Content-Length: " + b"9" * 30, _ok_reply()),
      "length 9{30} is too large"),
     (_chunked_ok_reply().replace(b"5;ext=1", b"f" * 40), "length %d is too large" % (16**40 - 1)),
+    (b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\nabc" % 10**15,
+     "incomplete read: 3 of %d bytes" % 10**15),
+    (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n%x\r\nabc" % 10**15,
+     "incomplete read: 3 of %d bytes" % 10**15),
     (_chunked_ok_reply().replace(b"chunked", b"gzip, chunked\r\nContent-Length: 3"),
      "unsupported Transfer-Encoding 'gzip, chunked'"),
     (_chunked_ok_reply().replace(b"chunked\r\n", b"chunked\r\nTransfer-Encoding: chunked\r\n"),
@@ -749,7 +753,8 @@ def test_default_transport_reads_the_reply(patient_tables, raw_server, api_key, 
         "0x-chunk-size", "signed-chunk-size", "underscored-chunk-size",
         "space-before-chunk-size", "space-after-chunk-size", "not-http", "status-2000",
         "no-reply", "65537-byte-line", "long-status-line", "101-headers",
-        "content-length-past-maxsize", "chunk-size-past-maxsize", "gzip-then-chunked",
+        "content-length-past-maxsize", "chunk-size-past-maxsize",
+        "content-length-past-the-stream", "chunk-size-past-the-stream", "gzip-then-chunked",
         "chunked-twice", "identity-coding"])
 def test_default_transport_rejects_a_bad_reply(patient_tables, raw_server, api_key,
                                                monkeypatch, reply, message):
@@ -922,6 +927,21 @@ def test_read_reply_chunked_reads_the_trailer_before_the_next_reply():
         "chunked-any-case"])
 def test_read_reply_says_whether_the_connection_can_be_kept(reply, keep):
     assert wire.read_reply(_reader(reply))[3] is keep
+
+
+@pytest.mark.parametrize("head", [
+    b"Content-Length: %d\r\n\r\n" % 10**15,
+    b"Transfer-Encoding: chunked\r\n\r\n%x\r\n" % 10**15,
+], ids=["content-length", "chunk-size"])
+def test_read_reply_reads_a_length_in_pieces(head):
+    """A length far beyond what the stream holds allocates only what the
+    stream sent: the short stream is an incomplete read, not a MemoryError."""
+    writer, other = socket.socketpair()
+    with writer, other, other.makefile("rb") as reader:
+        writer.sendall(b"HTTP/1.1 200 OK\r\n" + head + b"abc")
+        writer.shutdown(socket.SHUT_WR)
+        with pytest.raises(ValueError, match="^incomplete read: 3 of %d bytes$" % 10**15):
+            wire.read_reply(reader)
 
 
 def test_read_reply_reads_chunked_before_content_length():
