@@ -9,14 +9,11 @@ live SQL execution.
 
 from .errors import ComdbError
 from .evaluate import (
-    ExperimentReport,
     MappingScore,
-    RunRecord,
     SqlValidationReport,
     execute_sql,
     render_report,
     render_summary,
-    report_payload,
     run_experiment,
     score_mapping,
 )

@@ -176,11 +176,11 @@ def cmd_run(args) -> int:
         args.parser.error("--n must be >= 1")
     if args.workers < 1:
         args.parser.error("--workers must be >= 1")
-    if args.mock is None and args.endpoint is None:
-        args.parser.error("one of --mock or --endpoint is required")
     # The mock holds no mutable state and the HTTP client's connection
     # pool is locked, so every repetition shares one client.
-    if args.mock:
+    if args.mock is not None:
+        if not args.mock:
+            args.parser.error("--mock names no mock script")
         client = MockChatClient.from_file(args.mock)
     else:
         try:
@@ -201,14 +201,14 @@ def cmd_run(args) -> int:
     if task == TASK_INTEGRATION:
         gold = _read_gold(args.gold, inputs["table_a"], inputs["table_b"])
     try:
-        reports = run_experiment(task, arms=_ARM_CHOICES[args.arm], repetitions=args.n,
-                                 client_factory=lambda: client, gold=gold,
-                                 database=args.db, style=_style(args),
-                                 workers=args.workers, **inputs)
+        experiments = run_experiment(task, arms=_ARM_CHOICES[args.arm], repetitions=args.n,
+                                     client_factory=lambda: client, gold=gold,
+                                     database=args.db, style=_style(args),
+                                     workers=args.workers, **inputs)
     finally:
         if isinstance(client, HttpChatClient):
             client.close()
-    _write_output(render_report(reports), args.out)
+    _write_output(render_report(experiments), args.out)
     return 0
 
 
@@ -291,8 +291,9 @@ def _add_run_args(p):
     p.add_argument("--task", choices=sorted(_TASKS), required=True)
     p.add_argument("--arm", choices=sorted(_ARM_CHOICES), default="both")
     p.add_argument("--n", type=int, default=10, help="repetitions per arm")
-    p.add_argument("--mock", help="mock script (.mockjson); offline run")
-    p.add_argument("--endpoint", help="chat-completion endpoint base URL")
+    client = p.add_mutually_exclusive_group(required=True)
+    client.add_argument("--mock", help="mock script (.mockjson); offline run")
+    client.add_argument("--endpoint", help="chat-completion endpoint base URL")
     p.add_argument("--model", default="gpt-3.5-turbo")
     p.add_argument("--temperature", type=float, default=0.0)
     p.add_argument("--timeout", type=float, default=30.0)

@@ -6,7 +6,9 @@ answer; each distinct answer is parsed once, and its mapping is scored
 against gold (semantic integration) or its SQL executed against the
 fixture database (tables joining). Failed repetitions are recorded and score
 zero; they never abort the experiment, so aggregates stay comparable
-across arms.
+across arms. The runner returns the report's experiments as plain dicts,
+and each run is its finished report entry, so render_report only dumps
+them.
 """
 
 from __future__ import annotations
@@ -139,46 +141,19 @@ def _execute(sql: str, con: sqlite3.Connection) -> SqlValidationReport:
         con.set_progress_handler(None, 0)
 
 
-class RunRecord(Value):
-    __slots__ = ("ok", "prompt_sha256", "response_sha256", "error", "score")
-
-    def __init__(self, ok: bool, prompt_sha256: str, response_sha256: str | None = None,
-                 error: str | None = None, score: MappingScore | None = None):
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "prompt_sha256", prompt_sha256)
-        object.__setattr__(self, "response_sha256", response_sha256)
-        object.__setattr__(self, "error", error)
-        object.__setattr__(self, "score", score)
-
-
-class ExperimentReport(Value):
-    __slots__ = ("task", "arm", "n", "runs", "aggregate")
-
-    def __init__(self, task: str, arm: str, n: int, runs: tuple[RunRecord, ...],
-                 aggregate: dict):
-        runs = tuple(runs)
-        if len(runs) != n:
-            raise ValueError(f"{len(runs)} runs recorded for n={n}")
-        object.__setattr__(self, "task", task)
-        object.__setattr__(self, "arm", arm)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "runs", runs)
-        object.__setattr__(self, "aggregate", aggregate)
-
-
 def _sha256(text: str) -> str:
     import hashlib  # loaded on first use, so ingest never pays for it
 
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _repetition(bundle, prompt_hash, client, repetition, judge, failure_score,
-                memo) -> RunRecord:
+def _repetition(bundle, prompt_hash, client, repetition, judge, failed, memo) -> dict:
     """Ask the client once and judge the answer text, unless memo already
-    holds its (hash, (ok, error, score)). Any exception on the way becomes
-    a failed record carrying failure_score; it is never memoized and never
-    propagates. A ComdbError keeps its message; any other exception is
-    recorded as ``ClassName: message``."""
+    holds its (hash, (ok, error, keys)). Return the run's report entry: ok,
+    the task's keys, error when there is one, and the two hashes. Any
+    exception on the way becomes a failed entry with the task's failed
+    keys; it is never memoized and never propagates. A ComdbError keeps
+    its message; any other exception is recorded as ``ClassName: message``."""
     response_hash = None
     try:
         text = client.complete(bundle, repetition=repetition)
@@ -186,11 +161,16 @@ def _repetition(bundle, prompt_hash, client, repetition, judge, failure_score,
         if judged is None:
             response_hash = _sha256(text)
             judged = memo[text] = (response_hash, judge(text))
-        response_hash, (ok, error, score) = judged
+        response_hash, (ok, error, keys) = judged
     except Exception as exc:
+        ok, keys = False, failed
         error = str(exc) if isinstance(exc, ComdbError) else f"{type(exc).__name__}: {exc}"
-        return RunRecord(False, prompt_hash, response_hash, error, failure_score)
-    return RunRecord(ok, prompt_hash, response_hash, error, score)
+    entry = {"ok": ok, **keys}
+    if error is not None:
+        entry["error"] = error
+    entry["promptSha256"] = prompt_hash
+    entry["responseSha256"] = response_hash
+    return entry
 
 
 def _mean(values) -> float:
@@ -210,8 +190,13 @@ def run_experiment(task: str, *,
                    database=None,
                    goal: str = llm.DEFAULT_JOIN_GOAL,
                    style: StyleFlags = DEFAULT_STYLE,
-                   workers: int = 1) -> list[ExperimentReport]:
-    """Run one task over the requested arms, N repetitions per arm.
+                   workers: int = 1) -> list[dict]:
+    """Run one task over the requested arms, N repetitions per arm, and
+    return the report's experiments: per arm, in order, a dict of task,
+    arm, n, runs and aggregate. Each run is its report entry (see
+    _repetition). A task's judge returns (ok, error, keys); a failed run
+    gets the task's failed keys, and the aggregate holds successRate and
+    the mean of each run key the task names.
 
     client_factory is called once per repetition, and the client's
     complete(bundle, repetition=...) returns the answer text. The calling
@@ -226,10 +211,11 @@ def run_experiment(task: str, *,
 
     Each distinct answer text is hashed and judged once per call, for both
     arms: the judges read only the text and inputs fixed for the call, and
-    repeats share the immutable outcome. So repeats of an answer whose SQL
-    hit SQL_TIME_LIMIT_S get its verdict without waiting again. A judge
-    that raises is not remembered, so each repeat records its own error.
-    Without a lock, two workers may both judge one text.
+    repeats share the outcome, each in an entry of its own. So repeats of
+    an answer whose SQL hit SQL_TIME_LIMIT_S get its verdict without
+    waiting again. A judge that raises is not remembered, so each repeat
+    records its own error. Without a lock, two workers may both judge one
+    text.
     """
     if repetitions <= 0:
         raise ConfigError("repetitions must be >= 1")
@@ -241,11 +227,13 @@ def run_experiment(task: str, *,
             raise FixtureMissing("both tables for semantic integration")
         if gold is None:
             raise FixtureMissing("gold mapping for semantic integration")
-        failure_score = MappingScore(0, len(gold.entries), 0, 0.0, 0.0, 0.0)
+        failed = {"precision": 0.0, "recall": 0.0, "f1": 0.0}
+        means = {"meanPrecision": "precision", "meanRecall": "recall", "meanF1": "f1"}
 
         def judge(text):
-            predicted = llm.parse_mapping_response(text, table_a, table_b)
-            return True, None, score_mapping(predicted, gold)
+            score = score_mapping(llm.parse_mapping_response(text, table_a, table_b), gold)
+            return True, None, {"precision": score.precision, "recall": score.recall,
+                                "f1": score.f1}
     elif task == llm.TASK_JOINING:
         if schema is None:
             raise FixtureMissing("database schema for tables joining")
@@ -255,7 +243,7 @@ def run_experiment(task: str, *,
             raise FixtureMissing(f"database file {database}")
         # A directory or a file that is not SQLite fails here, not in every run.
         check_sqlite_file(database)
-        failure_score = None
+        failed, means = {"sqlSuccess": False}, {}
         local = threading.local()
 
         def connection():
@@ -271,8 +259,8 @@ def run_experiment(task: str, *,
             try:
                 report = execute_sql(sql, connection())
             except WriteAttempt as exc:
-                return False, str(exc), None
-            return report.success, report.error_text, None
+                return False, str(exc), failed
+            return report.success, report.error_text, {"sqlSuccess": report.success}
     else:
         raise ConfigError(f"unknown task {task!r}")
     if llm.WITH_CONTEXT in arms and annotations is None:
@@ -299,7 +287,7 @@ def run_experiment(task: str, *,
                     return
                 (bundle, prompt_hash), rep = jobs[i]
                 runs[i] = _repetition(bundle, prompt_hash, client_factory(), rep, judge,
-                                      failure_score, memo)
+                                      failed, memo)
         except BaseException as exc:  # stops the other loops, then reaches the caller
             escaped.append(exc)
 
@@ -318,50 +306,20 @@ def run_experiment(task: str, *,
     if escaped:
         raise escaped[0]
 
-    reports = []
+    experiments = []
     for i, arm in enumerate(arms):
         arm_runs = runs[i * repetitions:(i + 1) * repetitions]
-        aggregate = {"successRate": _mean(r.ok for r in arm_runs)}
-        if arm_runs[0].score is not None:
-            aggregate["meanPrecision"] = _mean(r.score.precision for r in arm_runs)
-            aggregate["meanRecall"] = _mean(r.score.recall for r in arm_runs)
-            aggregate["meanF1"] = _mean(r.score.f1 for r in arm_runs)
-        reports.append(ExperimentReport(task, arm, repetitions, tuple(arm_runs),
-                                        aggregate))
-    return reports
+        aggregate = {"successRate": _mean(r["ok"] for r in arm_runs)}
+        for name, key in means.items():
+            aggregate[name] = _mean(r[key] for r in arm_runs)
+        experiments.append({"task": task, "arm": arm, "n": repetitions, "runs": arm_runs,
+                            "aggregate": aggregate})
+    return experiments
 
 
-def report_payload(reports) -> dict:
-    experiments = []
-    for report in reports:
-        runs = []
-        for run in report.runs:
-            entry = {"ok": run.ok}
-            # An integration run always carries a score, failed runs too.
-            if run.score is not None:
-                entry["precision"] = run.score.precision
-                entry["recall"] = run.score.recall
-                entry["f1"] = run.score.f1
-            else:
-                entry["sqlSuccess"] = run.ok
-            if run.error is not None:
-                entry["error"] = run.error
-            entry["promptSha256"] = run.prompt_sha256
-            entry["responseSha256"] = run.response_sha256
-            runs.append(entry)
-        experiments.append({
-            "task": report.task,
-            "arm": report.arm,
-            "n": report.n,
-            "runs": runs,
-            "aggregate": dict(report.aggregate),
-        })
-    return {"experiments": experiments}
-
-
-def render_report(reports) -> str:
+def render_report(experiments) -> str:
     """Machine-readable report JSON with stable key order."""
-    return json.dumps(report_payload(reports), indent=2) + "\n"
+    return json.dumps({"experiments": experiments}, indent=2) + "\n"
 
 
 def render_summary(payload: dict) -> str:

@@ -379,7 +379,7 @@ def introspect_database(location) -> DatabaseSchema:
     try:
         rows = con.execute(
             "SELECT name FROM sqlite_master"
-            " WHERE type = 'table' AND name NOT LIKE 'sqlite_%'").fetchall()
+            " WHERE type = 'table' AND name NOT LIKE 'sqlite\\_%' ESCAPE '\\'").fetchall()
         tables = []
         for (table_name,) in rows:
             cols = con.execute(

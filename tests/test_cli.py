@@ -186,6 +186,27 @@ def test_run_requires_client():
     assert excinfo.value.code == 2
 
 
+@pytest.mark.parametrize("endpoint", ["http://127.0.0.1:9", ""])
+def test_run_mock_and_endpoint_together_is_usage_error(capsys, endpoint):
+    # A scripted run must never pass for a live one.
+    with pytest.raises(SystemExit) as excinfo:
+        main(["run", "--task", "integration", "--mock", fx(bundled.INTEGRATION_MOCK),
+              "--endpoint", endpoint, "--gold", fx(bundled.PATIENTS_GOLD_MAP)])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(
+        "error: argument --endpoint: not allowed with argument --mock\n")
+
+
+def test_run_empty_mock_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["run", "--task", "integration", "--mock", "",
+              "--gold", fx(bundled.PATIENTS_GOLD_MAP)])
+    assert excinfo.value.code == 2
+    assert capsys.readouterr().err.endswith("error: --mock names no mock script\n")
+
+
 def test_run_bad_flag_usage():
     with pytest.raises(SystemExit) as excinfo:
         main(["run", "--task", "sorting"])

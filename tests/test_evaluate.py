@@ -15,15 +15,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from comdb import evaluate, fixtures as bundled, llm
-from comdb.errors import ConfigError, FixtureMissing, TableMismatch, WriteAttempt
+from comdb.errors import (
+    ConfigError,
+    FixtureMissing,
+    NoMappingFound,
+    NoSqlFound,
+    TableMismatch,
+    WriteAttempt,
+)
 from comdb.evaluate import (
-    ExperimentReport,
     MappingScore,
     SqlValidationReport,
     execute_sql,
     render_report,
     render_summary,
-    report_payload,
     run_experiment,
     score_mapping,
 )
@@ -326,11 +331,11 @@ def run_integration(patient_tables, patient_annotations, gold_mapping, **kw):
 def test_run_integration_both_arms(patient_tables, patient_annotations,
                                    gold_mapping):
     reports = run_integration(patient_tables, patient_annotations, gold_mapping)
-    by_arm = {r.arm: r for r in reports}
-    assert by_arm[WITH_CONTEXT].aggregate["meanRecall"] == 1.0
-    assert by_arm[WITHOUT_CONTEXT].aggregate["meanRecall"] == 0.5
-    assert by_arm[WITHOUT_CONTEXT].aggregate["meanPrecision"] == 0.75
-    assert all(r.n == 10 and len(r.runs) == 10 for r in reports)
+    by_arm = {r["arm"]: r for r in reports}
+    assert by_arm[WITH_CONTEXT]["aggregate"]["meanRecall"] == 1.0
+    assert by_arm[WITHOUT_CONTEXT]["aggregate"]["meanRecall"] == 0.5
+    assert by_arm[WITHOUT_CONTEXT]["aggregate"]["meanPrecision"] == 0.75
+    assert all(r["n"] == 10 and len(r["runs"]) == 10 for r in reports)
 
 
 def test_run_joining_both_arms(synthea_schema, synthea_annotations, fixture_db):
@@ -339,11 +344,11 @@ def test_run_joining_both_arms(synthea_schema, synthea_annotations, fixture_db):
         client_factory=_mock_factory(bundled.JOINING_MOCK),
         schema=synthea_schema, annotations=synthea_annotations,
         database=fixture_db)
-    by_arm = {r.arm: r for r in reports}
-    assert by_arm[WITH_CONTEXT].aggregate["successRate"] == 1.0
-    assert by_arm[WITHOUT_CONTEXT].aggregate["successRate"] == 0.0
-    failure = by_arm[WITHOUT_CONTEXT].runs[0]
-    assert "no such column: careplans.PROVIDER" in failure.error
+    by_arm = {r["arm"]: r for r in reports}
+    assert by_arm[WITH_CONTEXT]["aggregate"]["successRate"] == 1.0
+    assert by_arm[WITHOUT_CONTEXT]["aggregate"]["successRate"] == 0.0
+    failure = by_arm[WITHOUT_CONTEXT]["runs"][0]
+    assert "no such column: careplans.PROVIDER" in failure["error"]
 
 
 def test_run_zero_repetitions(patient_tables, patient_annotations, gold_mapping):
@@ -392,19 +397,19 @@ def test_run_failure_is_data(patient_tables, patient_annotations, gold_mapping):
         table_a=table_a, table_b=table_b, annotations=patient_annotations,
         gold=gold_mapping)
     report = reports[0]
-    assert len(report.runs) == 4
-    assert all(not run.ok for run in report.runs)
-    assert all(run.score.recall == 0.0 for run in report.runs)
-    assert report.aggregate["successRate"] == 0.0
-    assert report.aggregate["meanRecall"] == 0.0
+    assert len(report["runs"]) == 4
+    assert all(not run["ok"] for run in report["runs"])
+    assert all(run["recall"] == 0.0 for run in report["runs"])
+    assert report["aggregate"]["successRate"] == 0.0
+    assert report["aggregate"]["meanRecall"] == 0.0
 
 
 def test_run_deterministic_mock_gives_identical_records(
         patient_tables, patient_annotations, gold_mapping):
     reports = run_integration(patient_tables, patient_annotations, gold_mapping,
                               arms=(WITH_CONTEXT,), repetitions=5)
-    runs = reports[0].runs
-    assert len(set(runs)) == 1
+    runs = reports[0]["runs"]
+    assert all(run == runs[0] for run in runs)
 
 
 def test_run_varying_script_follows_order(patient_tables, patient_annotations,
@@ -418,7 +423,7 @@ def test_run_varying_script_follows_order(patient_tables, patient_annotations,
     reports = run_integration(patient_tables, patient_annotations, gold_mapping,
                               arms=(WITH_CONTEXT,), repetitions=3,
                               client_factory=lambda: MockChatClient(records))
-    oks = [run.ok for run in reports[0].runs]
+    oks = [run["ok"] for run in reports[0]["runs"]]
     assert oks == [True, False, True]
 
 
@@ -429,8 +434,8 @@ def test_run_workers_match_serial(patient_tables, patient_annotations,
                              repetitions=6, workers=1)
     parallel = run_integration(patient_tables, patient_annotations, gold_mapping,
                                repetitions=6, workers=4)
-    assert [r.runs for r in serial] == [r.runs for r in parallel]
-    assert [r.aggregate for r in serial] == [r.aggregate for r in parallel]
+    assert [r["runs"] for r in serial] == [r["runs"] for r in parallel]
+    assert [r["aggregate"] for r in serial] == [r["aggregate"] for r in parallel]
 
     def joining(workers):
         return run_experiment(
@@ -440,9 +445,9 @@ def test_run_workers_match_serial(patient_tables, patient_annotations,
             database=fixture_db)
 
     serial, parallel = joining(1), joining(3)
-    assert [r.arm for r in serial] == [r.arm for r in parallel]
-    assert [r.runs for r in serial] == [r.runs for r in parallel]
-    assert [r.aggregate for r in serial] == [r.aggregate for r in parallel]
+    assert [r["arm"] for r in serial] == [r["arm"] for r in parallel]
+    assert [r["runs"] for r in serial] == [r["runs"] for r in parallel]
+    assert [r["aggregate"] for r in serial] == [r["aggregate"] for r in parallel]
 
 
 @pytest.mark.parametrize("workers", [1, 3])
@@ -492,7 +497,7 @@ def test_run_joining_one_connection_per_worker(synthea_schema, synthea_annotatio
             database=fixture_db)
     finally:
         sys.setswitchinterval(interval)
-    assert [r.aggregate["successRate"] for r in reports] == [1.0, 0.0]
+    assert [r["aggregate"]["successRate"] for r in reports] == [1.0, 0.0]
     assert 1 <= len(opened) <= workers
     for con in opened:
         with pytest.raises(sqlite3.ProgrammingError, match="closed"):
@@ -539,7 +544,7 @@ def test_run_keeps_the_database_read_only(synthea_schema, fixture_db, workers):
     [report] = run_experiment(TASK_JOINING, arms=(WITHOUT_CONTEXT,), repetitions=6,
                               workers=workers, client_factory=lambda: MockChatClient(records),
                               schema=synthea_schema, database=fixture_db)
-    assert [(run.ok, run.error) for run in report.runs] == 3 * [
+    assert [(run["ok"], run["error"]) for run in report["runs"]] == 3 * [
         (False, "refusing non-read-only statement (DROP)"),
         (False, "attempt to write a readonly database")]
     assert hashlib.sha256(fixture_db.read_bytes()).hexdigest() == before
@@ -585,7 +590,7 @@ def test_run_judges_each_distinct_answer_once(task_inputs, monkeypatch, task):
     assert len(calls) == 2
     assert len(hashes) == 2 + 2  # the two prompts and the two answers
     for report in reports:
-        assert len({run.response_sha256 for run in report.runs}) == 1
+        assert len({run["responseSha256"] for run in report["runs"]}) == 1
 
 
 @pytest.mark.parametrize("task", [TASK_INTEGRATION, TASK_JOINING])
@@ -598,7 +603,7 @@ def test_run_judges_a_new_answer_on_every_repetition(task_inputs, monkeypatch, t
     reports = run_experiment(task, **task_inputs[task], arms=(WITH_CONTEXT,),
                              repetitions=4, client_factory=lambda: MockChatClient(records))
     assert len(calls) == 4
-    assert len({run.response_sha256 for run in reports[0].runs}) == 4
+    assert len({run["responseSha256"] for run in reports[0]["runs"]}) == 4
 
 
 @pytest.mark.parametrize("task", [TASK_INTEGRATION, TASK_JOINING])
@@ -614,9 +619,9 @@ def test_run_judge_that_raises_runs_on_every_repetition(task_inputs, monkeypatch
     reports = run_experiment(task, **task_inputs[task], repetitions=3,
                              client_factory=_mock_factory(_MOCKS[task]))
     assert len(calls) == 6
-    errors = [run.error for report in reports for run in report.runs]
+    errors = [run["error"] for report in reports for run in report["runs"]]
     assert errors == [f"RuntimeError: judge broke on call {i}" for i in range(1, 7)]
-    assert all(run.response_sha256 for report in reports for run in report.runs)
+    assert all(run["responseSha256"] for report in reports for run in report["runs"])
 
 
 @pytest.mark.parametrize("task", [TASK_INTEGRATION, TASK_JOINING])
@@ -642,9 +647,9 @@ def test_run_memo_under_workers_matches_serial(task_inputs, task):
         parallel = run(8)
     finally:
         sys.setswitchinterval(interval)
-    assert [r.runs for r in serial] == [r.runs for r in parallel]
+    assert [r["runs"] for r in serial] == [r["runs"] for r in parallel]
     assert render_report(serial) == render_report(parallel)
-    assert {run.ok for r in serial for run in r.runs} == {True, False}
+    assert {run["ok"] for r in serial for run in r["runs"]} == {True, False}
 
 
 class _RaisingClient:
@@ -656,11 +661,11 @@ def test_run_records_any_exception_as_failure(patient_tables, patient_annotation
                                               gold_mapping):
     reports = run_integration(patient_tables, patient_annotations, gold_mapping,
                               repetitions=3, client_factory=_RaisingClient)
-    assert [len(r.runs) for r in reports] == [3, 3]
-    for run in (run for r in reports for run in r.runs):
-        assert not run.ok
-        assert run.error == "RuntimeError: client broke"
-        assert run.score.recall == 0.0
+    assert [len(r["runs"]) for r in reports] == [3, 3]
+    for run in (run for r in reports for run in r["runs"]):
+        assert not run["ok"]
+        assert run["error"] == "RuntimeError: client broke"
+        assert run["recall"] == 0.0
 
 
 def test_run_records_database_removed_mid_run(synthea_schema, synthea_annotations,
@@ -677,14 +682,19 @@ def test_run_records_database_removed_mid_run(synthea_schema, synthea_annotation
         TASK_JOINING, repetitions=2, client_factory=RemovingClient,
         schema=synthea_schema, annotations=synthea_annotations,
         database=fixture_db)
-    runs = [run for r in reports for run in r.runs]
-    assert len(runs) == 4 and not any(run.ok for run in runs)
-    assert all(run.error.startswith("FileNotFoundError: ") for run in runs)
+    runs = [run for r in reports for run in r["runs"]]
+    assert len(runs) == 4 and not any(run["ok"] for run in runs)
+    assert all(run["error"].startswith("FileNotFoundError: ") for run in runs)
 
 
-def test_experiment_report_invariant():
-    with pytest.raises(ValueError):
-        ExperimentReport(TASK_JOINING, WITH_CONTEXT, 2, (), {})
+def test_experiment_report_invariant(task_inputs):
+    # Every experiment is a dict in report key order holding n runs.
+    for task in (TASK_INTEGRATION, TASK_JOINING):
+        experiments = run_experiment(task, **task_inputs[task], repetitions=2,
+                                     client_factory=_mock_factory(_MOCKS[task]))
+        for experiment in experiments:
+            assert list(experiment) == ["task", "arm", "n", "runs", "aggregate"]
+            assert experiment["n"] == len(experiment["runs"]) == 2
 
 
 # --- metamorphic properties of whole runs (random schemas, mock client) ---
@@ -716,7 +726,7 @@ def _random_runs(task, schema, annotations, database, arms=llm.ARMS):
 
 
 def _prompt_hashes(reports) -> dict:
-    return {report.arm: [run.prompt_sha256 for run in report.runs] for report in reports}
+    return {report["arm"]: [run["promptSha256"] for run in report["runs"]] for report in reports}
 
 
 _seeds = st.integers(0, 2**32 - 1)
@@ -809,9 +819,9 @@ def test_run_swapping_the_tables_swaps_precision_and_recall(seed):
                                  client_factory=lambda: client, table_a=a, table_b=b,
                                  annotations=annotations,
                                  gold=HeaderMapping(tuple(gold_entries), a.name, b.name))
-        runs = [run for report in reports for run in report.runs]
-        assert len(runs) == 2 * len(arms) and all(run.ok for run in runs)
-        return [(run.score.precision, run.score.recall, run.score.f1) for run in runs]
+        runs = [run for report in reports for run in report["runs"]]
+        assert len(runs) == 2 * len(arms) and all(run["ok"] for run in runs)
+        return [(run["precision"], run["recall"], run["f1"]) for run in runs]
 
     forward = scores(table_a, table_b, gold, answer)
     assert scores(table_b, table_a, _inverted(gold), _inverted(answer)) == forward
@@ -874,11 +884,15 @@ def test_run_verdicts_and_scores_do_not_depend_on_names(task, workers, seed):
     rename = _renamer(parse_fixture(bundled.fixture_text(fixture)), random.Random(seed))
     before = _bundled_runs(task, lambda text: text, workers)
     after = _bundled_runs(task, rename, workers)
-    assert [(r.arm, r.aggregate) for r in after] == [(r.arm, r.aggregate) for r in before]
-    assert [[(run.ok, run.error, run.score) for run in r.runs] for r in after] == [
-        [(run.ok, run.error and rename(run.error), run.score) for run in r.runs]
-        for r in before]
-    assert {run.ok for r in before for run in r.runs} == (
+    def verdicts(experiments, rename_error=lambda text: text):
+        return [[{key: rename_error(value) if key == "error" else value
+                  for key, value in run.items() if not key.endswith("Sha256")}
+                 for run in r["runs"]] for r in experiments]
+
+    assert [(r["arm"], r["aggregate"]) for r in after] == [(r["arm"], r["aggregate"])
+                                                         for r in before]
+    assert verdicts(after) == verdicts(before, rename)
+    assert {run["ok"] for r in before for run in r["runs"]} == (
         {True} if task == TASK_INTEGRATION else {True, False})
 
 
@@ -897,7 +911,8 @@ def test_report_payload_shapes(patient_tables, patient_annotations, gold_mapping
         client_factory=_mock_factory(bundled.JOINING_MOCK),
         schema=synthea_schema, annotations=synthea_annotations,
         database=fixture_db)
-    payload = report_payload(reports)
+    payload = json.loads(render_report(reports))
+    assert payload == {"experiments": reports}
     assert len(payload["experiments"]) == 4
     integration = payload["experiments"][0]
     assert [len(e["runs"]) for e in payload["experiments"]] == [3, 3, 3, 3]
@@ -907,6 +922,44 @@ def test_report_payload_shapes(patient_tables, patient_annotations, gold_mapping
     assert "sqlSuccess" in joining["runs"][0]
     # deterministic serialization
     assert render_report(reports) == render_report(reports)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("task", [TASK_INTEGRATION, TASK_JOINING])
+def test_render_report_dumps_the_experiments(task_inputs, task, workers):
+    # Passing and failed runs: an answer with no mapping or no SQL, a
+    # write the judge refuses, and a client that raises.
+    answers = {TASK_INTEGRATION: ["```\nGender -> GENDER\n```", "no mapping at all"],
+               TASK_JOINING: ["SELECT 1;", "nothing to run",
+                              "```sql\nDROP TABLE patients;\n```"]}[task]
+    script = MockChatClient([{"task": task, "arm": arm, "repetition": rep,
+                              "response": answers[rep % len(answers)]}
+                             for arm in llm.ARMS for rep in range(6)])
+
+    class BreaksOnLastRepetition:
+        def complete(self, bundle, repetition=0):
+            if repetition == 5:
+                raise RuntimeError("client broke")
+            return script.complete(bundle, repetition=repetition)
+
+    experiments = run_experiment(task, **task_inputs[task], repetitions=6, workers=workers,
+                                 client_factory=BreaksOnLastRepetition)
+    errors = {run.get("error") for e in experiments for run in e["runs"]}
+    assert errors == {None, "RuntimeError: client broke", *(
+        [NoMappingFound().args[0]] if task == TASK_INTEGRATION
+        else [NoSqlFound().args[0], str(WriteAttempt("DROP"))])}
+    assert json.loads(render_report(experiments)) == {"experiments": experiments}
+
+
+@pytest.mark.parametrize("task", [TASK_INTEGRATION, TASK_JOINING])
+def test_runs_that_share_a_memoized_answer_have_entries_of_their_own(task_inputs, task):
+    [experiment] = run_experiment(task, **task_inputs[task], arms=(WITHOUT_CONTEXT,),
+                                  repetitions=2, client_factory=_mock_factory(_MOCKS[task]))
+    first, second = experiment["runs"]
+    assert first == second
+    expected = dict(second)
+    first.clear()
+    assert second == expected
 
 
 def test_render_report_golden(patient_tables, patient_annotations, gold_mapping,
@@ -924,7 +977,7 @@ def test_render_report_golden(patient_tables, patient_annotations, gold_mapping,
 def test_render_summary(patient_tables, patient_annotations, gold_mapping):
     reports = run_integration(patient_tables, patient_annotations, gold_mapping,
                               repetitions=2)
-    text = render_summary(report_payload(reports))
+    text = render_summary({"experiments": reports})
     assert "semantic-integration / with-context:" in text
     assert "recall=1.00" in text
     assert render_summary({"experiments": []}) == "no experiments\n"

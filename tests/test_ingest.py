@@ -475,6 +475,18 @@ def test_introspect_ignores_rows(tmp_path):
     assert introspect_database(empty).tables == introspect_database(full).tables
 
 
+def test_introspect_skips_only_the_sqlite_underscore_prefix(tmp_path):
+    # In LIKE, "_" matches any one character; a user table named
+    # sqliteXdata or sqlite1 is kept, SQLite's own sqlite_sequence is not.
+    path = tmp_path / "x.db"
+    build_database(parse_fixture("sqliteXdata: a\nother: b\nsqlite1: c"), path)
+    con = sqlite3.connect(path)
+    con.execute("CREATE TABLE seq (id INTEGER PRIMARY KEY AUTOINCREMENT)")
+    con.close()
+    assert introspect_database(path).table_names() == ("sqliteXdata", "other", "sqlite1",
+                                                       "seq")
+
+
 @pytest.mark.parametrize("tables, message", [
     ([("t", ("a",)), ("SQLITE_T", ("b",))], "object name reserved for internal use: SQLITE_T"),
     ([("t", tuple(f"h{i}" for i in range(2001)))], "too many columns on t"),

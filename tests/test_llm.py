@@ -345,10 +345,10 @@ def test_run_records_non_string_reply_as_failure(patient_tables, patient_annotat
         TASK_INTEGRATION, arms=(WITHOUT_CONTEXT,), repetitions=3,
         client_factory=lambda: client, table_a=table_a, table_b=table_b,
         annotations=patient_annotations, gold=gold_mapping)
-    runs = reports[0].runs
+    runs = reports[0]["runs"]
     assert len(runs) == 3
-    assert all(not run.ok and "HTTP 200" in run.error for run in runs)
-    assert reports[0].aggregate["successRate"] == 0.0
+    assert all(not run["ok"] and "HTTP 200" in run["error"] for run in runs)
+    assert reports[0]["aggregate"]["successRate"] == 0.0
 
 
 # --- the default (stdlib) transport against a loopback server ---
@@ -1059,7 +1059,7 @@ def test_default_transport_reuses_one_connection_per_worker(patient_tables, gold
     finally:
         sys.setswitchinterval(interval)
     # Every reply arrived whole: "hi" is an answer without a mapping.
-    assert {run.error for run in report.runs} == {NoMappingFound().args[0]}
+    assert {run["error"] for run in report["runs"]} == {NoMappingFound().args[0]}
     assert len(keepalive.requests) == 30
     assert 1 <= len(keepalive.accepted) <= workers
     client.close()

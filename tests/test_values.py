@@ -9,7 +9,7 @@ import pickle
 import pytest
 
 from comdb.errors import ConfigError
-from comdb.evaluate import ExperimentReport, MappingScore, RunRecord, SqlValidationReport
+from comdb.evaluate import MappingScore, SqlValidationReport
 from comdb.llm import ClientConfig, PromptBundle
 from comdb.mapping import HeaderMapping, MappingEntry
 from comdb.nl import StyleFlags
@@ -38,10 +38,6 @@ def _annotations():
 
 def _mapping(**kw):
     return HeaderMapping([MappingEntry(["a"], ["b"])], "s", "t", **kw)
-
-
-def _run(ok=True):
-    return RunRecord(ok, "p" * 4, score=MappingScore(1, 1, 1, 1.0, 1.0, 1.0))
 
 
 # Per type: a builder (from lists where the constructor accepts them), a
@@ -95,19 +91,6 @@ CASES = {
         lambda: SqlValidationReport(True, None, ["Id"], 1),
         "SqlValidationReport(success=True, error_text=None, result_columns=('Id',), "
         "row_count=0)"),
-    "RunRecord": (
-        _run,
-        lambda: _run(ok=False),
-        "RunRecord(ok=True, prompt_sha256='pppp', response_sha256=None, error=None, "
-        "score=MappingScore(matched=1, gold_size=1, predicted_size=1, precision=1.0, "
-        "recall=1.0, f1=1.0))"),
-    "ExperimentReport": (
-        lambda: ExperimentReport("t", "with-context", 1, [_run()], {"successRate": 1.0}),
-        lambda: ExperimentReport("t", "with-context", 1, [_run()], {"successRate": 0.0}),
-        "ExperimentReport(task='t', arm='with-context', n=1, runs=(RunRecord(ok=True, "
-        "prompt_sha256='pppp', response_sha256=None, error=None, score=MappingScore("
-        "matched=1, gold_size=1, predicted_size=1, precision=1.0, recall=1.0, f1=1.0)),), "
-        "aggregate={'successRate': 1.0})"),
     "PromptBundle": (
         lambda: PromptBundle("t", "with-context", "text"),
         lambda: PromptBundle("t", "without-context", "text"),
@@ -143,8 +126,6 @@ FIELDS = {
     "ValidatedAnnotations": ("annotations", "schema"),
     "MappingScore": ("matched", "gold_size", "predicted_size", "precision", "recall", "f1"),
     "SqlValidationReport": ("success", "error_text", "result_columns", "row_count"),
-    "RunRecord": ("ok", "prompt_sha256", "response_sha256", "error", "score"),
-    "ExperimentReport": ("task", "arm", "n", "runs", "aggregate"),
     "PromptBundle": ("task", "arm", "user_text"),
     "ClientConfig": ("endpoint_url", "model", "temperature", "timeout", "max_retries",
                      "api_key_source"),
@@ -161,7 +142,6 @@ TUPLE_FIELDS = {
     "HeaderContextGroup": ("headers",),
     "OntologyAnnotations": ("table_relations", "header_groups"),
     "SqlValidationReport": ("result_columns",),
-    "ExperimentReport": ("runs",),
     "MappingEntry": ("source_headers", "target_headers"),
     "HeaderMapping": ("entries", "warnings"),
 }
@@ -170,7 +150,7 @@ TYPES = sorted(CASES)
 
 
 def test_every_value_type_is_covered():
-    assert len(CASES) == 17
+    assert len(CASES) == 15
     assert set(CASES) == set(FIELDS)
     assert set(TUPLE_FIELDS) <= set(CASES)
 
@@ -202,11 +182,6 @@ def test_equality_by_value_and_never_across_types(name):
 @pytest.mark.parametrize("name", TYPES)
 def test_equal_values_hash_equal(name):
     a, b = CASES[name][0](), CASES[name][0]()
-    if name == "ExperimentReport":
-        # its aggregate is a dict, so it cannot be hashed
-        with pytest.raises(TypeError):
-            hash(a)
-        return
     assert hash(a) == hash(b)
     assert len({a, b}) == 1
 
@@ -239,7 +214,6 @@ def test_list_arguments_become_tuples(name):
 
 def test_defaults():
     assert OntologyAnnotations() == OntologyAnnotations((), ())
-    assert RunRecord(True, "p") == RunRecord(True, "p", None, None, None)
     assert HeaderMapping([MappingEntry(["a"], ["b"])]).warnings == ()
     assert StyleFlags() == StyleFlags(True, True)
     config = ClientConfig(model="m", endpoint_url="http://h")
@@ -252,8 +226,6 @@ def test_defaults():
      "error_text must be set exactly when success is false"),
     (lambda: SqlValidationReport(False, None, (), 0), ValueError,
      "error_text must be set exactly when success is false"),
-    (lambda: ExperimentReport("t", "a", 2, [_run()], {}), ValueError,
-     "1 runs recorded for n=2"),
     (lambda: MappingEntry([], ["b"]), ValueError, "mapping entry needs headers on both sides"),
     (lambda: MappingEntry(["a"], ()), ValueError, "mapping entry needs headers on both sides"),
     (lambda: HeaderMapping([MappingEntry(["a"], ["b"]), MappingEntry(["A "], ["c"])]),
