@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import json
 import os
+import shutil
 import sys
 from pathlib import Path
 
@@ -77,7 +79,12 @@ def _check_output(out: str | None):
 def _write_output(text: str, out: str | None):
     _check_output(out)
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        try:
+            Path(out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            # A failed flush at close (say, a full disk) names no file.
+            exc.filename = exc.filename or out
+            raise
     else:
         sys.stdout.write(text)
 
@@ -334,28 +341,49 @@ _SUBCOMMANDS = {
 }
 
 
+def _add_subcommand(name: str, parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
+    _, add_arguments, handler = _SUBCOMMANDS[name]
+    add_arguments(parser)
+    parser.set_defaults(func=handler, parser=parser)
+    return parser
+
+
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The comdb parser with only `command`'s subparser, or with every
-    subparser when `command` names none (for help and usage errors)."""
+    """For a known `command`, that subcommand's parser on its own; `main`
+    passes it the arguments after the name. It parses, and words its help
+    and usage errors, as the full parser's subparser of that name does:
+    its prog is the same "comdb <command>", and its formatter takes the
+    width HelpFormatter would (the terminal's columns less 2) from one
+    terminal-size lookup per parser, not one per argument. Otherwise the
+    full comdb parser, with every subcommand and argparse's default
+    formatter, which words top-level help and usage errors."""
+    if command in _SUBCOMMANDS:
+        width = shutil.get_terminal_size().columns - 2
+        return _add_subcommand(command, argparse.ArgumentParser(
+            prog=f"comdb {command}",
+            formatter_class=functools.partial(argparse.HelpFormatter, width=width)))
     parser = argparse.ArgumentParser(
         prog="comdb",
         description="Natural-language schema representations and the two "
                     "database-management experiments built on them.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in [command] if command in _SUBCOMMANDS else _SUBCOMMANDS:
-        help_text, add_arguments, handler = _SUBCOMMANDS[name]
-        p = sub.add_parser(name, help=help_text)
-        add_arguments(p)
-        p.set_defaults(func=handler, parser=p)
+    for name, (help_text, _, _) in _SUBCOMMANDS.items():
+        _add_subcommand(name, sub.add_parser(name, help=help_text))
     return parser
 
 
 def main(argv=None) -> int:
+    """Run one comdb command and return its exit code. A known subcommand
+    is parsed by its own parser alone (see build_parser). The full parser
+    is built only when argv names no subcommand or that parse leaves
+    extras: only its usage line lists every subcommand, so it words the
+    top-level help, a missing or unknown subcommand and the
+    "unrecognized arguments" error."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    args, extras = build_parser(argv[0] if argv else None).parse_known_args(argv)
-    if extras:
-        # Only the full parser's usage line lists every subcommand, so it
-        # words the "unrecognized arguments" error (and exits 2).
+    args = extras = None
+    if argv and argv[0] in _SUBCOMMANDS:
+        args, extras = build_parser(argv[0]).parse_known_args(argv[1:])
+    if args is None or extras:
         args = build_parser().parse_args(argv)
     try:
         return args.func(args)
@@ -367,6 +395,10 @@ def main(argv=None) -> int:
         return 1
     except FileExistsError as exc:
         print(f"error: refusing to overwrite existing file: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        # Any other file error, such as a full disk or a denied permission.
+        print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

@@ -85,6 +85,10 @@ _READONLY_KEYWORDS = {"SELECT", "WITH", "VALUES", "EXPLAIN"}
 # virtual-machine steps.
 SQL_TIME_LIMIT_S = 10.0
 _PROGRESS_STEPS = 1000
+# Bound on the bytes of any one string or blob a statement makes
+# (SQLITE_LIMIT_LENGTH), so that a statement cannot take memory at will.
+# Connection.setlimit needs Python 3.11; on 3.10 only the time bound holds.
+SQL_LENGTH_LIMIT = 16 * 1024 * 1024
 
 
 def _statement_kind(sql: str) -> str | None:
@@ -92,21 +96,30 @@ def _statement_kind(sql: str) -> str | None:
     return word.group().upper() if word else None
 
 
+def _open_judge(database, **kwargs) -> sqlite3.Connection:
+    """open_readonly(database, **kwargs), with SQL_LENGTH_LIMIT set."""
+    con = open_readonly(database, **kwargs)
+    if hasattr(con, "setlimit"):
+        con.setlimit(sqlite3.SQLITE_LIMIT_LENGTH, SQL_LENGTH_LIMIT)
+    return con
+
+
 def execute_sql(sql: str, database) -> SqlValidationReport:
     """Run one read-only statement and report the outcome.
 
     database is either the path of an SQLite file, which is opened
-    read-only for this call and closed again, or a connection from
-    ingest.open_readonly, which is used and left open. Engine errors come
-    back verbatim in error_text. Statements that open with a write/DDL
-    keyword are rejected with WriteAttempt before they reach the engine;
-    the read-only connection backstops anything sneakier. A statement
-    still running after SQL_TIME_LIMIT_S seconds is interrupted and
-    reported as failed. Rows are counted as they stream, never held.
+    read-only with SQL_LENGTH_LIMIT for this call and closed again, or a
+    connection from ingest.open_readonly, which is used as it is and left
+    open. Engine errors come back verbatim in error_text. Statements that
+    open with a write/DDL keyword are rejected with WriteAttempt before
+    they reach the engine; the read-only connection backstops anything
+    sneakier. A statement still running after SQL_TIME_LIMIT_S seconds is
+    interrupted and reported as failed. Rows are counted as they stream,
+    never held.
     """
     if isinstance(database, sqlite3.Connection):
         return _execute(sql, database)
-    with closing(open_readonly(database)) as con:
+    with closing(_open_judge(database)) as con:
         return _execute(sql, con)
 
 
@@ -207,7 +220,8 @@ def run_experiment(task: str, *,
     repetition (from client_factory, say) stops every loop and reaches
     the caller once all threads have ended. For tables joining each
     thread opens one read-only connection to the database on first use;
-    all of them are closed before this function returns or raises.
+    all of them are closed before this function returns or raises. Each
+    has SQL_LENGTH_LIMIT set, as execute_sql's own connection has.
 
     Each distinct answer text is hashed and judged once per call, for both
     arms: the judges read only the text and inputs fixed for the call, and
@@ -250,7 +264,7 @@ def run_experiment(task: str, *,
             con = getattr(local, "con", None)
             if con is None:
                 # Only this thread uses it; the calling thread closes it.
-                con = local.con = open_readonly(database, check_same_thread=False)
+                con = local.con = _open_judge(database, check_same_thread=False)
                 connections.append(con)
             return con
 

@@ -1,7 +1,9 @@
 import argparse
+import errno
 import hashlib
 import io
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -550,12 +552,41 @@ def _exit(capsys, call):
     return excinfo.value.code, captured.out, captured.err
 
 
-@pytest.mark.parametrize("columns", ["80", "50"])
+def _set_columns(monkeypatch, columns):
+    if columns is None:
+        monkeypatch.delenv("COLUMNS", raising=False)
+    else:
+        monkeypatch.setenv("COLUMNS", columns)
+
+
+@pytest.mark.parametrize("columns", ["80", "50", None], ids=["80", "50", "unset"])
 @pytest.mark.parametrize("argv", _PARSER_CASES, ids=" ".join)
 def test_main_words_help_and_usage_errors_as_the_full_parser(capsys, monkeypatch,
                                                              argv, columns):
-    monkeypatch.setenv("COLUMNS", columns)
+    _set_columns(monkeypatch, columns)
     expected = _exit(capsys, lambda: build_parser().parse_args(argv))
+    assert _exit(capsys, lambda: main(argv)) == expected
+
+
+_JOINING_MOCK = ["--task", "joining", "--mock", fx(bundled.JOINING_MOCK)]
+
+
+# argv that argparse accepts but a handler refuses, and the usage error it
+# words through the parser it was given.
+@pytest.mark.parametrize("argv, message", [
+    (["run", *_JOINING_MOCK, "--db", "s.db", "--n", "0"], "--n must be >= 1"),
+    (["run", *_JOINING_MOCK, "--db", "s.db", "--workers", "0"], "--workers must be >= 1"),
+    (["run", "--task", "joining", "--mock", "", "--db", "s.db"], "--mock names no mock script"),
+    (["ingest", fx(bundled.SYNTHEA_DDL), "--to", "db"], "--to db requires --out"),
+    (["run", *_JOINING_MOCK], "--db is required for --task joining"),
+], ids=["n", "workers", "mock", "to-db", "db"])
+@pytest.mark.parametrize("columns", ["80", "50", None], ids=["80", "50", "unset"])
+def test_main_words_handler_usage_errors_as_the_full_parser(capsys, monkeypatch,
+                                                            argv, message, columns):
+    _set_columns(monkeypatch, columns)
+    # The full parser accepts argv, so its subparser is args.parser.
+    expected = _exit(capsys, lambda: build_parser().parse_args(argv).parser.error(message))
+    assert expected[0] == 2 and message in expected[2]
     assert _exit(capsys, lambda: main(argv)) == expected
 
 
@@ -574,4 +605,18 @@ def test_main_builds_only_the_invoked_subparser(tmp_path, monkeypatch, command):
                     "--mock", fx(bundled.INTEGRATION_MOCK),
                     "--gold", fx(bundled.PATIENTS_GOLD_MAP)]}[command]
     assert main(argv + ["--out", str(tmp_path / "out")]) == 0
-    assert built == ["comdb", f"comdb {command}"]
+    assert built == [f"comdb {command}"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("command", ["ingest", "run"])
+def test_a_full_disk_is_an_error_not_a_traceback(capsys, command):
+    argv = {"ingest": ["ingest", fx(bundled.SYNTHEA_DDL)],
+            "run": ["run", "--task", "integration", "--n", "1",
+                    "--mock", fx(bundled.INTEGRATION_MOCK),
+                    "--gold", fx(bundled.PATIENTS_GOLD_MAP)]}[command]
+    assert main(argv + ["--out", "/dev/full"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}:"
+                            " '/dev/full'\n")

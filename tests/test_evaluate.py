@@ -284,6 +284,25 @@ def test_execute_stops_at_time_limit(fixture_db, monkeypatch):
     assert elapsed < 2.0
 
 
+BLOB_OF_50MB = "SELECT length(randomblob(50000000));"
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="Connection.setlimit needs 3.11")
+def test_a_blob_past_the_length_limit_fails_the_run(fixture_db, synthea_schema,
+                                                    synthea_annotations):
+    # Without SQL_LENGTH_LIMIT the statement succeeds and takes ~50 MB.
+    report = execute_sql(BLOB_OF_50MB, fixture_db)
+    assert (report.success, report.error_text) == (False, "string or blob too big")
+    client = MockChatClient([{"task": TASK_JOINING, "arm": WITHOUT_CONTEXT,
+                              "response": BLOB_OF_50MB}])
+    [experiment] = run_experiment(
+        TASK_JOINING, arms=(WITHOUT_CONTEXT,), repetitions=2,
+        client_factory=lambda: client, schema=synthea_schema,
+        annotations=synthea_annotations, database=fixture_db)
+    assert [(r["ok"], r["sqlSuccess"], r["error"]) for r in experiment["runs"]] == [
+        (False, False, "string or blob too big")] * 2
+
+
 def test_execute_on_connection_leaves_it_open(fixture_db, monkeypatch):
     monkeypatch.setattr(evaluate, "SQL_TIME_LIMIT_S", 0.05)
     con = open_readonly(fixture_db)
