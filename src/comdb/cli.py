@@ -155,7 +155,7 @@ def _task_inputs(args) -> dict:
 
 
 def cmd_prompt(args) -> int:
-    arm = WITH_CONTEXT if args.arm == "with" else WITHOUT_CONTEXT
+    (arm,) = _ARM_CHOICES[args.arm]
     print(build_prompt(_TASKS[args.task], arm, style=_style(args),
                        **_task_inputs(args)).user_text)
     return 0

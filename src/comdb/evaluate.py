@@ -77,57 +77,47 @@ class SqlValidationReport(Value):
         object.__setattr__(self, "row_count", row_count)
 
 
-_COMMENT_OR_WS = re.compile(r"(?:\s+|--[^\n]*(?:\n|$)|/\*.*?\*/)*", re.DOTALL)
+# A block comment without its */ runs to the end of the input, as in SQLite.
+_COMMENT_OR_WS = re.compile(r"(?:\s+|--[^\n]*(?:\n|$)|/\*.*?(?:\*/|\Z))*", re.DOTALL)
 _FIRST_WORD = re.compile(r"[A-Za-z]+")
-_READONLY_KEYWORDS = {"SELECT", "WITH", "VALUES", "EXPLAIN"}
+_READONLY_KEYWORDS = ("EXPLAIN", "SELECT", "VALUES", "WITH")
 
 # Wall-clock bound on one statement, checked every _PROGRESS_STEPS SQLite
 # virtual-machine steps.
 SQL_TIME_LIMIT_S = 10.0
 _PROGRESS_STEPS = 1000
-# Bound on the bytes of any one string or blob a statement makes
-# (SQLITE_LIMIT_LENGTH), so that a statement cannot take memory at will.
-# Connection.setlimit needs Python 3.11; on 3.10 only the time bound holds.
-SQL_LENGTH_LIMIT = 16 * 1024 * 1024
-
-
-def _statement_kind(sql: str) -> str | None:
-    word = _FIRST_WORD.match(sql, _COMMENT_OR_WS.match(sql).end())
-    return word.group().upper() if word else None
-
-
-def _open_judge(database, **kwargs) -> sqlite3.Connection:
-    """open_readonly(database, **kwargs), with SQL_LENGTH_LIMIT set."""
-    con = open_readonly(database, **kwargs)
-    if hasattr(con, "setlimit"):
-        con.setlimit(sqlite3.SQLITE_LIMIT_LENGTH, SQL_LENGTH_LIMIT)
-    return con
 
 
 def execute_sql(sql: str, database) -> SqlValidationReport:
     """Run one read-only statement and report the outcome.
 
-    database is either the path of an SQLite file, which is opened
-    read-only with SQL_LENGTH_LIMIT for this call and closed again, or a
-    connection from ingest.open_readonly, which is used as it is and left
-    open. Engine errors come back verbatim in error_text. Statements that
-    open with a write/DDL keyword are rejected with WriteAttempt before
-    they reach the engine; the read-only connection backstops anything
-    sneakier. A statement still running after SQL_TIME_LIMIT_S seconds is
-    interrupted and reported as failed. Rows are counted as they stream,
-    never held.
+    database is either the path of an SQLite file, which is opened with
+    ingest.open_readonly for this call and closed again, or a connection
+    from open_readonly, which is used as it is and left open. Engine errors
+    come back verbatim in error_text. Statements that open with a
+    write/DDL keyword are rejected with WriteAttempt before they reach the
+    engine; one that opens with no keyword is reported as failed there
+    too. The read-only connection backstops anything sneakier. A statement
+    still running after SQL_TIME_LIMIT_S seconds is interrupted and
+    reported as failed. Rows are counted as they stream, never held.
     """
     if isinstance(database, sqlite3.Connection):
         return _execute(sql, database)
-    with closing(_open_judge(database)) as con:
+    with closing(open_readonly(database)) as con:
         return _execute(sql, con)
 
 
 def _execute(sql: str, con: sqlite3.Connection) -> SqlValidationReport:
-    kind = _statement_kind(sql)
-    if kind is None:
-        # SQLite treats empty input as a no-op, so reject it ourselves.
-        return SqlValidationReport(False, "empty statement: no SQL found in input", (), 0)
+    start = _COMMENT_OR_WS.match(sql).end()
+    word = _FIRST_WORD.match(sql, start)
+    if word is None:
+        # SQLite treats empty input as a no-op, and would run what follows a
+        # leading ';' unchecked, so reject both here.
+        error = ("statement opens with no keyword; it must open with one of "
+                 f"{', '.join(_READONLY_KEYWORDS)}" if start < len(sql)
+                 else "empty statement: no SQL found in input")
+        return SqlValidationReport(False, error, (), 0)
+    kind = word.group().upper()
     if kind not in _READONLY_KEYWORDS:
         raise WriteAttempt(kind)
     deadline = time.monotonic() + SQL_TIME_LIMIT_S
@@ -220,8 +210,7 @@ def run_experiment(task: str, *,
     repetition (from client_factory, say) stops every loop and reaches
     the caller once all threads have ended. For tables joining each
     thread opens one read-only connection to the database on first use;
-    all of them are closed before this function returns or raises. Each
-    has SQL_LENGTH_LIMIT set, as execute_sql's own connection has.
+    all of them are closed before this function returns or raises.
 
     Each distinct answer text is hashed and judged once per call, for both
     arms: the judges read only the text and inputs fixed for the call, and
@@ -264,7 +253,7 @@ def run_experiment(task: str, *,
             con = getattr(local, "con", None)
             if con is None:
                 # Only this thread uses it; the calling thread closes it.
-                con = local.con = _open_judge(database, check_same_thread=False)
+                con = local.con = open_readonly(database, check_same_thread=False)
                 connections.append(con)
             return con
 
@@ -277,8 +266,6 @@ def run_experiment(task: str, *,
             return report.success, report.error_text, {"sqlSuccess": report.success}
     else:
         raise ConfigError(f"unknown task {task!r}")
-    if llm.WITH_CONTEXT in arms and annotations is None:
-        raise FixtureMissing("annotations for the with-context arm")
 
     prepared = []
     for arm in arms:
@@ -337,20 +324,17 @@ def render_report(experiments) -> str:
 
 
 def render_summary(payload: dict) -> str:
-    """Short human-readable digest of a report payload. Raises ConfigError
-    when the payload, read from outside, does not have a report's shape."""
+    """Short human-readable digest of a report payload: successRate, then
+    each mean* aggregate key as its rest in lower case (meanF1 as f1).
+    Raises ConfigError when the payload does not have a report's shape."""
     lines = []
     try:
         for experiment in payload.get("experiments", []):
-            agg = experiment.get("aggregate", {})
-            parts = [f"{experiment['task']} / {experiment['arm']}:",
-                     f"n={experiment['n']}",
-                     f"successRate={agg.get('successRate', 0.0):.2f}"]
-            if "meanRecall" in agg:
-                parts.append(f"precision={agg['meanPrecision']:.2f}")
-                parts.append(f"recall={agg['meanRecall']:.2f}")
-                parts.append(f"f1={agg['meanF1']:.2f}")
-            lines.append(" ".join(parts))
+            head = f"{experiment['task']} / {experiment['arm']}: n={experiment['n']}"
+            agg = experiment["aggregate"]
+            lines.append(" ".join([head, f"successRate={agg['successRate']:.2f}"] + [
+                f"{key[4:].lower()}={value:.2f}" for key, value in agg.items()
+                if key.startswith("mean")]))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"not a comdb report: {type(exc).__name__}: {exc}") from exc
     if not lines:

@@ -361,14 +361,22 @@ def check_sqlite_file(location) -> None:
         raise UnsupportedFormat(path)
 
 
+# Bound on the bytes of any one string or blob a statement makes
+# (SQLITE_LIMIT_LENGTH), so that it cannot take memory at will.
+SQL_LENGTH_LIMIT = 16 * 1024 * 1024
+
+
 def open_readonly(location, *, check_same_thread: bool = True) -> sqlite3.Connection:
-    """Connect to an existing SQLite file in read-only (``mode=ro``) mode.
-    check_sqlite_file's errors are raised before SQLite is asked.
-    check_same_thread is passed to sqlite3.connect."""
+    """Connect read-only (``mode=ro``) to an existing SQLite file, with
+    SQL_LENGTH_LIMIT set on Python 3.11+. check_sqlite_file's errors come
+    before SQLite is asked. check_same_thread goes to sqlite3.connect."""
     path = os.fspath(location)
     check_sqlite_file(path)
-    return sqlite3.connect("file:" + quote(os.path.abspath(path)) + "?mode=ro", uri=True,
-                           check_same_thread=check_same_thread)
+    con = sqlite3.connect("file:" + quote(os.path.abspath(path)) + "?mode=ro", uri=True,
+                          check_same_thread=check_same_thread)
+    if hasattr(con, "setlimit"):
+        con.setlimit(sqlite3.SQLITE_LIMIT_LENGTH, SQL_LENGTH_LIMIT)
+    return con
 
 
 def introspect_database(location) -> DatabaseSchema:

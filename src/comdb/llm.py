@@ -5,10 +5,10 @@ headers between two tables; tables joining asks it to write a SQL query
 over the whole database. Each task builds in two arms: with-context
 prompts include the contextual (context-of) sentences, without-context
 prompts carry the bare header lists only. build_prompt is the one place
-that picks a task's builder and keeps the annotations from the
-without-context arm. A prompt is one text, sent as the single user
-message. Prompts are pure functions of schema + annotations + fixed task
-text, so they can never leak row data.
+that picks a task's builder, and _context the one place that decides
+which annotations an arm's prompt shows. A prompt is one text, sent as
+the single user message. Prompts are pure functions of schema +
+annotations + fixed task text, so they can never leak row data.
 
 Clients are pluggable: a client is any object with
 complete(bundle, *, repetition) -> str, which returns the answer text.
@@ -146,9 +146,14 @@ class ClientConfig(Value):
         object.__setattr__(self, "api_key_source", api_key_source)
 
 
-def _check_arm(arm: str):
+def _context(arm: str, ann: ValidatedAnnotations | None) -> ValidatedAnnotations | None:
+    """The annotations the arm's prompt shows: ann for with-context (which
+    needs them), None for without-context. An unknown arm is a ConfigError."""
     if arm not in ARMS:
         raise ConfigError(f"unknown arm {arm!r}")
+    if arm == WITH_CONTEXT and ann is None:
+        raise MissingAnnotations()
+    return ann if arm == WITH_CONTEXT else None
 
 
 def _pair_schema(table_a: TableSchema, table_b: TableSchema) -> ValidatedSchema:
@@ -160,12 +165,10 @@ def build_integration_prompt(table_a: TableSchema, table_b: TableSchema,
                              style: StyleFlags = DEFAULT_STYLE) -> PromptBundle:
     """Header lists for both tables, optional header-group sentences, the
     matching task sentence, then the output-format directive."""
-    _check_arm(arm)
+    ann = _context(arm, ann)
     pair = _pair_schema(table_a, table_b)
     parts = [emit_base_schema(pair, INPUT_ORDER).rstrip("\n")]
-    if arm == WITH_CONTEXT:
-        if ann is None:
-            raise MissingAnnotations()
+    if ann is not None:
         groups = tuple(g for g in ann.header_groups
                        if g.table in (table_a.name, table_b.name))
         if not groups:
@@ -182,13 +185,11 @@ def build_join_prompt(schema: ValidatedSchema, ann: ValidatedAnnotations | None,
                       style: StyleFlags = DEFAULT_STYLE) -> PromptBundle:
     """Whole-database header listing in alphabetical order, optional
     contextual sentences, the goal sentence, then the SQL directive."""
-    _check_arm(arm)
+    ann = _context(arm, ann)
     if not goal or not goal.strip():
         raise ConfigError("join goal must be nonempty")
     parts = [emit_base_schema(schema).rstrip("\n")]
-    if arm == WITH_CONTEXT:
-        if ann is None:
-            raise MissingAnnotations()
+    if ann is not None:
         context_text = emit_contextual_schema(ann, style).rstrip("\n")
         if not context_text:
             raise MissingAnnotations()
@@ -202,10 +203,7 @@ def build_prompt(task: str, arm: str, annotations: ValidatedAnnotations | None,
                  style: StyleFlags, *, table_a: TableSchema | None,
                  table_b: TableSchema | None, schema: ValidatedSchema | None,
                  goal: str) -> PromptBundle:
-    """The prompt for one task and arm, from the task's builder. The
-    without-context arm never sees the annotations."""
-    if arm != WITH_CONTEXT:
-        annotations = None
+    """The prompt for one task and arm, from the task's builder."""
     if task == TASK_INTEGRATION:
         return build_integration_prompt(table_a, table_b, annotations, arm, style)
     if task == TASK_JOINING:

@@ -3,13 +3,18 @@
 An exchange writes the request head and body in one sendall and reads one
 reply with http.client's bounds: a status line, then at most 100 header
 lines of at most 65 536 bytes each; repeated lines of one field are
-joined with ", " (RFC 9110 §5.3). A 100 Continue head is skipped; a 204
-or 304 reply has no body. Otherwise the body is taken by chunked coding
+joined with ", " (RFC 9110 §5.3). Every 1xx interim head but 101 is
+skipped; a 204 or 304 reply has no body. Otherwise the body is taken by chunked coding
 if Transfer-Encoding is one "chunked" (a chunk size is hex digits only;
 the trailer section is read and dropped), else by a Content-Length of
 digits only or a list of equal such values, else up to the end of the
 stream. Any other Transfer-Encoding (no other coding is undone),
 Content-Length or chunk size, or a length above sys.maxsize, is an error.
+
+Deliberate deviations from http.client, which reads a 1xx other than 100
+as the final reply, with an empty body: wire skips it and reads the reply
+that follows, and it refuses a 101 Switching Protocols, which comdb never
+asks for.
 
 A connection carries the next request too (RFC 9112 §9.3) when its reply
 was HTTP/1.1, did not say Connection: close, and was framed by
@@ -127,7 +132,9 @@ def read_reply(reader) -> tuple[int, Headers, bytes, bool]:
     keep), where keep says whether the connection may carry another
     request."""
     version, status, _, headers = read_head(reader)
-    while status == 100:
+    while 100 <= status < 200:  # interim replies (RFC 9110 §15.2)
+        if status == 101:
+            raise ValueError("unrequested 101 Switching Protocols")
         version, status, _, headers = read_head(reader)
     keep = version == "HTTP/1.1" and "close" not in (
         token.strip() for token in (headers.get("connection") or "").lower().split(","))

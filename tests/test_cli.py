@@ -510,7 +510,8 @@ def test_report_not_json_is_an_error(capsys, monkeypatch):
     ('{"experiments": [{}]}', "KeyError: 'task'"),
     ('{"experiments": [{"task": "t", "arm": "a", "n": 1,'
      ' "aggregate": {"successRate": "high"}}]}', "ValueError"),
-], ids=["list", "experiment-without-keys", "string-rate"])
+    ('{"experiments": [{"task": "t", "arm": "a", "n": 1}]}', "KeyError: 'aggregate'"),
+], ids=["list", "experiment-without-keys", "string-rate", "experiment-without-aggregate"])
 def test_report_not_a_report_is_an_error(capsys, monkeypatch, text, cause):
     monkeypatch.setattr("sys.stdin", io.StringIO(text))
     rc = main(["report"])

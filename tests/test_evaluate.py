@@ -18,6 +18,7 @@ from comdb import evaluate, fixtures as bundled, llm
 from comdb.errors import (
     ConfigError,
     FixtureMissing,
+    MissingAnnotations,
     NoMappingFound,
     NoSqlFound,
     TableMismatch,
@@ -40,6 +41,7 @@ from comdb.llm import (
     MockChatClient,
 )
 from comdb.ingest import (
+    SQL_LENGTH_LIMIT,
     build_database,
     open_readonly,
     parse_annotations,
@@ -208,6 +210,26 @@ def test_execute_comment_only(fixture_db):
     assert not report.success
 
 
+@pytest.mark.parametrize("sql", ["(SELECT 1)", "1", ";SELECT 1"])
+def test_execute_names_the_openers_of_a_statement_without_a_keyword(fixture_db, sql):
+    report = execute_sql(sql, fixture_db)
+    assert (report.success, report.error_text) == (
+        False, "statement opens with no keyword; it must open with one of "
+               "EXPLAIN, SELECT, VALUES, WITH")
+
+
+def test_execute_refuses_a_leading_semicolon_on_a_writable_connection():
+    # sqlite3 runs what follows the ';', so on a connection that may write
+    # the keyword check is the only barrier.
+    con = sqlite3.connect(":memory:")
+    try:
+        con.execute("CREATE TABLE t (x)")
+        assert not execute_sql(";DROP TABLE t", con).success
+        assert con.execute("SELECT name FROM sqlite_master").fetchall() == [("t",)]
+    finally:
+        con.close()
+
+
 @pytest.mark.parametrize("sql", [
     "INSERT INTO patients (Id) VALUES ('x')",
     "UPDATE patients SET Id = 'y'",
@@ -303,6 +325,15 @@ def test_a_blob_past_the_length_limit_fails_the_run(fixture_db, synthea_schema,
         (False, False, "string or blob too big")] * 2
 
 
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="Connection.setlimit needs 3.11")
+def test_open_readonly_sets_the_length_limit(fixture_db):
+    con = open_readonly(fixture_db)
+    try:
+        assert con.getlimit(sqlite3.SQLITE_LIMIT_LENGTH) == SQL_LENGTH_LIMIT
+    finally:
+        con.close()
+
+
 def test_execute_on_connection_leaves_it_open(fixture_db, monkeypatch):
     monkeypatch.setattr(evaluate, "SQL_TIME_LIMIT_S", 0.05)
     con = open_readonly(fixture_db)
@@ -386,6 +417,17 @@ def test_run_unknown_arm(patient_tables, patient_annotations, gold_mapping):
         run_integration(patient_tables, patient_annotations, gold_mapping,
                         arms=(WITH_CONTEXT, "sideways"), repetitions=1,
                         client_factory=lambda: pytest.fail("a repetition ran"))
+
+
+@pytest.mark.parametrize("task", [TASK_INTEGRATION, TASK_JOINING])
+def test_run_with_context_without_annotations(task, patient_tables, gold_mapping,
+                                              synthea_schema, fixture_db):
+    table_a, table_b = patient_tables
+    with pytest.raises(MissingAnnotations):
+        run_experiment(task, repetitions=1,
+                       client_factory=lambda: pytest.fail("a repetition ran"),
+                       table_a=table_a, table_b=table_b, gold=gold_mapping,
+                       schema=synthea_schema, database=fixture_db, annotations=None)
 
 
 def test_run_missing_gold(patient_tables, patient_annotations):
@@ -1000,3 +1042,13 @@ def test_render_summary(patient_tables, patient_annotations, gold_mapping):
     assert "semantic-integration / with-context:" in text
     assert "recall=1.00" in text
     assert render_summary({"experiments": []}) == "no experiments\n"
+
+
+def test_render_summary_of_the_bundled_report():
+    assert render_summary(json.loads(data_text("mock_report_n3.json"))) == (
+        "semantic-integration / with-context: n=3 successRate=1.00 precision=1.00 "
+        "recall=1.00 f1=1.00\n"
+        "semantic-integration / without-context: n=3 successRate=1.00 precision=0.75 "
+        "recall=0.50 f1=0.60\n"
+        "tables-joining / with-context: n=3 successRate=1.00\n"
+        "tables-joining / without-context: n=3 successRate=0.00\n")

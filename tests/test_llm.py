@@ -79,6 +79,15 @@ def test_integration_prompt_requires_annotations(patient_tables):
         build_integration_prompt(table_a, table_b, None, WITH_CONTEXT)
 
 
+def test_without_context_builders_ignore_the_annotations(patient_tables, patient_annotations,
+                                                        synthea_schema, synthea_annotations):
+    table_a, table_b = patient_tables
+    assert (build_integration_prompt(table_a, table_b, patient_annotations, WITHOUT_CONTEXT)
+            == build_integration_prompt(table_a, table_b, None, WITHOUT_CONTEXT))
+    assert (build_join_prompt(synthea_schema, synthea_annotations, arm=WITHOUT_CONTEXT)
+            == build_join_prompt(synthea_schema, None, arm=WITHOUT_CONTEXT))
+
+
 def test_join_prompt_with_context(synthea_schema, synthea_annotations):
     bundle = build_join_prompt(synthea_schema, synthea_annotations,
                                arm=WITH_CONTEXT)
@@ -709,8 +718,9 @@ def _header_lines(count, length=len(b"X-Pad: 0\r\n")):
     _ok_reply(extra=_header_lines(98)),                   # 100 header lines in all
     _ok_reply().replace(b"HTTP/1.1", b"HTTP/1.0"),
     _chunked_ok_reply().replace(b"5;ext=1", b"5 \t;ext=1"),
+    b"HTTP/1.1 103 Early Hints\r\nLink: </style.css>; rel=preload\r\n\r\n" + _ok_reply(),
 ], ids=["chunked", "to-close", "100-continue", "65536-byte-line", "100-headers", "http-1.0",
-        "space-before-chunk-extension"])
+        "space-before-chunk-extension", "103-early-hints"])
 def test_default_transport_reads_the_reply(patient_tables, raw_server, api_key, monkeypatch,
                                            reply):
     _proxy_env(monkeypatch)
@@ -749,13 +759,15 @@ def test_default_transport_reads_the_reply(patient_tables, raw_server, api_key, 
      "unsupported Transfer-Encoding 'chunked, chunked'"),
     (_ok_reply(extra=b"Transfer-Encoding: identity\r\n"),
      "unsupported Transfer-Encoding 'identity'"),
+    (b"HTTP/1.1 101 Switching Protocols\r\nUpgrade: h2c\r\nConnection: Upgrade\r\n\r\n"
+     + _ok_reply(), "unrequested 101 Switching Protocols"),
 ], ids=["truncated-body", "truncated-chunk", "bad-chunk-size", "negative-chunk-size",
         "0x-chunk-size", "signed-chunk-size", "underscored-chunk-size",
         "space-before-chunk-size", "space-after-chunk-size", "not-http", "status-2000",
         "no-reply", "65537-byte-line", "long-status-line", "101-headers",
         "content-length-past-maxsize", "chunk-size-past-maxsize",
         "content-length-past-the-stream", "chunk-size-past-the-stream", "gzip-then-chunked",
-        "chunked-twice", "identity-coding"])
+        "chunked-twice", "identity-coding", "101-switching-protocols"])
 def test_default_transport_rejects_a_bad_reply(patient_tables, raw_server, api_key,
                                                monkeypatch, reply, message):
     _proxy_env(monkeypatch)
