@@ -97,7 +97,8 @@ def execute_sql(sql: str, database) -> SqlValidationReport:
     come back verbatim in error_text. Statements that open with a
     write/DDL keyword are rejected with WriteAttempt before they reach the
     engine; one that opens with no keyword is reported as failed there
-    too. The read-only connection backstops anything sneakier. A statement
+    too. PRAGMA query_only, set for the statement and restored after,
+    backstops anything sneakier, on any connection. A statement
     still running after SQL_TIME_LIMIT_S seconds is interrupted and
     reported as failed. Rows are counted as they stream, never held.
     """
@@ -128,6 +129,8 @@ def _execute(sql: str, con: sqlite3.Connection) -> SqlValidationReport:
         timed_out = time.monotonic() > deadline
         return timed_out
 
+    query_only = con.execute("PRAGMA query_only").fetchone()[0]
+    con.execute("PRAGMA query_only = 1")
     con.set_progress_handler(past_deadline, _PROGRESS_STEPS)
     try:
         cursor = con.execute(sql)
@@ -142,6 +145,7 @@ def _execute(sql: str, con: sqlite3.Connection) -> SqlValidationReport:
         return SqlValidationReport(False, str(exc), (), 0)
     finally:
         con.set_progress_handler(None, 0)
+        con.execute(f"PRAGMA query_only = {query_only}")
 
 
 def _sha256(text: str) -> str:
@@ -203,9 +207,9 @@ def run_experiment(task: str, *,
 
     client_factory is called once per repetition, and the client's
     complete(bundle, repetition=...) returns the answer text. The calling
-    thread and workers - 1 more threads run one loop: each takes the next
-    (arm, repetition) pair from the shared list until none is left, so
-    workers=1 starts no thread. Every run keeps its position, so the
+    thread and min(workers, jobs) - 1 more threads run one loop: each takes
+    the next (arm, repetition) job from the shared list until none is left,
+    so workers=1 starts no thread. Every run keeps its position, so the
     report does not depend on workers. An exception that escapes a
     repetition (from client_factory, say) stops every loop and reaches
     the caller once all threads have ended. For tables joining each
@@ -294,7 +298,7 @@ def run_experiment(task: str, *,
 
     threads = []
     try:
-        for _ in range(workers - 1):
+        for _ in range(min(workers, len(jobs)) - 1):
             thread = threading.Thread(target=drain)
             thread.start()
             threads.append(thread)

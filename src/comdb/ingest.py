@@ -22,11 +22,12 @@ of DDL errors. The tokenizer keeps only each token's text. On a ParseError
 the text is matched again, from where the token parser started up to the
 failing token, and the line and column come from that token's offset.
 
-build_database writes the schema-only database in the SQLite file format
-itself, in time linear in the size of the schema; one CREATE TABLE per
-table costs time quadratic in the number of tables. SQLite then reads the
-file back once, parsing every statement, so that it still refuses what a
-CREATE TABLE would have refused.
+build_database writes only the file header and an empty root page per
+table; SQLite, with writable_schema on, inserts the schema rows and lays
+out their pages. That takes time linear in the size of the schema, where
+one CREATE TABLE per table takes time quadratic in the number of tables.
+SQLite then reads the file back once, parsing every statement, so that it
+still refuses what a CREATE TABLE would have refused.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import sqlite3
 import string
 import struct
 from contextlib import closing, suppress
-from itertools import accumulate, islice
+from itertools import islice
 from pathlib import Path
 from urllib.parse import quote
 
@@ -406,134 +407,29 @@ def _quote_ident(name: str) -> str:
     return '"' + name.replace('"', '""') + '"'
 
 
-# The schema-only database is written in the SQLite file format
-# (https://www.sqlite.org/fileformat2.html), with 4096-byte pages. Page 1
-# holds the 100-byte file header and the root of the sqlite_schema table
-# b-tree. Pages 2 to n+1 are the roots of the n tables, each an empty leaf,
-# so the table of schema rowid r has root page r+1 before any other page is
-# laid out. After them come overflow pages, for statements too long for one
-# cell, then the schema's leaf pages and interior levels, filled in rowid
-# order. Each cell's content is placed at the end of its page, in key order.
+# The schema-only database starts as the part of the SQLite file format
+# (https://www.sqlite.org/fileformat2.html) that needs no layout: the file
+# header and n+1 empty table-leaf pages of 4096 bytes. Page 1 holds the
+# 100-byte header and the empty root of the sqlite_schema table; pages 2 to
+# n+1 are the roots of the n tables. SQLite lays out the rest itself.
 
 _PAGE = 4096
-_MAX_LOCAL = _PAGE - 35                     # the largest payload a table leaf cell keeps whole
-_MIN_LOCAL = (_PAGE - 12) * 32 // 255 - 23  # the least it keeps of a payload that overflows
-
-
-def _varint(n: int) -> bytes:
-    """SQLite's varint of 0 <= n < 2**56: 7-bit groups, most significant
-    first, the high bit set on every byte but the last."""
-    out = [n & 0x7F]
-    while n := n >> 7:
-        out.append(n & 0x7F | 0x80)
-    return bytes(reversed(out))
-
-
-def _btree_page(cells: list[bytes], right: int = 0, start: int = 0) -> bytes:
-    """A table b-tree page of cells in key order: a leaf, or an interior page
-    when right names its right-most child. On page 1, start is 100 and the
-    file header's bytes are left zero."""
-    content = b"".join(cells)
-    top = _PAGE - len(content)
-    head = struct.pack(">BHHHB", 0x05 if right else 0x0D, 0, len(cells), top, 0)
-    if right:
-        head += struct.pack(">I", right)
-    offsets = list(accumulate(map(len, cells), initial=top))[:-1]
-    head += struct.pack(f">{len(cells)}H", *offsets)
-    return bytes(start) + head + bytes(top - start - len(head)) + content
-
-
-_EMPTY_LEAF = _btree_page([])
-
-
-def _interior_page(children: list[tuple[int, int]], start: int = 0) -> bytes:
-    """The interior page over children, as (page number, largest rowid below)."""
-    cells = [page.to_bytes(4, "big") + _varint(key) for page, key in children[:-1]]
-    return _btree_page(cells, children[-1][0], start)
-
-
-def _schema_cell(rowid: int, name: bytes, sql: bytes, pages: list[bytes]) -> bytes:
-    """The leaf cell of the sqlite_schema row ('table', name, name, rowid + 1,
-    sql). The part of a payload that does not fit in the cell goes on a chain
-    of overflow pages, appended to pages."""
-    root = rowid + 1
-    size = root.bit_length() // 8 + 1  # serial types 1-4 are 1- to 4-byte integers
-    types = b"\x17" + _varint(2 * len(name) + 13) * 2 + bytes((size,)) + _varint(
-        2 * len(sql) + 13)
-    payload = b"".join((bytes((len(types) + 1,)), types, b"table", name, name,
-                        root.to_bytes(size, "big"), sql))
-    cell = _varint(len(payload)) + _varint(rowid)
-    if len(payload) <= _MAX_LOCAL:
-        return cell + payload
-    local = _MIN_LOCAL + (len(payload) - _MIN_LOCAL) % (_PAGE - 4)
-    if local > _MAX_LOCAL:
-        local = _MIN_LOCAL
-    first = len(pages) + 1
-    rest = range(local, len(payload), _PAGE - 4)
-    for i, at in enumerate(rest, first + 1):
-        link = i if at + _PAGE - 4 < len(payload) else 0
-        pages.append(link.to_bytes(4, "big") + payload[at:at + _PAGE - 4].ljust(_PAGE - 4, b"\0"))
-    return cell + payload[:local] + first.to_bytes(4, "big")
-
-
-def _database_pages(schema: DatabaseSchema) -> list[bytes]:
-    """Every page of the database file for schema, in file order."""
-    pages = [b""] + [_EMPTY_LEAF] * len(schema.tables)
-    cells = []
-    for rowid, table in enumerate(schema.tables, 1):
-        # The text of CREATE TABLE "t" ("h" TEXT, ...), as SQLite stores it.
-        cols = '" TEXT, "'.join([h.replace('"', '""') for h in table.headers])
-        sql = f'CREATE TABLE {_quote_ident(table.name)} ("{cols}" TEXT)'.encode()
-        cells.append(_schema_cell(rowid, table.name.encode(), sql, pages))
-    if sum(map(len, cells)) + 2 * len(cells) <= _PAGE - 100 - 8:
-        root = _btree_page(cells, start=100)
-    else:
-        # Leaves filled in turn, then interior levels until page 1 holds
-        # every child. An interior cell and its pointer take at most
-        # cell_size bytes; each level splits its children evenly, into two
-        # pages at least, so that no interior page but page 1 has a single
-        # child. Page 1 has one when a single leaf holds every row, as
-        # SQLite itself leaves it.
-        level = []
-        first = used = 0
-        for i, cell in enumerate(cells):
-            if used + len(cell) + 2 > _PAGE - 8:
-                pages.append(_btree_page(cells[first:i]))
-                level.append((len(pages), i))
-                first, used = i, 0
-            used += len(cell) + 2
-        pages.append(_btree_page(cells[first:]))
-        level.append((len(pages), len(cells)))
-        cell_size = 6 + len(_varint(len(cells))) + 2
-        while len(level) - 1 > (_PAGE - 100 - 12) // cell_size:
-            count = max(2, -(-len(level) // ((_PAGE - 12) // cell_size + 1)))
-            parts = [level[k * len(level) // count:(k + 1) * len(level) // count]
-                     for k in range(count)]
-            level = []
-            for part in parts:
-                pages.append(_interior_page(part))
-                level.append((len(pages), part[-1][1]))
-        root = _interior_page(level, start=100)
-    version = sqlite3.sqlite_version_info
-    # Change counter 1, the size in pages, no freelist, schema cookie 1,
-    # schema format 4, no cache size or vacuum settings, UTF-8, user version
-    # and application id 0, version-valid-for 1, the SQLite version number.
-    header = struct.pack(">16sHBBBBBB12I20xII", _SQLITE_MAGIC, _PAGE, 1, 1, 0, 64, 32, 32,
-                         1, len(pages), 0, 0, 1, 4, 0, 0, 1, 0, 0, 0,
-                         1, version[0] * 1_000_000 + version[1] * 1000 + version[2])
-    pages[0] = header + root[100:]
-    return pages
+# A table b-tree leaf page with no cells, its content area at the page end.
+_EMPTY_LEAF = struct.pack(">BHHHB", 0x0D, 0, 0, _PAGE, 0).ljust(_PAGE, b"\0")
 
 
 def build_database(schema: DatabaseSchema, location) -> None:
     """Create an empty SQLite database with one TEXT column per header.
 
-    The file is written directly in the SQLite file format, in one pass
-    over the tables, instead of one CREATE TABLE per table: SQLite reads
-    its whole schema table again after each one, so that loop takes time
-    quadratic in the number of tables. Each table's row in sqlite_schema
-    holds byte for byte the CREATE TABLE text SQLite would store. Every
-    page is built in memory before the file is created, exclusively.
+    One CREATE TABLE per table takes time quadratic in the number of
+    tables: SQLite reads its whole schema table again after each one. So
+    the file is created exclusively and started with the file header and
+    one empty root page per table. Then one connection with writable_schema
+    on inserts, in one transaction, the sqlite_schema rows the CREATE TABLE
+    loop would have stored, each naming its table's root page, and SQLite
+    lays out the schema table's pages itself. The file is neither journaled
+    nor synced. On Python 3.12+ the connection's defensive mode, which
+    would make SQLite refuse those inserts, is turned off.
 
     Then SQLite opens the file read-only and loads the whole schema once,
     parsing every statement as a CREATE TABLE would have. So what it
@@ -549,13 +445,34 @@ def build_database(schema: DatabaseSchema, location) -> None:
     for table in schema.tables:
         if table.name[:7].isascii() and table.name[:7].lower() == "sqlite_":
             raise BuildFailed(path, f"object name reserved for internal use: {table.name}")
+    rows = []
     try:
-        pages = _database_pages(schema)
+        for root, table in enumerate(schema.tables, 2):
+            # The text of CREATE TABLE "t" ("h" TEXT, ...), as SQLite stores it.
+            cols = '" TEXT, "'.join([h.replace('"', '""') for h in table.headers])
+            sql = f'CREATE TABLE {_quote_ident(table.name)} ("{cols}" TEXT)'
+            sql.encode()  # a lone surrogate fails here, at its position in sql
+            rows.append((table.name, table.name, root, sql))
     except UnicodeEncodeError as exc:
         raise BuildFailed(path, str(exc)) from None
+    version = sqlite3.sqlite_version_info
+    # Change counter 1, the size in pages, no freelist, schema cookie 1,
+    # schema format 4, no cache size or vacuum settings, UTF-8, user version
+    # and application id 0, version-valid-for 1, the SQLite version number.
+    header = struct.pack(">16sHBBBBBB12I20xII", _SQLITE_MAGIC, _PAGE, 1, 1, 0, 64, 32, 32,
+                         1, len(rows) + 1, 0, 0, 1, 4, 0, 0, 1, 0, 0, 0,
+                         1, version[0] * 1_000_000 + version[1] * 1000 + version[2])
     try:
         with open(path, "xb") as fh:
-            fh.writelines(pages)
+            fh.write(header + _EMPTY_LEAF[:-100])
+            fh.writelines([_EMPTY_LEAF] * len(rows))
+        with closing(sqlite3.connect(path)) as con:
+            if hasattr(con, "setconfig"):
+                con.setconfig(sqlite3.SQLITE_DBCONFIG_DEFENSIVE, False)
+            con.executescript("PRAGMA journal_mode = OFF; PRAGMA synchronous = OFF;"
+                              " PRAGMA writable_schema = ON")
+            with con:
+                con.executemany("INSERT INTO sqlite_master VALUES ('table', ?, ?, ?, ?)", rows)
         with closing(open_readonly(path)) as con:
             con.execute("SELECT count(*) FROM sqlite_schema").fetchone()
     except FileExistsError:  # made since the check above: not ours to remove

@@ -231,6 +231,25 @@ def test_execute_refuses_a_leading_semicolon_on_a_writable_connection():
 
 
 @pytest.mark.parametrize("sql", [
+    "WITH x AS (SELECT 1) DELETE FROM t",
+    "WITH x AS (SELECT 2) INSERT INTO t SELECT * FROM x",
+])
+def test_execute_refuses_a_cte_write_on_a_writable_connection(sql):
+    # The keyword gate passes WITH; query_only stops the write behind it.
+    con = sqlite3.connect(":memory:")
+    try:
+        con.execute("CREATE TABLE t (x)")
+        con.execute("INSERT INTO t VALUES (1)")
+        report = execute_sql(sql, con)
+        assert (report.success, report.error_text) == (
+            False, "attempt to write a readonly database")
+        assert con.execute("SELECT count(*) FROM t").fetchone() == (1,)
+        assert con.execute("PRAGMA query_only").fetchone() == (0,)
+    finally:
+        con.close()
+
+
+@pytest.mark.parametrize("sql", [
     "INSERT INTO patients (Id) VALUES ('x')",
     "UPDATE patients SET Id = 'y'",
     "DELETE FROM patients",
@@ -533,6 +552,21 @@ def test_run_calling_thread_is_the_first_worker(task_inputs, monkeypatch, worker
     assert not any(thread.is_alive() for thread in started)
     assert threading.current_thread() in callers
     assert callers <= {threading.current_thread(), *started}
+
+
+def test_run_starts_no_thread_without_a_job(task_inputs, monkeypatch):
+    # Two arms of one repetition are two jobs: one thread beside the caller.
+    started = []
+
+    class RecordingThread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(evaluate.threading, "Thread", RecordingThread)
+    run_experiment(TASK_JOINING, **task_inputs[TASK_JOINING], repetitions=1, workers=8,
+                   client_factory=_mock_factory(bundled.JOINING_MOCK))
+    assert len(started) == 1
 
 
 @pytest.mark.parametrize("workers", [1, 8])

@@ -516,6 +516,30 @@ def test_build_database_refuses_overwrite(tmp_path):
         build_database(schema, path)
 
 
+def test_build_database_leaves_no_journal(tmp_path):
+    build_database(parse_fixture("t: a"), tmp_path / "x.db")
+    with pytest.raises(BuildFailed):
+        build_database(_schema([("t", ("a", "A"))]), tmp_path / "y.db")
+    assert [p.name for p in tmp_path.iterdir()] == ["x.db"]
+
+
+@pytest.mark.skipif(not hasattr(sqlite3.Connection, "setconfig"),
+                    reason="Connection.setconfig needs Python 3.12+")
+def test_build_database_turns_defensive_mode_off(tmp_path, monkeypatch):
+    """Some SQLite builds start every connection in defensive mode, which
+    makes SQLite ignore writable_schema."""
+    connect = sqlite3.connect
+
+    def defensive_connect(*args, **kwargs):
+        con = connect(*args, **kwargs)
+        con.setconfig(sqlite3.SQLITE_DBCONFIG_DEFENSIVE, True)
+        return con
+
+    monkeypatch.setattr("comdb.ingest.sqlite3.connect", defensive_connect)
+    build_database(parse_fixture("t: a, b\nu: c"), tmp_path / "x.db")
+    assert introspect_database(tmp_path / "x.db").table_names() == ("t", "u")
+
+
 # --- the database writer against SQLite's own CREATE TABLE ---
 
 def _reference_build(schema: DatabaseSchema, path) -> None:
@@ -535,18 +559,21 @@ def _quote(name: str) -> str:
 
 def _observed(path) -> tuple:
     """The sqlite_schema rows, each table's columns and the integrity check;
-    then one row inserted into the first table, read back, and the check again."""
+    then one row inserted into the first table and one into the last (whose
+    root is the last page written by hand), each read back, and the check again."""
     with closing(sqlite3.connect(path)) as con:
         rows = con.execute(
             "SELECT type, name, tbl_name, sql FROM sqlite_schema ORDER BY rowid").fetchall()
         columns = [con.execute(f"PRAGMA table_info({_quote(row[1])})").fetchall()
                    for row in rows]
         check = con.execute("PRAGMA integrity_check").fetchall()
-        first, width = _quote(rows[0][1]), len(columns[0])
-        with con:
-            con.execute(f"INSERT INTO {first} VALUES ({', '.join('?' * width)})",
-                        [f"v{i}" for i in range(width)])
-        inserted = con.execute(f"SELECT * FROM {first}").fetchall()
+        inserted = []
+        for i in (0, -1):
+            table, width = _quote(rows[i][1]), len(columns[i])
+            with con:
+                con.execute(f"INSERT INTO {table} VALUES ({', '.join('?' * width)})",
+                            [f"v{j}" for j in range(width)])
+            inserted.append(con.execute(f"SELECT * FROM {table}").fetchall())
         return rows, columns, check, inserted, con.execute("PRAGMA integrity_check").fetchall()
 
 
