@@ -13,35 +13,31 @@ class ComdbError(Exception):
 
 # --- schema validation ---
 
-class SchemaError(ComdbError):
-    pass
-
-
-class EmptySchema(SchemaError):
+class EmptySchema(ComdbError):
     def __init__(self):
         super().__init__("schema contains no tables")
 
 
-class EmptyTable(SchemaError):
+class EmptyTable(ComdbError):
     def __init__(self, table: str):
         self.table = table
         super().__init__(f"table {table!r} has no headers")
 
 
-class DuplicateTable(SchemaError):
+class DuplicateTable(ComdbError):
     def __init__(self, table: str):
         self.table = table
         super().__init__(f"duplicate table name {table!r}")
 
 
-class DuplicateHeader(SchemaError):
+class DuplicateHeader(ComdbError):
     def __init__(self, table: str, header: str):
         self.table = table
         self.header = header
         super().__init__(f"duplicate header {header!r} in table {table!r}")
 
 
-class InvalidName(SchemaError):
+class InvalidName(ComdbError):
     def __init__(self, kind: str, name: str):
         self.kind = kind
         self.name = name
@@ -50,36 +46,32 @@ class InvalidName(SchemaError):
 
 # --- annotation validation ---
 
-class AnnotationError(ComdbError):
-    pass
-
-
-class UnknownTable(AnnotationError):
+class UnknownTable(ComdbError):
     def __init__(self, table: str, referrer: str = "annotation"):
         self.table = table
         super().__init__(f"{referrer} references unknown table {table!r}")
 
 
-class UnknownHeader(AnnotationError):
+class UnknownHeader(ComdbError):
     def __init__(self, table: str, header: str):
         self.table = table
         self.header = header
         super().__init__(f"table {table!r} has no header {header!r}")
 
 
-class SelfContext(AnnotationError):
+class SelfContext(ComdbError):
     def __init__(self, table: str):
         self.table = table
         super().__init__(f"table {table!r} appears on both sides of one relation")
 
 
-class EmptySide(AnnotationError):
+class EmptySide(ComdbError):
     def __init__(self, index: int):
         self.index = index
         super().__init__(f"relation {index} has an empty subject or object list")
 
 
-class InvalidGroup(AnnotationError):
+class InvalidGroup(ComdbError):
     def __init__(self, table: str, reason: str):
         self.table = table
         self.reason = reason
@@ -148,29 +140,25 @@ class WriteAttempt(ComdbError):
 
 # --- chat-completion client ---
 
-class ClientError(ComdbError):
-    pass
-
-
-class MissingCredentials(ClientError):
+class MissingCredentials(ComdbError):
     def __init__(self, env_var: str):
         self.env_var = env_var
         super().__init__(f"environment variable {env_var} is not set")
 
 
-class TransportError(ClientError):
+class TransportError(ComdbError):
     def __init__(self, detail: str):
         self.detail = detail
         super().__init__(f"transport failure: {detail}")
 
 
-class Timeout(ClientError):
+class Timeout(ComdbError):
     def __init__(self, seconds: float):
         self.seconds = seconds
         super().__init__(f"request timed out after {seconds}s")
 
 
-class ApiError(ClientError):
+class ApiError(ComdbError):
     def __init__(self, status: int, body: str):
         self.status = status
         self.body = body
@@ -180,8 +168,8 @@ class ApiError(ClientError):
 # --- prompt building and response parsing ---
 
 class MissingAnnotations(ComdbError):
-    def __init__(self):
-        super().__init__("with-context prompt requested but no annotations given")
+    def __init__(self, reason: str = "with-context prompt requested but no annotations given"):
+        super().__init__(reason)
 
 
 class NoMappingFound(ComdbError):

@@ -64,10 +64,11 @@ _SQLITE_MAGIC = b"SQLite format 3\x00"
 
 
 def read_text(path) -> str:
-    """The UTF-8 text of the file at path. A directory or a file that is
-    not UTF-8 is an UnreadableFile; a missing file stays FileNotFoundError."""
+    """The UTF-8 text of the file at path, less a leading byte-order mark.
+    A directory or a file that is not UTF-8 is an UnreadableFile; a missing
+    file stays FileNotFoundError."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except IsADirectoryError:
         raise UnreadableFile(path, "is a directory, not a file") from None
     except UnicodeDecodeError as exc:

@@ -172,7 +172,8 @@ def build_integration_prompt(table_a: TableSchema, table_b: TableSchema,
         groups = tuple(g for g in ann.header_groups
                        if g.table in (table_a.name, table_b.name))
         if not groups:
-            raise MissingAnnotations()
+            raise MissingAnnotations("the annotations hold no header group of table "
+                                     f"{table_a.name!r} or {table_b.name!r}")
         local = validate_annotations(OntologyAnnotations((), groups), pair)
         parts.append(emit_contextual_schema(local, style).rstrip("\n"))
     parts.append(INTEGRATION_TASK_TEMPLATE.format(a=table_a.name, b=table_b.name))
@@ -192,7 +193,7 @@ def build_join_prompt(schema: ValidatedSchema, ann: ValidatedAnnotations | None,
     if ann is not None:
         context_text = emit_contextual_schema(ann, style).rstrip("\n")
         if not context_text:
-            raise MissingAnnotations()
+            raise MissingAnnotations("the annotations hold no context sentence")
         parts.append(context_text)
     parts.append(goal)
     parts.append(SQL_DIRECTIVE)

@@ -51,8 +51,7 @@ DEFAULT_STYLE = StyleFlags()
 
 
 def _header_list(headers, oxford_and: bool) -> str:
-    if len(headers) == 1:
-        return headers[0]
+    # A validated header group holds at least two headers.
     if len(headers) == 2:
         return f"{headers[0]} and {headers[1]}"
     if oxford_and:

@@ -29,7 +29,7 @@ that writes the head and the body in two sends would otherwise hold the
 body back (Nagle, RFC 896) until the delayed ACK (RFC 1122 §4.2.3.2),
 ~40 ms later on Linux.
 
-llm imports this module on first live use, so that `import comdb`,
+llm imports this module on first live use, so that `import comdb.cli`,
 offline commands and --mock runs never load it. It imports ssl only for
 an https endpoint or proxy, and urllib.request (which brings http.client
 and email) only where a proxy may be set (see _proxy).

@@ -57,11 +57,15 @@ def test_ingest_fixture_output(tmp_path, capsys):
         assert capsys.readouterr().out == expected, source
 
 
-def test_ingest_to_db(tmp_path):
+def test_ingest_to_db(tmp_path, capsys):
     db = tmp_path / "hospital.db"
     rc = main(["ingest", fx(bundled.SYNTHEA_DDL), "--to", "db", "--out", str(db)])
     assert rc == 0
     assert len(introspect_database(db).tables) == 14
+    capsys.readouterr()
+    rc = main(["ingest", fx(bundled.SYNTHEA_DDL), "--to", "db", "--out", str(db)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: refusing to overwrite existing file: {db}\n"
 
 
 @pytest.mark.parametrize("ddl, clash", [
@@ -110,6 +114,24 @@ def test_prompt_joining_uses_bundled_fixtures(capsys):
     out = capsys.readouterr().out
     assert out.startswith("Given a table 'allergies'")
     assert "providers are in the context of organizations." in out
+
+
+# Annotations were given in both cases; the error names what they lack.
+@pytest.mark.parametrize("argv, message", [
+    (["--task", "integration", "--table-a", "patients", "--table-b", "providers"],
+     "the annotations hold no header group of table 'patients' or 'providers'"),
+    (["--task", "joining"], "the annotations hold no context sentence"),
+], ids=["integration", "joining"])
+def test_prompt_with_context_names_what_the_annotations_lack(tmp_path, capsys, argv,
+                                                             message):
+    ctx = fx(bundled.SYNTHEA_CONTEXT)
+    if argv[1] == "joining":
+        ctx = tmp_path / "comment.ctx"
+        ctx.write_text("# no relations and no groups\n")
+    rc = main(["prompt", *argv, "--schema", fx(bundled.SYNTHEA_SCHEMA), "--ctx", str(ctx),
+               "--arm", "with"])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_run_integration(tmp_path):
@@ -343,9 +365,14 @@ def test_run_mock_not_json_is_an_error(tmp_path, capsys):
                "--gold", fx(bundled.PATIENTS_GOLD_MAP)])
     assert rc == 1
     assert capsys.readouterr().err.startswith("error: mock script is not valid JSON: ")
+    mock.write_text('{"task": "semantic-integration"}')
+    rc = main(["run", "--task", "integration", "--mock", str(mock),
+               "--gold", fx(bundled.PATIENTS_GOLD_MAP)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: mock script must be a JSON array of records\n"
 
 
-@pytest.mark.parametrize("kind", ["not-utf8", "directory"])
+@pytest.mark.parametrize("kind", ["not-utf8", "not-utf8-after-bom", "directory"])
 @pytest.mark.parametrize("command", [
     lambda path: ["ingest", path],
     lambda path: ["emit", fx(bundled.SYNTHEA_SCHEMA), path],
@@ -358,13 +385,35 @@ def test_unreadable_input_is_an_error(tmp_path, capsys, kind, command):
         path = tmp_path
         reason = "is a directory, not a file"
     else:
+        # The offset counts from the file's start, byte-order mark included.
+        bom = b"\xef\xbb\xbf" if kind == "not-utf8-after-bom" else b""
         path = tmp_path / "binary"
-        path.write_bytes(b"table: a\n\xd0\x00\xff\n")
-        reason = "not UTF-8 text (invalid continuation byte at byte 9)"
+        path.write_bytes(bom + b"table: a\n\xd0\x00\xff\n")
+        reason = f"not UTF-8 text (invalid continuation byte at byte {9 + len(bom)})"
     assert main(command(str(path))) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {path}: {reason}\n"
+
+
+# A leading UTF-8 byte-order mark is not part of the text, in any format.
+@pytest.mark.parametrize("name, command", [
+    (bundled.SYNTHEA_SCHEMA, lambda path: ["emit", path]),
+    (bundled.SYNTHEA_CONTEXT, lambda path: ["emit", fx(bundled.SYNTHEA_SCHEMA), path]),
+    (bundled.PATIENTS_GOLD_MAP,
+     lambda path: ["score", "--predicted", path, "--gold", fx(bundled.PATIENTS_GOLD_MAP)]),
+    (bundled.SYNTHEA_DDL, lambda path: ["ingest", path]),
+    (bundled.INTEGRATION_MOCK,
+     lambda path: ["run", "--task", "integration", "--n", "1", "--mock", path,
+                   "--gold", fx(bundled.PATIENTS_GOLD_MAP)]),
+], ids=["schema", "ctx", "map", "sql", "mockjson"])
+def test_inputs_accept_a_utf8_byte_order_mark(tmp_path, capsys, name, command):
+    assert main(command(fx(name))) == 0
+    expected = capsys.readouterr().out
+    path = tmp_path / name
+    path.write_bytes(b"\xef\xbb\xbf" + bundled.fixture_path(name).read_bytes())
+    assert main(command(str(path))) == 0
+    assert capsys.readouterr().out == expected
 
 
 @pytest.mark.parametrize("command", [

@@ -21,6 +21,7 @@ from comdb.errors import (
     MissingAnnotations,
     NoMappingFound,
     NoSqlFound,
+    ParseError,
     TableMismatch,
     WriteAttempt,
 )
@@ -136,6 +137,18 @@ def test_mapping_invariant_duplicate_source():
 def test_mapping_invariant_duplicate_target():
     with pytest.raises(ValueError):
         HeaderMapping((entry(["a"], ["x"]), entry(["b"], ["X"])))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("Name = FIRST", "line 1: expected 'A-side -> B-side'"),
+    ("# gold\nName -> FIRST +", "line 2: empty header name"),
+    ("# no entries\n\n", "line 1: no mapping entries found"),
+    ("Name -> FIRST\nname -> LAST", "line 1: source header 'name' appears in two entries"),
+], ids=["no-arrow", "empty-header", "no-entries", "reused-header"])
+def test_parse_map_text_errors(text, message):
+    with pytest.raises(ParseError) as excinfo:
+        parse_map_text(text)
+    assert str(excinfo.value) == message
 
 
 _header = st.text(alphabet="abcdefgh", min_size=1, max_size=5)
@@ -426,6 +439,11 @@ def test_run_zero_repetitions(patient_tables, patient_annotations, gold_mapping)
                         repetitions=0)
 
 
+def test_run_zero_workers(patient_tables, patient_annotations, gold_mapping):
+    with pytest.raises(ConfigError, match="workers must be >= 1"):
+        run_integration(patient_tables, patient_annotations, gold_mapping, workers=0)
+
+
 def test_run_unknown_task():
     with pytest.raises(ConfigError):
         run_experiment("guessing", repetitions=1, client_factory=lambda: None)
@@ -456,6 +474,23 @@ def test_run_missing_gold(patient_tables, patient_annotations):
                        client_factory=lambda: None,
                        table_a=table_a, table_b=table_b,
                        annotations=patient_annotations, gold=None)
+
+
+@pytest.mark.parametrize("task, missing, what", [
+    (TASK_INTEGRATION, "table_b", "both tables for semantic integration"),
+    (TASK_JOINING, "schema", "database schema for tables joining"),
+    (TASK_JOINING, "database", "database file for tables joining"),
+])
+def test_run_without_a_fixture_the_task_needs(patient_tables, gold_mapping, synthea_schema,
+                                              fixture_db, task, missing, what):
+    table_a, table_b = patient_tables
+    fixtures = dict(table_a=table_a, table_b=table_b, gold=gold_mapping,
+                    schema=synthea_schema, database=fixture_db)
+    fixtures[missing] = None
+    with pytest.raises(FixtureMissing) as excinfo:
+        run_experiment(task, arms=(WITHOUT_CONTEXT,), repetitions=1,
+                       client_factory=lambda: pytest.fail("a client was made"), **fixtures)
+    assert str(excinfo.value) == f"required fixture missing: {what}"
 
 
 def test_run_missing_database(synthea_schema, synthea_annotations, tmp_path):

@@ -409,10 +409,17 @@ def test_parse_fixture_multiword_headers():
     assert "Blood Type" in headers
 
 
-def test_parse_fixture_empty_headers():
-    with pytest.raises(ParseError) as excinfo:
-        parse_fixture("t:")
-    assert excinfo.value.line == 1
+@pytest.mark.parametrize("text, error, message", [
+    ("t:", ParseError, "line 1: table 't' lists no headers"),
+    ("t a, b", ParseError, "line 1: expected 'table: header, header, ...'"),
+    ("t: a\n : b", ParseError, "line 2: empty table name"),
+    ("t: a, , b", ParseError, "line 1: empty header name"),
+    ("# comment only\n\n", EmptyInput, "fixture text is empty"),
+], ids=["no-headers", "no-colon", "empty-table", "empty-header", "no-tables"])
+def test_parse_fixture_empty_headers(text, error, message):
+    with pytest.raises(error) as excinfo:
+        parse_fixture(text)
+    assert str(excinfo.value) == message
 
 
 def test_parse_fixture_duplicate_table_propagates():
@@ -454,6 +461,13 @@ def test_introspect_rejects_text_file(tmp_path):
     path.write_text("this is not a database at all, just plain text")
     with pytest.raises(UnsupportedFormat):
         introspect_database(path)
+    # The SQLite header alone does not make a database: SQLite's own error
+    # on the first read is an UnsupportedFormat too.
+    path = tmp_path / "corrupt.db"
+    path.write_bytes(b"SQLite format 3\x00" + b"\xff" * 84 + bytes(412))
+    with pytest.raises(UnsupportedFormat) as excinfo:
+        introspect_database(path)
+    assert str(excinfo.value) == f"{path}: not an SQLite database file"
 
 
 def test_introspect_missing_file(tmp_path):
@@ -672,10 +686,19 @@ def test_parse_annotations_header_group():
     assert group.concept == "patients' name"
 
 
-def test_parse_annotations_empty_subject():
+@pytest.mark.parametrize("text, message", [
+    ("=> patients", "line 1: empty subject side"),
+    ("patients, encounters", "line 1: expected '=>'"),
+    ("# comment\npatients =>", "line 2: empty object side"),
+    ("a.x, a.y => concept:", "line 1: empty concept phrase"),
+    ("a.x, a. => concept: c", "line 1: bad header reference 'a.'"),
+    ("a, , b => c", "line 1: empty table name in relation"),
+], ids=["no-subject", "no-arrow", "no-object", "no-concept", "bad-reference",
+        "empty-table"])
+def test_parse_annotations_empty_subject(text, message):
     with pytest.raises(ParseError) as excinfo:
-        parse_annotations("=> patients")
-    assert excinfo.value.line == 1
+        parse_annotations(text)
+    assert str(excinfo.value) == message
 
 
 def test_parse_annotations_mixed_scope():

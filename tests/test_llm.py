@@ -39,6 +39,7 @@ from comdb.llm import (
     MockChatClient,
     build_integration_prompt,
     build_join_prompt,
+    build_prompt,
     extract_sql,
     parse_mapping_response,
 )
@@ -105,6 +106,13 @@ def test_join_prompt_without_context(synthea_schema):
     assert "context of" not in text
     # all 14 base lines, plus goal and directive
     assert text.count("a table '") == 14
+
+
+def test_build_prompt_unknown_task(synthea_schema, synthea_annotations):
+    with pytest.raises(ConfigError, match="unknown task 'sorting'"):
+        build_prompt("sorting", WITH_CONTEXT, synthea_annotations, llm.DEFAULT_STYLE,
+                     table_a=None, table_b=None, schema=synthea_schema,
+                     goal=DEFAULT_JOIN_GOAL)
 
 
 def test_join_prompt_empty_goal(synthea_schema, synthea_annotations):
@@ -661,6 +669,18 @@ def test_proxy_choice_is_the_one_urllib_makes(monkeypatch, environ):
             assert wire._proxy(scheme, netloc) == expected, (scheme, netloc)
 
 
+@pytest.mark.parametrize("netloc, expected", [
+    ("llm.example", ("llm.example", 80)), ("llm.example:8080", ("llm.example", 8080)),
+    ("llm.example:", ("llm.example", 80)), ("[::1]:8080", ("::1", 8080)),
+    ("[::1]", ("::1", 80)),
+])
+def test_host_port_is_the_one_http_client_parses(netloc, expected):
+    import http.client
+
+    reference = http.client.HTTPConnection(netloc)
+    assert wire._host_port(netloc, 80) == (reference.host, reference.port) == expected
+
+
 def test_default_transport_honours_retry_after(patient_tables, raw_server, api_key,
                                                monkeypatch):
     _proxy_env(monkeypatch)
@@ -1209,6 +1229,11 @@ def test_cr_or_lf_in_the_api_key_fails_before_any_attempt(patient_tables, keepal
     with pytest.raises(TransportError, match="header Authorization contains CR or LF") as excinfo:
         client.complete(simple_bundle(patient_tables))
     assert "sk-" not in str(excinfo.value)
+    # The transport itself refuses such a header before it connects.
+    transport = wire.HttpTransport(keepalive.url)
+    with pytest.raises(TransportError, match="header Authorization contains CR or LF") as excinfo:
+        transport(keepalive.url, {}, {"Authorization": "Bearer sk-test\nX: 1"}, 5.0)
+    assert "sk-" not in str(excinfo.value)
     assert delays == [] and keepalive.accepted == []
 
 
@@ -1220,13 +1245,15 @@ def src_env() -> dict:
 
 
 def test_import_loads_no_third_party_module():
-    code = ("import sys; before = set(sys.modules); import comdb; "
-            "print(*sorted(set(sys.modules) - before))")
-    out = subprocess.run([sys.executable, "-c", code], env=src_env(), check=True,
-                         capture_output=True, text=True).stdout
-    loaded = {name.split(".")[0] for name in out.split()}
+    # comdb.cli imports every module the commands use.
+    loaded = {name.split(".")[0] for name in _loaded_by("import comdb.cli")}
     assert "comdb" in loaded
     assert loaded - set(sys.stdlib_module_names) == {"comdb"}
+
+
+def test_the_package_loads_no_submodule():
+    # Names are imported from the modules; the package holds only __version__.
+    assert _loaded_by("import comdb") == ["comdb"]
 
 
 # Modules that only `comdb run` needs: comdb.wire for a live run, ssl for
@@ -1521,10 +1548,12 @@ def test_parse_mapping_nothing_found(patient_tables):
 
 def test_parse_mapping_unresolvable_collected(patient_tables):
     table_a, table_b = patient_tables
-    text = "```\nGender -> GENDER\nShoe Size -> SSN\n```"
+    text = "```\nGender -> GENDER\nShoe Size -> SSN\nsee above\n```"
     mapping = parse_mapping_response(text, table_a, table_b)
     assert len(mapping.entries) == 1
-    assert any("Shoe Size" in w for w in mapping.warnings)
+    assert mapping.warnings == (
+        "unresolvable header 'Shoe Size' in line 'Shoe Size -> SSN'",
+        "ignored line without '->': 'see above'")
 
 
 def test_parse_mapping_duplicate_source_dropped(patient_tables):

@@ -94,10 +94,15 @@ def test_parse_base_schema_golden(synthea_schema):
     assert parsed == synthea_schema.schema
 
 
-def test_parse_base_schema_missing_quotes():
+@pytest.mark.parametrize("text, message", [
+    ("Given a table patients with headers: Id.", "line 1: not a base-schema sentence"),
+    ("Given a table 't' with headers: a, , b.", "line 1: empty header name"),
+    ("\n  \n", "line 1: no base-schema sentences found"),
+], ids=["missing-quotes", "empty-header", "no-sentences"])
+def test_parse_base_schema_missing_quotes(text, message):
     with pytest.raises(ParseError) as excinfo:
-        parse_base_schema("Given a table patients with headers: Id.")
-    assert excinfo.value.line == 1
+        parse_base_schema(text)
+    assert str(excinfo.value) == message
 
 
 def test_parse_base_schema_wrong_lead():
@@ -110,10 +115,17 @@ def test_parse_contextual_golden(synthea_annotations):
     assert parsed == synthea_annotations.annotations
 
 
-def test_parse_contextual_empty_subject():
+@pytest.mark.parametrize("text, message", [
+    ("are in the context of patients.", "line 1: no 'are in the context of' clause"),
+    (" are in the context of patients.", "line 1: empty side in context sentence"),
+    ("a are in the context of b.\na are in the context of b",
+     "line 2: sentence does not end with '.'"),
+    ("A, , B are in the context of x.", "line 1: empty header name in group"),
+], ids=["no-clause", "empty-subject", "no-period", "empty-header"])
+def test_parse_contextual_empty_subject(text, message):
     with pytest.raises(ParseError) as excinfo:
-        parse_contextual_schema("are in the context of patients.")
-    assert excinfo.value.line == 1
+        parse_contextual_schema(text)
+    assert str(excinfo.value) == message
 
 
 def test_parse_contextual_bare_group():

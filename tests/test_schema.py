@@ -97,6 +97,10 @@ def test_unknown_table(synthea_schema):
     with pytest.raises(UnknownTable) as excinfo:
         validate_annotations(ann, synthea_schema)
     assert excinfo.value.table == "visits"
+    group = HeaderContextGroup("visits", ("START", "STOP"), "the visit's span")
+    with pytest.raises(UnknownTable) as excinfo:
+        validate_annotations(OntologyAnnotations((), (group,)), synthea_schema)
+    assert excinfo.value.table == "visits"
 
 
 def test_unknown_header(synthea_schema):
@@ -124,6 +128,17 @@ def test_single_header_group_rejected(synthea_schema):
     group = HeaderContextGroup("patients", ("ADDRESS",), "patients' address")
     with pytest.raises(InvalidGroup):
         validate_annotations(OntologyAnnotations((), (group,)), synthea_schema)
+
+
+@pytest.mark.parametrize("headers, concept, reason", [
+    (("ADDRESS", "CITY"), "patients'\naddress", "concept must be a nonempty single line"),
+    (("ADDRESS", "CITY", "ADDRESS"), "patients' address", "header 'ADDRESS' repeated"),
+], ids=["multiline-concept", "repeated-header"])
+def test_bad_header_group_rejected(synthea_schema, headers, concept, reason):
+    group = HeaderContextGroup("patients", headers, concept)
+    with pytest.raises(InvalidGroup) as excinfo:
+        validate_annotations(OntologyAnnotations((), (group,)), synthea_schema)
+    assert excinfo.value.reason == reason
 
 
 def test_duplicate_in_relation_rejected(synthea_schema):
