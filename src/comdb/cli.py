@@ -220,7 +220,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_validate_sql(args) -> int:
-    sql = read_text(args.sql_file) if args.sql_file else sys.stdin.read()
+    sql = read_text(args.sql_file)
     report = execute_sql(sql, args.db)
     if report.success:
         cols = ", ".join(report.result_columns)
@@ -247,8 +247,7 @@ def cmd_score(args) -> int:
 
 def cmd_report(args) -> int:
     try:
-        payload = json.loads(read_text(args.report_file) if args.report_file
-                             else sys.stdin.read())
+        payload = json.loads(read_text(args.report_file))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"report is not valid JSON: {exc}") from exc
     sys.stdout.write(render_summary(payload))

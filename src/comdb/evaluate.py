@@ -154,21 +154,22 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _repetition(bundle, prompt_hash, client, repetition, judge, failed, memo) -> dict:
-    """Ask the client once and judge the answer text, unless memo already
-    holds its (hash, (ok, error, keys)). Return the run's report entry: ok,
-    the task's keys, error when there is one, and the two hashes. Any
-    exception on the way becomes a failed entry with the task's failed
-    keys; it is never memoized and never propagates. A ComdbError keeps
-    its message; any other exception is recorded as ``ClassName: message``."""
+def _repetition(bundle, prompt_hash, client, repetition, judge, failed, memo, lock) -> dict:
+    """Ask the client once, then, under lock, judge the answer text unless
+    memo already holds its (hash, (ok, error, keys)). Return the run's
+    report entry: ok, the task's keys, error when there is one, and the two
+    hashes. Any exception on the way becomes a failed entry with the task's
+    failed keys; it is never memoized and never propagates. A ComdbError
+    keeps its message; any other exception is recorded as
+    ``ClassName: message``."""
     response_hash = None
     try:
         text = client.complete(bundle, repetition=repetition)
-        judged = memo.get(text)
-        if judged is None:
-            response_hash = _sha256(text)
-            judged = memo[text] = (response_hash, judge(text))
-        response_hash, (ok, error, keys) = judged
+        with lock:
+            if text not in memo:
+                response_hash = _sha256(text)
+                memo[text] = (response_hash, judge(text))
+            response_hash, (ok, error, keys) = memo[text]
     except Exception as exc:
         ok, keys = False, failed
         error = str(exc) if isinstance(exc, ComdbError) else f"{type(exc).__name__}: {exc}"
@@ -212,23 +213,23 @@ def run_experiment(task: str, *,
     so workers=1 starts no thread. Every run keeps its position, so the
     report does not depend on workers. An exception that escapes a
     repetition (from client_factory, say) stops every loop and reaches
-    the caller once all threads have ended. For tables joining each
-    thread opens one read-only connection to the database on first use;
-    all of them are closed before this function returns or raises.
+    the caller once all threads have ended. For tables joining the judge
+    opens one read-only connection on its first call; it is closed before
+    this function returns or raises.
 
     Each distinct answer text is hashed and judged once per call, for both
-    arms: the judges read only the text and inputs fixed for the call, and
-    repeats share the outcome, each in an entry of its own. So repeats of
-    an answer whose SQL hit SQL_TIME_LIMIT_S get its verdict without
-    waiting again. A judge that raises is not remembered, so each repeat
-    records its own error. Without a lock, two workers may both judge one
-    text.
+    arms and any workers: the judges read only the text and inputs fixed
+    for the call, and repeats share the outcome, each in an entry of its
+    own. A judge that raises is not remembered, so each repeat records its
+    own error. Judging holds one lock, so the connection serves one thread
+    at a time: repeats of an answer whose SQL hit SQL_TIME_LIMIT_S get its
+    verdict without waiting, and two answers that each hit it wait in turn.
     """
     if repetitions <= 0:
         raise ConfigError("repetitions must be >= 1")
     if workers < 1:
         raise ConfigError("workers must be >= 1")
-    connections = []
+    con = None
     if task == llm.TASK_INTEGRATION:
         if table_a is None or table_b is None:
             raise FixtureMissing("both tables for semantic integration")
@@ -251,20 +252,13 @@ def run_experiment(task: str, *,
         # A directory or a file that is not SQLite fails here, not in every run.
         check_sqlite_file(database)
         failed, means = {"sqlSuccess": False}, {}
-        local = threading.local()
-
-        def connection():
-            con = getattr(local, "con", None)
-            if con is None:
-                # Only this thread uses it; the calling thread closes it.
-                con = local.con = open_readonly(database, check_same_thread=False)
-                connections.append(con)
-            return con
 
         def judge(text):
+            nonlocal con
             sql = llm.extract_sql(text)
+            con = con or open_readonly(database, check_same_thread=False)
             try:
-                report = execute_sql(sql, connection())
+                report = execute_sql(sql, con)
             except WriteAttempt as exc:
                 return False, str(exc), failed
             return report.success, report.error_text, {"sqlSuccess": report.success}
@@ -281,7 +275,7 @@ def run_experiment(task: str, *,
     jobs = [(p, rep) for p in prepared for rep in range(repetitions)]
     runs = [None] * len(jobs)
     pending = iter(range(len(jobs)))
-    lock = threading.Lock()
+    lock, judge_lock = threading.Lock(), threading.Lock()
 
     def drain():
         try:
@@ -292,7 +286,7 @@ def run_experiment(task: str, *,
                     return
                 (bundle, prompt_hash), rep = jobs[i]
                 runs[i] = _repetition(bundle, prompt_hash, client_factory(), rep, judge,
-                                      failed, memo)
+                                      failed, memo, judge_lock)
         except BaseException as exc:  # stops the other loops, then reaches the caller
             escaped.append(exc)
 
@@ -306,7 +300,7 @@ def run_experiment(task: str, *,
     finally:
         for thread in threads:
             thread.join()
-        for con in connections:
+        if con is not None:
             con.close()
     if escaped:
         raise escaped[0]

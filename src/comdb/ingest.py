@@ -37,6 +37,7 @@ import re
 import sqlite3
 import string
 import struct
+import sys
 from contextlib import closing, suppress
 from itertools import islice
 from pathlib import Path
@@ -64,9 +65,12 @@ _SQLITE_MAGIC = b"SQLite format 3\x00"
 
 
 def read_text(path) -> str:
-    """The UTF-8 text of the file at path, less a leading byte-order mark.
-    A directory or a file that is not UTF-8 is an UnreadableFile; a missing
-    file stays FileNotFoundError."""
+    """The UTF-8 text of the file at path, or the text of standard input
+    when path is None, less a leading byte-order mark. A directory or a
+    file that is not UTF-8 is an UnreadableFile; a missing file stays
+    FileNotFoundError."""
+    if path is None:
+        return sys.stdin.read().removeprefix("\ufeff")
     try:
         return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except IsADirectoryError:

@@ -215,11 +215,11 @@ def build_prompt(task: str, arm: str, annotations: ValidatedAnnotations | None,
 def _retry_after(status: int, headers, cap: float) -> float | None:
     """The wait a 429 or 503 reply asks for in Retry-After (RFC 9110
     §10.2.3), at most cap; None for other replies, an HTTP-date or a
-    malformed value. Only the delta-seconds form is read; float() takes
-    any number of digits, where int() stops at 4300."""
+    malformed value. The name is found in any case. Only delta-seconds
+    are read; float() takes any number of digits, where int() stops at 4300."""
     if status not in (429, 503):
         return None
-    value = (headers.get("Retry-After") or "").strip()
+    value = next((v for k, v in headers.items() if k.lower() == "retry-after"), "").strip()
     return min(float(value), cap) if value.isascii() and value.isdigit() else None
 
 

@@ -78,7 +78,7 @@ class HeaderMapping(Value):
 
 def parse_map_text(text: str, source_table: str | None = None,
                    target_table: str | None = None) -> HeaderMapping:
-    entries = []
+    entries, lines = [], []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -91,10 +91,13 @@ def parse_map_text(text: str, source_table: str | None = None,
         if any(not h for h in sources + targets):
             raise ParseError("empty header name", lineno)
         entries.append(MappingEntry(tuple(sources), tuple(targets)))
+        lines.append(lineno)
     if not entries:
         raise ParseError("no mapping entries found", 1)
-    try:
-        return HeaderMapping(tuple(entries), source_table, target_table)
-    except ValueError as exc:
-        raise ParseError(str(exc), 1) from exc
+    _, rejected = split_reused(entries)
+    if rejected:
+        entry, side, header = rejected[0]
+        lineno = next(n for e, n in zip(entries, lines) if e is entry)
+        raise ParseError(f"{side} header {header!r} appears in two entries", lineno)
+    return HeaderMapping(tuple(entries), source_table, target_table)
 

@@ -54,16 +54,6 @@ _QUICKACK = getattr(socket, "TCP_QUICKACK", None)  # Linux only
 _CHUNK_SIZE = re.compile(rb"([0-9A-Fa-f]+)(?:[ \t]*;.*)?\r?\n")  # RFC 9112 §7.1
 
 
-class Headers(dict):
-    """Reply header fields under their lower-cased names, the lines of a
-    repeated name joined with ", "; get() takes a name in any case."""
-
-    __slots__ = ()
-
-    def get(self, name, default=None):
-        return dict.get(self, name.lower(), default)
-
-
 def _line(reader, what: str) -> bytes:
     line = reader.readline(MAX_LINE + 1)
     if len(line) > MAX_LINE:
@@ -71,9 +61,10 @@ def _line(reader, what: str) -> bytes:
     return line
 
 
-def _fields(reader) -> Headers:
-    """The fields of a header or trailer section, up to its blank line."""
-    headers = Headers()
+def _fields(reader) -> dict:
+    """The fields of a header or trailer section, up to its blank line,
+    under their lower-cased names."""
+    headers = {}
     for _ in range(MAX_HEADERS + 1):
         line = _line(reader, "header line")
         if line in (b"\r\n", b"\n"):
@@ -87,7 +78,7 @@ def _fields(reader) -> Headers:
     raise ValueError(f"more than {MAX_HEADERS} header lines")
 
 
-def read_head(reader) -> tuple[str, int, str, Headers]:
+def read_head(reader) -> tuple[str, int, str, dict]:
     """The version, status code, reason and header fields of one reply head."""
     line = _line(reader, "status line")
     if not line:
@@ -127,7 +118,7 @@ def _chunked(reader) -> bytes:
     return b"".join(chunks)
 
 
-def read_reply(reader) -> tuple[int, Headers, bytes, bool]:
+def read_reply(reader) -> tuple[int, dict, bytes, bool]:
     """One reply from a buffered binary reader: (status, headers, body,
     keep), where keep says whether the connection may carry another
     request."""

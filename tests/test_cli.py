@@ -396,24 +396,33 @@ def test_unreadable_input_is_an_error(tmp_path, capsys, kind, command):
     assert captured.err == f"error: {path}: {reason}\n"
 
 
-# A leading UTF-8 byte-order mark is not part of the text, in any format.
-@pytest.mark.parametrize("name, command", [
-    (bundled.SYNTHEA_SCHEMA, lambda path: ["emit", path]),
-    (bundled.SYNTHEA_CONTEXT, lambda path: ["emit", fx(bundled.SYNTHEA_SCHEMA), path]),
-    (bundled.PATIENTS_GOLD_MAP,
-     lambda path: ["score", "--predicted", path, "--gold", fx(bundled.PATIENTS_GOLD_MAP)]),
-    (bundled.SYNTHEA_DDL, lambda path: ["ingest", path]),
-    (bundled.INTEGRATION_MOCK,
-     lambda path: ["run", "--task", "integration", "--n", "1", "--mock", path,
-                   "--gold", fx(bundled.PATIENTS_GOLD_MAP)]),
-], ids=["schema", "ctx", "map", "sql", "mockjson"])
-def test_inputs_accept_a_utf8_byte_order_mark(tmp_path, capsys, name, command):
-    assert main(command(fx(name))) == 0
-    expected = capsys.readouterr().out
-    path = tmp_path / name
-    path.write_bytes(b"\xef\xbb\xbf" + bundled.fixture_path(name).read_bytes())
-    assert main(command(str(path))) == 0
-    assert capsys.readouterr().out == expected
+# A leading UTF-8 byte-order mark is not part of the text, in any format,
+# in a file or, for a command given no path, on standard input.
+@pytest.mark.parametrize("name, text, command", [
+    (bundled.SYNTHEA_SCHEMA, None, lambda path, db: ["emit", path]),
+    (bundled.SYNTHEA_CONTEXT, None, lambda path, db: ["emit", fx(bundled.SYNTHEA_SCHEMA), path]),
+    (bundled.PATIENTS_GOLD_MAP, None,
+     lambda path, db: ["score", "--predicted", path, "--gold", fx(bundled.PATIENTS_GOLD_MAP)]),
+    (bundled.SYNTHEA_DDL, None, lambda path, db: ["ingest", path]),
+    (bundled.INTEGRATION_MOCK, None,
+     lambda path, db: ["run", "--task", "integration", "--n", "1", "--mock", path,
+                       "--gold", fx(bundled.PATIENTS_GOLD_MAP)]),
+    ("query.sql", "SELECT Id, NAME FROM providers;\n",
+     lambda path, db: ["validate-sql", "--db", db]),
+    ("report.json", data_text("mock_report_n3.json"), lambda path, db: ["report"]),
+], ids=["schema", "ctx", "map", "sql", "mockjson", "stdin-sql", "stdin-report"])
+def test_inputs_accept_a_utf8_byte_order_mark(tmp_path, capsys, monkeypatch, fixture_db,
+                                              name, text, command):
+    text = text or bundled.fixture_text(name)
+    outputs = []
+    for mark in ("", "\ufeff"):
+        path = tmp_path / f"mark{len(mark)}" / name
+        path.parent.mkdir()
+        path.write_text(mark + text, encoding="utf-8")
+        monkeypatch.setattr("sys.stdin", io.StringIO(mark + text))
+        assert main(command(str(path), str(fixture_db))) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[1] == outputs[0]
 
 
 @pytest.mark.parametrize("command", [

@@ -143,8 +143,10 @@ def test_mapping_invariant_duplicate_target():
     ("Name = FIRST", "line 1: expected 'A-side -> B-side'"),
     ("# gold\nName -> FIRST +", "line 2: empty header name"),
     ("# no entries\n\n", "line 1: no mapping entries found"),
-    ("Name -> FIRST\nname -> LAST", "line 1: source header 'name' appears in two entries"),
-], ids=["no-arrow", "empty-header", "no-entries", "reused-header"])
+    ("Name -> FIRST\nname -> LAST", "line 2: source header 'name' appears in two entries"),
+    ("Name -> FIRST\n# c\n\nname -> LAST",
+     "line 4: source header 'name' appears in two entries"),
+], ids=["no-arrow", "empty-header", "no-entries", "reused-header", "reused-after-comment"])
 def test_parse_map_text_errors(text, message):
     with pytest.raises(ParseError) as excinfo:
         parse_map_text(text)
@@ -604,11 +606,26 @@ def test_run_starts_no_thread_without_a_job(task_inputs, monkeypatch):
     assert len(started) == 1
 
 
+def _slow_judge(monkeypatch) -> list:
+    """Make evaluate.execute_sql take 50 ms more, so that workers meet in
+    the judge; return the list each statement it runs is appended to."""
+    statements, original = [], evaluate.execute_sql
+
+    def slow(sql, database):
+        statements.append(sql)
+        time.sleep(0.05)
+        return original(sql, database)
+
+    monkeypatch.setattr(evaluate, "execute_sql", slow)
+    return statements
+
+
 @pytest.mark.parametrize("workers", [1, 8])
-def test_run_joining_one_connection_per_worker(synthea_schema, synthea_annotations,
-                                               fixture_db, monkeypatch, workers):
-    # More workers than cores and a short switch interval, so a connection
-    # lost between opening and the close list would show up unclosed.
+def test_run_joining_opens_one_connection(synthea_schema, synthea_annotations,
+                                          fixture_db, monkeypatch, workers):
+    # More workers than cores, a short switch interval and a slow judge, so
+    # that each worker has an answer to judge while the first one is judged,
+    # and a connection left unclosed would show up.
     opened = []
 
     def recording_open(location, **kwargs):
@@ -617,6 +634,7 @@ def test_run_joining_one_connection_per_worker(synthea_schema, synthea_annotatio
         return con
 
     monkeypatch.setattr(evaluate, "open_readonly", recording_open)
+    _slow_judge(monkeypatch)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -628,10 +646,23 @@ def test_run_joining_one_connection_per_worker(synthea_schema, synthea_annotatio
     finally:
         sys.setswitchinterval(interval)
     assert [r["aggregate"]["successRate"] for r in reports] == [1.0, 0.0]
-    assert 1 <= len(opened) <= workers
+    assert len(opened) == 1
     for con in opened:
         with pytest.raises(sqlite3.ProgrammingError, match="closed"):
             con.execute("SELECT 1")
+
+
+def test_run_judges_one_answer_once_whatever_the_workers(synthea_schema, fixture_db,
+                                                          monkeypatch):
+    # All eight workers get the same answer at once, and the judge is slow.
+    records = [{"task": TASK_JOINING, "arm": WITHOUT_CONTEXT, "repetition": rep,
+                "response": "SELECT Id FROM patients;"} for rep in range(8)]
+    statements = _slow_judge(monkeypatch)
+    [report] = run_experiment(TASK_JOINING, arms=(WITHOUT_CONTEXT,), repetitions=8,
+                              workers=8, client_factory=lambda: MockChatClient(records),
+                              schema=synthea_schema, database=fixture_db)
+    assert statements == ["SELECT Id FROM patients;"]
+    assert all(run["ok"] for run in report["runs"])
 
 
 @pytest.mark.parametrize("workers", [1, 3])
