@@ -94,10 +94,11 @@ def parse_map_text(text: str, source_table: str | None = None,
         lines.append(lineno)
     if not entries:
         raise ParseError("no mapping entries found", 1)
-    _, rejected = split_reused(entries)
-    if rejected:
-        entry, side, header = rejected[0]
+    try:
+        return HeaderMapping(tuple(entries), source_table, target_table)
+    except ValueError as exc:
+        # HeaderMapping refuses only a reused header: name the line reusing it.
+        (entry, _, _), *_ = split_reused(entries)[1]
         lineno = next(n for e, n in zip(entries, lines) if e is entry)
-        raise ParseError(f"{side} header {header!r} appears in two entries", lineno)
-    return HeaderMapping(tuple(entries), source_table, target_table)
+        raise ParseError(str(exc), lineno) from exc
 
