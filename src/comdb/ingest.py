@@ -13,12 +13,12 @@ Header and table names may contain spaces; commas delimit lists, so a comma
 is the one character a name cannot contain (plus newlines, and ``:`` in
 fixture table names). ``#`` starts a comment line in .schema/.ctx files.
 
-DDL is read in one pass. Plain statements (bare names, a column list with
+DDL is read in one pass. A plain statement (bare names, a column list with
 no parentheses, quotes, ``-`` or ``;``, whitespace and ``--`` comments
-between statements) take one regular-expression match each. From the first
-statement that is not plain, the token parser reads the rest of the text;
-it returns the same tables for plain statements too and is the only source
-of DDL errors. The tokenizer keeps only each token's text. On a ParseError
+between statements) takes one regular-expression match, and its later
+column names one findall. From the first statement that is not plain, the
+token parser reads the rest of the text; it returns the same tables for
+plain statements too and is the only source of DDL errors. On a ParseError
 the text is matched again, from where the token parser started up to the
 failing token, and the line and column come from that token's offset.
 
@@ -65,18 +65,19 @@ _SQLITE_MAGIC = b"SQLite format 3\x00"
 
 
 def read_text(path) -> str:
-    """The UTF-8 text of the file at path, or the text of standard input
-    when path is None, less a leading byte-order mark. A directory or a
-    file that is not UTF-8 is an UnreadableFile; a missing file stays
+    """The UTF-8 text of the file at path, or of the bytes on standard
+    input when path is None, less a leading byte-order mark. A directory,
+    or bytes that are not UTF-8, is an UnreadableFile; a missing file stays
     FileNotFoundError."""
-    if path is None:
-        return sys.stdin.read().removeprefix("\ufeff")
     try:
+        if path is None:
+            return sys.stdin.buffer.read().decode("utf-8").removeprefix("\ufeff")
         return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except IsADirectoryError:
         raise UnreadableFile(path, "is a directory, not a file") from None
     except UnicodeDecodeError as exc:
-        raise UnreadableFile(path, f"not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+        raise UnreadableFile(path or "standard input",
+                             f"not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
 # --- DDL ---
@@ -162,15 +163,15 @@ def _unquote(tok: str) -> str:
 # start a statement inside it. A column name (_BARE_COLUMN) is a bare name
 # that is no table-constraint keyword and ends where its definition's first
 # run of non-space, non-comma characters ends. Group 2 is the first
-# definition's name, group 3 the rest of the list. _COLUMN_NAME_RE finds one
-# name after each comma, or "" where the definition does not start with one.
+# definition's name, group 3 the rest of the list. _COLUMN_NAME_RE finds the
+# name after each comma; with fewer names than commas, the statement is not plain.
 _SKIP = r"\s*(?:--[^\n]*(?![^\n])\s*)*"
 _BARE_COLUMN = (rf"(?!(?ai:{'|'.join(sorted(_TABLE_CONSTRAINT_KEYWORDS))})(?![A-Za-z0-9_]))"
                 r"[A-Za-z_][A-Za-z0-9_]*(?![^\s,)])")
 _PLAIN_STATEMENT_RE = re.compile(
     rf"{_SKIP}(?ai:create)\s+(?ai:table)\s+([A-Za-z_][A-Za-z0-9_]*)\s*"
     rf"\(\s*({_BARE_COLUMN})([^()'\"`\[;-]*)\){_SKIP};{_SKIP}")
-_COLUMN_NAME_RE = re.compile(rf",\s*({_BARE_COLUMN})?")
+_COLUMN_NAME_RE = re.compile(rf",\s*({_BARE_COLUMN})")
 
 
 def parse_ddl(text: str, name: str = "database") -> DatabaseSchema:
@@ -182,10 +183,10 @@ def parse_ddl(text: str, name: str = "database") -> DatabaseSchema:
     # match() at each statement's offset, not finditer(): a search would
     # retry at every later offset after the first statement that is not plain.
     while m := _PLAIN_STATEMENT_RE.match(text, pos):
-        headers = (m[2], *_COLUMN_NAME_RE.findall(m[3]))
-        if "" in headers:
+        names = _COLUMN_NAME_RE.findall(m[3])
+        if len(names) < m[3].count(","):
             break
-        tables.append(TableSchema(m[1], headers))
+        tables.append(TableSchema(m[1], (m[2], *names)))
         pos = m.end()
     if pos < len(text) or not tables:
         tables += _parse_ddl_tokens(text, pos)
@@ -297,9 +298,9 @@ def parse_annotations(text: str) -> OntologyAnnotations:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if "=>" not in line:
+        left, arrow, right = map(str.strip, line.partition("=>"))
+        if not arrow:
             raise ParseError("expected '=>'", lineno)
-        left, right = (part.strip() for part in line.split("=>", 1))
         if not left:
             raise ParseError("empty subject side", lineno)
         if not right:
@@ -327,12 +328,12 @@ def parse_annotations(text: str) -> OntologyAnnotations:
         else:
             subjects = [p.strip() for p in left.split(",")]
             objects = [p.strip() for p in right.split(",")]
-            if any(not n for n in subjects + objects):
+            if "" in subjects or "" in objects:
                 raise ParseError("empty table name in relation", lineno)
-            if any("." in n for n in subjects + objects):
+            if "." in left or "." in right:
                 raise MixedScope(lineno,
                                  "table relation mixes in a table.header reference")
-            relations.append(ContextRelation(tuple(subjects), tuple(objects)))
+            relations.append(ContextRelation(subjects, objects))
     return OntologyAnnotations(tuple(relations), tuple(groups))
 
 

@@ -18,6 +18,11 @@ def normalize_header(name: str) -> str:
     return name.strip().casefold()
 
 
+def normalize_headers(names) -> frozenset[str]:
+    """The set of normalize_header(n) for n in names, made in C-level passes."""
+    return frozenset(map(str.casefold, map(str.strip, names)))
+
+
 class MappingEntry(Value):
     __slots__ = ("source_headers", "target_headers")
 
@@ -29,8 +34,7 @@ class MappingEntry(Value):
         object.__setattr__(self, "target_headers", target_headers)
 
     def normalized(self) -> tuple[frozenset, frozenset]:
-        return (frozenset(normalize_header(h) for h in self.source_headers),
-                frozenset(normalize_header(h) for h in self.target_headers))
+        return normalize_headers(self.source_headers), normalize_headers(self.target_headers)
 
 
 def split_reused(entries) -> tuple[list[MappingEntry], list[tuple[MappingEntry, str, str]]]:

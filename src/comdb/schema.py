@@ -30,7 +30,7 @@ from .errors import (
     UnknownHeader,
     UnknownTable,
 )
-from .mapping import normalize_header
+from .mapping import normalize_header, normalize_headers
 from .value import Value
 
 
@@ -176,7 +176,7 @@ def validate_schema(schema: DatabaseSchema) -> ValidatedSchema:
         # header by header, to name the first offender.
         joined = "".join(headers)
         if ("" in headers or "\n" in joined or "\r" in joined
-                or len(set(map(normalize_header, headers))) < len(headers)):
+                or len(normalize_headers(headers)) < len(headers)):
             seen_headers = set()
             for header in headers:
                 _check_name("header", header)
@@ -195,9 +195,16 @@ def validate_annotations(ann: OntologyAnnotations,
     self-referential relations, and header groups of fewer than two
     headers or with an empty concept.
     """
+    known = schema._by_name.keys()
     for i, rel in enumerate(ann.table_relations):
         if not rel.subjects or not rel.objects:
             raise EmptySide(i)
+        # Set operations accept a relation with no repeat, no overlap and only
+        # known tables. Any other is walked to name its first fault; when the
+        # walk finds no repeat and no unknown table, the fault is an overlap.
+        names = {*rel.subjects, *rel.objects}
+        if len(names) == len(rel.subjects) + len(rel.objects) and known >= names:
+            continue
         for side in (rel.subjects, rel.objects):
             seen = set()
             for name in side:
@@ -206,9 +213,7 @@ def validate_annotations(ann: OntologyAnnotations,
                 seen.add(name)
                 if not schema.has_table(name):
                     raise UnknownTable(name)
-        overlap = set(rel.subjects) & set(rel.objects)
-        if overlap:
-            raise SelfContext(sorted(overlap)[0])
+        raise SelfContext(min(set(rel.subjects) & set(rel.objects)))
     for group in ann.header_groups:
         if not schema.has_table(group.table):
             raise UnknownTable(group.table)

@@ -4,6 +4,8 @@ import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -17,6 +19,15 @@ from conftest import data_text
 
 def fx(name):
     return str(bundled.fixture_path(name))
+
+
+def feed_stdin(monkeypatch, data):
+    """Make data (bytes, or text as UTF-8) standard input, as a text stream
+    over a byte buffer that decodes like a UTF-8 locale's."""
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(
+        io.BytesIO(data), encoding="utf-8", errors="surrogateescape"))
 
 
 def test_emit_golden(capsys):
@@ -419,10 +430,44 @@ def test_inputs_accept_a_utf8_byte_order_mark(tmp_path, capsys, monkeypatch, fix
         path = tmp_path / f"mark{len(mark)}" / name
         path.parent.mkdir()
         path.write_text(mark + text, encoding="utf-8")
-        monkeypatch.setattr("sys.stdin", io.StringIO(mark + text))
+        feed_stdin(monkeypatch, mark + text)
         assert main(command(str(path), str(fixture_db))) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[1] == outputs[0]
+
+
+# Bytes on standard input that are not UTF-8 are refused as they are in a
+# file, whatever the locale's stream would make of them. The offset counts
+# from the first byte, byte-order mark included.
+@pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "after-bom"])
+@pytest.mark.parametrize("data, reason, offset, command", [
+    (b"SELECT 1;\xff", "invalid start byte", 9, lambda db: ["validate-sql", "--db", db]),
+    (b"SELECT 'a\xc3(';", "invalid continuation byte", 9,
+     lambda db: ["validate-sql", "--db", db]),
+    (b'{"experiments": ["\xed\xa0\x80"]}', "invalid continuation byte", 18,
+     lambda db: ["report"]),
+], ids=["sql-invalid-start", "sql-invalid-continuation", "report-surrogate"])
+def test_stdin_that_is_not_utf8_is_an_error(capsys, monkeypatch, fixture_db,
+                                            data, reason, offset, command, bom):
+    feed_stdin(monkeypatch, bom + data)
+    assert main(command(str(fixture_db))) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: standard input: not UTF-8 text "
+                            f"({reason} at byte {offset + len(bom)})\n")
+
+
+def test_stdin_is_decoded_from_bytes_in_a_fresh_process(fixture_db):
+    # A real process, its standard input a pipe, under a UTF-8 locale.
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONIOENCODING"}
+    env.update(LC_ALL="C.UTF-8", PYTHONPATH=os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parents[1] / "src"),
+                    os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "comdb", "validate-sql", "--db", str(fixture_db)],
+                          input=b"\xef\xbb\xbfSELECT 1;\xff", env=env, capture_output=True,
+                          timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        1, b"", b"error: standard input: not UTF-8 text (invalid start byte at byte 12)\n")
 
 
 @pytest.mark.parametrize("command", [
@@ -478,7 +523,7 @@ def _joining_on(db):
 def test_sqlite_path_that_is_no_sqlite_file_is_an_error(tmp_path, capsys, monkeypatch,
                                                          kind, reason, command):
     db = str(tmp_path) if kind == "directory" else fx(bundled.SYNTHEA_DDL)
-    monkeypatch.setattr("sys.stdin", io.StringIO("SELECT 1;"))
+    feed_stdin(monkeypatch, "SELECT 1;")
     monkeypatch.setattr("comdb.evaluate._repetition",
                         lambda *args: pytest.fail("a repetition ran"))
     assert main(command(db)) == 1
@@ -524,7 +569,7 @@ def test_validate_sql_correct(tmp_path, capsys):
 def test_validate_sql_empty_stdin(tmp_path, capsys, monkeypatch):
     db = tmp_path / "hospital.db"
     main(["ingest", fx(bundled.SYNTHEA_DDL), "--to", "db", "--out", str(db)])
-    monkeypatch.setattr("sys.stdin", io.StringIO(""))
+    feed_stdin(monkeypatch, "")
     rc = main(["validate-sql", "--db", str(db)])
     assert rc == 1
     assert "empty statement" in capsys.readouterr().out
@@ -555,7 +600,7 @@ def test_report_command(tmp_path, capsys):
 
 
 def test_report_not_json_is_an_error(capsys, monkeypatch):
-    monkeypatch.setattr("sys.stdin", io.StringIO("{bad\n"))
+    feed_stdin(monkeypatch, "{bad\n")
     rc = main(["report"])
     assert rc == 1
     captured = capsys.readouterr()
@@ -571,7 +616,7 @@ def test_report_not_json_is_an_error(capsys, monkeypatch):
     ('{"experiments": [{"task": "t", "arm": "a", "n": 1}]}', "KeyError: 'aggregate'"),
 ], ids=["list", "experiment-without-keys", "string-rate", "experiment-without-aggregate"])
 def test_report_not_a_report_is_an_error(capsys, monkeypatch, text, cause):
-    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    feed_stdin(monkeypatch, text)
     rc = main(["report"])
     assert rc == 1
     captured = capsys.readouterr()

@@ -8,7 +8,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from comdb.errors import (
     BuildFailed,
@@ -30,7 +30,7 @@ from comdb.ingest import (
     render_annotations,
     render_fixture,
 )
-from comdb.schema import DatabaseSchema, TableSchema
+from comdb.schema import ContextRelation, DatabaseSchema, TableSchema
 from comdb import fixtures as bundled
 
 from conftest import rand_annotations, rand_schema
@@ -246,8 +246,9 @@ _NEAR_MISSES = st.sampled_from(["", " ", "\n", "\xa0", "-- c\n", "-- create tabl
                                 "-", ";", "'", "$x"])
 _COLUMN_DEFS = st.lists(st.builds(
     "{}{}".format,
-    st.sampled_from(["a_1", "Id", "PRIMARY", "check", "$x", "é", "1", ""]),
-    st.sampled_from(["", " INT", "\tTEXT NOT NULL", " INT -- c, x\n", " -1", " NUMERIC(10,2)"])),
+    st.sampled_from(["a_1", "Id", "PRIMARY", "check", "Unique", "$x", "é", "1", ""]),
+    st.sampled_from(["", " INT", "\tTEXT NOT NULL", " INT -- c, x\n", " -1", " NUMERIC(10,2)",
+                     ".b TEXT", "+b"])),
     max_size=4).map(", ".join)
 _PLAIN_STATEMENTS = st.builds(
     "{}{}".format, _NEAR_MISSES,
@@ -274,6 +275,23 @@ def _outcome(parse, text):
                 getattr(err, "expected", None))
 
 
+# Each kind of later column definition the fast path must decline, pinned
+# so that every run meets it: a constraint keyword in any case, a name
+# followed by a character that is neither a space nor a comma, an empty
+# definition and a trailing comma; alone, and after a plain statement.
+@example("CREATE TABLE t (a INT, primary TEXT);")
+@example("CREATE TABLE t (a INT, Unique);")
+@example("CREATE TABLE t (a INT, cHeCk (a > 0), b INT);")
+@example("CREATE TABLE t (a INT, a.b TEXT);")
+@example("CREATE TABLE t (a INT, a+b);")
+@example("CREATE TABLE t (a INT, , b INT);")
+@example("CREATE TABLE t (a INT,\t,b);")
+@example("CREATE TABLE t (a INT, b INT,);")
+@example("CREATE TABLE t (a INT, b INT, );")
+@example("CREATE TABLE s (x INT);\nCREATE TABLE t (a, Foreign KEY);")
+@example("CREATE TABLE s (x INT);\nCREATE TABLE t (a, b.c, d);")
+@example("CREATE TABLE s (x INT);\nCREATE TABLE t (a, , d);")
+@example("CREATE TABLE s (x INT);\nCREATE TABLE t (a, b,);\nCREATE TABLE u (y INT);")
 @given(st.one_of(st.text(), _PIECE_MIXES, _PLAIN_STATEMENTS, _PLAIN_THEN_ANY))
 def test_ddl_fast_path_declines_or_agrees_with_the_token_parser(text):
     # Whatever the pattern takes before it declines, the outcome is the
@@ -708,6 +726,45 @@ def test_parse_annotations_mixed_scope():
         parse_annotations("patients, encounters.Id => patients")
     with pytest.raises(MixedScope):
         parse_annotations("patients, encounters => concept: visits")
+
+
+# Relation lines: each either parses to the given (subjects, objects) or
+# fails with the given class and message, which carries the line number.
+# An empty name is found before a dotted one, and only the first "=>" of a
+# line splits it.
+@pytest.mark.parametrize("text, want", [
+    ("a, , b => c", (ParseError, "line 1: empty table name in relation")),
+    ("a => b,", (ParseError, "line 1: empty table name in relation")),
+    ("x => y\na => ,", (ParseError, "line 2: empty table name in relation")),
+    ("a.x, , b => c", (ParseError, "line 1: empty table name in relation")),
+    ("a => b, c.", (MixedScope, "line 1: table relation mixes in a table.header reference")),
+    ("# c\na.x, b => c", (MixedScope, "line 2: table relation mixes in a table.header reference")),
+    ("a => b, c.y", (MixedScope, "line 1: table relation mixes in a table.header reference")),
+    (".a => b", (MixedScope, "line 1: table relation mixes in a table.header reference")),
+    ("a => b => c", (("a",), ("b => c",))),
+    ("a, b => => c", (("a", "b"), ("=> c",))),
+    ("a.x => b => concept: c",
+     (MixedScope, "line 1: table relation mixes in a table.header reference")),
+    ("=>", (ParseError, "line 1: empty subject side")),
+    ("# c\n\n \t=>\t ", (ParseError, "line 3: empty subject side")),
+    ("\ta ,\tb  =>  c\t", (("a", "b"), ("c",))),
+    ("a\t=>\t\tb , c \t", (("a",), ("b", "c"))),
+    ("a,b=>c,d", (("a", "b"), ("c", "d"))),
+    ("\u3000a\u3000, \x1fb\x1f => c\xa0", (("a", "b"), ("c",))),
+], ids=["empty-inner", "trailing-comma", "empty-objects-line-2", "empty-before-dotted",
+        "dot-at-end", "dotted-subject-line-2", "dotted-object", "dot-first",
+        "arrow-twice", "arrow-twice-adjacent", "arrow-twice-then-concept", "only-arrow",
+        "only-arrow-line-3", "tabs-and-spaces", "tabs-around-objects", "no-spaces",
+        "unicode-spaces"])
+def test_parse_annotations_relation_lines(text, want):
+    if isinstance(want[0], tuple):
+        assert parse_annotations(text).table_relations == (ContextRelation(*want),)
+        return
+    with pytest.raises(want[0]) as excinfo:
+        parse_annotations(text)
+    assert type(excinfo.value) is want[0]
+    assert str(excinfo.value) == want[1]
+    assert excinfo.value.line == int(want[1].split(":")[0].removeprefix("line "))
 
 
 @given(seed=st.integers(0, 2**32 - 1))

@@ -3,9 +3,10 @@ import random
 import time
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from comdb.errors import (
+    ComdbError,
     DuplicateHeader,
     DuplicateTable,
     EmptySchema,
@@ -17,7 +18,7 @@ from comdb.errors import (
     UnknownHeader,
     UnknownTable,
 )
-from comdb.mapping import normalize_header
+from comdb.mapping import normalize_header, normalize_headers
 from comdb.schema import (
     ContextRelation,
     DatabaseSchema,
@@ -148,6 +149,67 @@ def test_duplicate_in_relation_rejected(synthea_schema):
         validate_annotations(ann, synthea_schema)
 
 
+_ABCD = validate_schema(DatabaseSchema("abcd", tuple(
+    table(name, "x", "y", "z") for name in "abcd")))
+_GOOD = ContextRelation(("a",), ("b",))
+
+
+# Annotations with two faults, in one relation or across relations and
+# groups: validation names the first one a walk in order meets. Subjects
+# are walked before objects, each name checked for a repeat and then for
+# its table, and the overlap of the sides is checked last.
+@pytest.mark.parametrize("relations, groups, error, message", [
+    ([(("a", "a", "q"), ("b",))], [], InvalidGroup,
+     "bad header group on table 'a': table 'a' repeated within relation 0"),
+    ([(("q", "a", "a"), ("b",))], [], UnknownTable,
+     "annotation references unknown table 'q'"),
+    ([(("a", "b"), ("b", "q"))], [], UnknownTable,
+     "annotation references unknown table 'q'"),
+    ([(("a", "q"), ("b", "b"))], [], UnknownTable,
+     "annotation references unknown table 'q'"),
+    ([(("a",), ("b", "b", "q"))], [], InvalidGroup,
+     "bad header group on table 'b': table 'b' repeated within relation 0"),
+    ([(("c", "b", "a"), ("b", "a"))], [], SelfContext,
+     "table 'a' appears on both sides of one relation"),
+    ([(("a", "b"), ("c", "a", "a"))], [], InvalidGroup,
+     "bad header group on table 'a': table 'a' repeated within relation 0"),
+    ([((), ("q",))], [], EmptySide, "relation 0 has an empty subject or object list"),
+    ([(("q", "q"), ())], [], EmptySide, "relation 0 has an empty subject or object list"),
+    ([_GOOD, (("a",), ())], [], EmptySide, "relation 1 has an empty subject or object list"),
+    ([(("a",), ("a",)), (("q",), ("b",))], [], SelfContext,
+     "table 'a' appears on both sides of one relation"),
+    ([_GOOD, (("c", "d", "c"), ("q",))], [], InvalidGroup,
+     "bad header group on table 'c': table 'c' repeated within relation 1"),
+    ([(("q",), ("b",))], [("r", ("x", "y"), "c")], UnknownTable,
+     "annotation references unknown table 'q'"),
+    ([(("a",), ("a",))], [("a", ("x",), "c")], SelfContext,
+     "table 'a' appears on both sides of one relation"),
+    ([_GOOD], [("a", ("x", "w"), "c"), ("r", ("x", "y"), "c")], UnknownHeader,
+     "table 'a' has no header 'w'"),
+    ([_GOOD], [("a", ("x", "x", "w"), "c")], InvalidGroup,
+     "bad header group on table 'a': header 'x' repeated"),
+    ([_GOOD], [("a", ("w", "x", "x"), "c")], UnknownHeader,
+     "table 'a' has no header 'w'"),
+    ([_GOOD], [("a", ("w",), "")], InvalidGroup,
+     "bad header group on table 'a': a header group needs at least two headers"),
+], ids=["repeat-then-unknown", "unknown-then-repeat", "overlap-then-unknown-object",
+        "unknown-subject-then-repeated-objects", "repeated-object-then-unknown",
+        "overlap-of-two", "overlap-then-repeat", "empty-subjects", "empty-objects",
+        "empty-side-after-good", "overlap-before-unknown-relation",
+        "repeat-in-second-relation", "bad-relation-then-bad-group",
+        "overlap-then-short-group", "unknown-header-then-unknown-table",
+        "repeated-header-then-unknown", "unknown-header-then-repeat", "short-group"])
+def test_validate_annotations_names_the_first_offender(relations, groups, error, message):
+    ann = OntologyAnnotations(
+        tuple(r if isinstance(r, ContextRelation) else ContextRelation(*r)
+              for r in relations),
+        tuple(HeaderContextGroup(*g) for g in groups))
+    with pytest.raises(error) as excinfo:
+        validate_annotations(ann, _ABCD)
+    assert type(excinfo.value) is error
+    assert str(excinfo.value) == message
+
+
 def test_expand_single_pair():
     pairs = expand_context_relation(ContextRelation(("providers",), ("organizations",)))
     assert pairs == [DirectedContextPair("providers", "organizations")]
@@ -234,6 +296,84 @@ def test_bulk_header_check_names_first_offender(headers):
         validate_schema(DatabaseSchema("x", (t,)))
     err = excinfo.value
     assert (err.header if want[0] is DuplicateHeader else err.name) == want[1]
+
+
+# Text rich in what strip and casefold treat specially: ß and the ligature
+# ﬁ casefold to two letters, İ to i and a combining dot, and the ideographic
+# space and the separators \x1c-\x1f are whitespace that strip removes.
+_FOLDING_TEXT = st.lists(st.one_of(
+    st.characters(), st.sampled_from(["ß", "SS", "İ", "i̇", "ﬁ", "FI", "　", "\x1c", "\x1d",
+                                      "\x1e", "\x1f", " ", "\t", "\xa0", "ς", "Σ"]))).map("".join)
+
+
+@example(["ß", "SS", "ss", " İ", "i̇ ", "ﬁ", "FI", "　x\x1c", "X\x1f", "\x1d\x1e"])
+@given(st.lists(_FOLDING_TEXT))
+def test_bulk_normalizer_equals_normalize_header(names):
+    assert normalize_headers(names) == {normalize_header(h) for h in names}
+    assert type(normalize_headers(names)) is frozenset
+
+
+def _outcome(validate, *args):
+    try:
+        validate(*args)
+    except ComdbError as err:
+        return type(err), str(err)
+    return None
+
+
+def _walk_schema(schema):
+    """validate_schema as a walk over every name in order, with no bulk test."""
+    if not schema.tables:
+        raise EmptySchema()
+    seen_tables = set()
+    for t in schema.tables:
+        if not t.name or "\n" in t.name or "\r" in t.name:
+            raise InvalidName("table", t.name)
+        if normalize_header(t.name) in seen_tables:
+            raise DuplicateTable(t.name)
+        seen_tables.add(normalize_header(t.name))
+        if not t.headers:
+            raise EmptyTable(t.name)
+        if (bad := _first_bad_header(t)) is not None:
+            raise (InvalidName("header", bad[1]) if bad[0] is InvalidName
+                   else DuplicateHeader(t.name, bad[1]))
+
+
+_NAMES = st.sampled_from(["a", "A", " a", "b", "ß", "SS", "", "x\ny", "c\r", "ﬁ", "FI"])
+
+
+@given(st.lists(st.tuples(_NAMES, st.lists(_NAMES, max_size=4)), max_size=4))
+def test_validate_schema_raises_as_a_walk_does(tables):
+    schema = DatabaseSchema("db", tuple(table(name, *headers) for name, headers in tables))
+    assert _outcome(validate_schema, schema) == _outcome(_walk_schema, schema)
+
+
+def _walk_relations(ann, schema):
+    """validate_annotations' relation checks as a walk, with no set test."""
+    for i, rel in enumerate(ann.table_relations):
+        if not rel.subjects or not rel.objects:
+            raise EmptySide(i)
+        for side in (rel.subjects, rel.objects):
+            seen = set()
+            for name in side:
+                if name in seen:
+                    raise InvalidGroup(name, f"table {name!r} repeated within relation {i}")
+                seen.add(name)
+                if not schema.has_table(name):
+                    raise UnknownTable(name)
+        overlap = set(rel.subjects) & set(rel.objects)
+        if overlap:
+            raise SelfContext(sorted(overlap)[0])
+
+
+_SIDES = st.lists(st.sampled_from(["a", "b", "c", "d", "q", "A"]), max_size=4).map(tuple)
+
+
+@given(st.lists(st.tuples(_SIDES, _SIDES), max_size=4))
+def test_validate_annotations_raises_as_a_walk_does(relations):
+    ann = OntologyAnnotations(tuple(ContextRelation(*r) for r in relations), ())
+    assert (_outcome(validate_annotations, ann, _ABCD)
+            == _outcome(_walk_relations, ann, _ABCD))
 
 
 def test_table_lookup_is_exact(synthea_schema):
