@@ -40,10 +40,11 @@ from .llm import (
     ClientConfig,
     HttpChatClient,
     MockChatClient,
-    build_prompt,
+    build_integration_prompt,
+    build_join_prompt,
 )
 from .mapping import normalize_header, parse_map_text
-from .nl import ALPHABETICAL, INPUT_ORDER, StyleFlags, emit_base_schema, emit_contextual_schema
+from .nl import ALPHABETICAL, INPUT_ORDER, emit_base_schema, emit_contextual_schema
 from .schema import validate_annotations, validate_schema
 
 _TASKS = {"integration": TASK_INTEGRATION, "joining": TASK_JOINING}
@@ -89,18 +90,6 @@ def _write_output(text: str, out: str | None):
         sys.stdout.write(text)
 
 
-def _style(args) -> StyleFlags:
-    return StyleFlags(prefixed_header_groups=not args.plain_groups,
-                      oxford_and=not args.no_oxford)
-
-
-def _add_style_flags(parser):
-    parser.add_argument("--plain-groups", action="store_true",
-                        help="render header groups without the \"In table\" prefix")
-    parser.add_argument("--no-oxford", action="store_true",
-                        help="no 'and' before the last of three or more headers")
-
-
 def cmd_ingest(args) -> int:
     if args.to == "db" and not args.out:
         args.parser.error("--to db requires --out")
@@ -121,7 +110,7 @@ def cmd_emit(args) -> int:
     if args.annotations:
         ann = validate_annotations(parse_annotations(read_text(args.annotations)),
                                    schema)
-        text += "\n" + emit_contextual_schema(ann, _style(args))
+        text += "\n" + emit_contextual_schema(ann)
     _write_output(text, args.out)
     return 0
 
@@ -129,7 +118,8 @@ def cmd_emit(args) -> int:
 def _task_inputs(args) -> dict:
     """The validated schema, annotations, tables and goal named by --schema,
     --ctx, --table-a, --table-b and --goal (or the task's bundled
-    fixtures), as the keyword arguments of build_prompt and run_experiment."""
+    fixtures), as run_experiment's keyword arguments. An unset table flag
+    takes the first table that the other side does not name."""
     integration = _TASKS[args.task] == TASK_INTEGRATION
     default_schema, default_ctx = ((fixtures.PATIENTS_SCHEMA, fixtures.PATIENTS_CONTEXT)
                                    if integration else
@@ -142,8 +132,8 @@ def _task_inputs(args) -> dict:
                   table_a=None, table_b=None)
     if integration:
         names = [t.name for t in schema.tables]
-        name_a = args.table_a or names[0]
-        name_b = args.table_b or names[1 if len(names) > 1 else 0]
+        name_a = args.table_a or next((n for n in names if n != args.table_b), names[0])
+        name_b = args.table_b or next((n for n in names if n != name_a), name_a)
         for flag, name in (("--table-a", name_a), ("--table-b", name_b)):
             if not schema.has_table(name):
                 raise UnknownTable(name, flag)
@@ -156,8 +146,13 @@ def _task_inputs(args) -> dict:
 
 def cmd_prompt(args) -> int:
     (arm,) = _ARM_CHOICES[args.arm]
-    print(build_prompt(_TASKS[args.task], arm, style=_style(args),
-                       **_task_inputs(args)).user_text)
+    inputs = _task_inputs(args)
+    if _TASKS[args.task] == TASK_INTEGRATION:
+        bundle = build_integration_prompt(inputs["table_a"], inputs["table_b"],
+                                          inputs["annotations"], arm)
+    else:
+        bundle = build_join_prompt(inputs["schema"], inputs["annotations"], inputs["goal"], arm)
+    print(bundle.user_text)
     return 0
 
 
@@ -210,8 +205,7 @@ def cmd_run(args) -> int:
     try:
         experiments = run_experiment(task, arms=_ARM_CHOICES[args.arm], repetitions=args.n,
                                      client_factory=lambda: client, gold=gold,
-                                     database=args.db, style=_style(args),
-                                     workers=args.workers, **inputs)
+                                     database=args.db, workers=args.workers, **inputs)
     finally:
         if isinstance(client, HttpChatClient):
             client.close()
@@ -267,7 +261,6 @@ def _add_task_fixture_flags(parser):
     parser.add_argument("--goal", default=DEFAULT_JOIN_GOAL,
                         help="joining goal sentence")
     _add_schema_format(parser)
-    _add_style_flags(parser)
 
 
 def _add_ingest_args(p):
@@ -284,7 +277,6 @@ def _add_emit_args(p):
                    default=ALPHABETICAL)
     p.add_argument("--out")
     _add_schema_format(p)
-    _add_style_flags(p)
 
 
 def _add_prompt_args(p):

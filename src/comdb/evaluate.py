@@ -26,7 +26,6 @@ from . import llm
 from .errors import ComdbError, ConfigError, FixtureMissing, TableMismatch, WriteAttempt
 from .ingest import check_sqlite_file, open_readonly
 from .mapping import HeaderMapping
-from .nl import DEFAULT_STYLE, StyleFlags
 from .schema import TableSchema, ValidatedAnnotations, ValidatedSchema
 from .value import Value
 
@@ -197,14 +196,14 @@ def run_experiment(task: str, *,
                    schema: ValidatedSchema | None = None,
                    database=None,
                    goal: str = llm.DEFAULT_JOIN_GOAL,
-                   style: StyleFlags = DEFAULT_STYLE,
                    workers: int = 1) -> list[dict]:
     """Run one task over the requested arms, N repetitions per arm, and
     return the report's experiments: per arm, in order, a dict of task,
     arm, n, runs and aggregate. Each run is its report entry (see
-    _repetition). A task's judge returns (ok, error, keys); a failed run
-    gets the task's failed keys, and the aggregate holds successRate and
-    the mean of each run key the task names.
+    _repetition). Each task names its prompt builder and its judge, which
+    returns (ok, error, keys); a failed run gets the task's failed keys,
+    and the aggregate holds successRate and the mean of each run key the
+    task names.
 
     client_factory is called once per repetition, and the client's
     complete(bundle, repetition=...) returns the answer text. The calling
@@ -237,6 +236,7 @@ def run_experiment(task: str, *,
             raise FixtureMissing("gold mapping for semantic integration")
         failed = {"precision": 0.0, "recall": 0.0, "f1": 0.0}
         means = {"meanPrecision": "precision", "meanRecall": "recall", "meanF1": "f1"}
+        build = lambda arm: llm.build_integration_prompt(table_a, table_b, annotations, arm)
 
         def judge(text):
             score = score_mapping(llm.parse_mapping_response(text, table_a, table_b), gold)
@@ -252,6 +252,7 @@ def run_experiment(task: str, *,
         # A directory or a file that is not SQLite fails here, not in every run.
         check_sqlite_file(database)
         failed, means = {"sqlSuccess": False}, {}
+        build = lambda arm: llm.build_join_prompt(schema, annotations, goal, arm)
 
         def judge(text):
             nonlocal con
@@ -265,11 +266,7 @@ def run_experiment(task: str, *,
     else:
         raise ConfigError(f"unknown task {task!r}")
 
-    prepared = []
-    for arm in arms:
-        bundle = llm.build_prompt(task, arm, annotations, style, table_a=table_a,
-                                  table_b=table_b, schema=schema, goal=goal)
-        prepared.append((bundle, _sha256(bundle.user_text)))
+    prepared = [(bundle, _sha256(bundle.user_text)) for bundle in map(build, arms)]
 
     memo, escaped = {}, []
     jobs = [(p, rep) for p in prepared for rep in range(repetitions)]

@@ -260,7 +260,7 @@ def _parse_ddl_tokens(text: str, start: int) -> list[TableSchema]:
 def parse_fixture(text: str, name: str = "database") -> DatabaseSchema:
     """One ``table: h1, h2, ...`` per line; validation errors propagate."""
     tables = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -294,7 +294,7 @@ def render_fixture(schema: DatabaseSchema) -> str:
 def parse_annotations(text: str) -> OntologyAnnotations:
     relations = []
     groups = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -4,8 +4,8 @@ Two tasks are supported. Semantic integration asks the model to match
 headers between two tables; tables joining asks it to write a SQL query
 over the whole database. Each task builds in two arms: with-context
 prompts include the contextual (context-of) sentences, without-context
-prompts carry the bare header lists only. build_prompt is the one place
-that picks a task's builder, and _context the one place that decides
+prompts carry the bare header lists only. Each task has its own builder,
+which callers name directly, and _context is the one place that decides
 which annotations an arm's prompt shows. A prompt is one text, sent as
 the single user message. Prompts are pure functions of schema +
 annotations + fixed task text, so they can never leak row data.
@@ -49,7 +49,7 @@ from .errors import (
 )
 from .ingest import read_text
 from .mapping import HeaderMapping, MappingEntry, normalize_header, split_reused
-from .nl import DEFAULT_STYLE, INPUT_ORDER, StyleFlags, emit_base_schema, emit_contextual_schema
+from .nl import INPUT_ORDER, emit_base_schema, emit_contextual_schema
 from .schema import (
     DatabaseSchema,
     OntologyAnnotations,
@@ -161,8 +161,7 @@ def _pair_schema(table_a: TableSchema, table_b: TableSchema) -> ValidatedSchema:
 
 
 def build_integration_prompt(table_a: TableSchema, table_b: TableSchema,
-                             ann: ValidatedAnnotations | None, arm: str,
-                             style: StyleFlags = DEFAULT_STYLE) -> PromptBundle:
+                             ann: ValidatedAnnotations | None, arm: str) -> PromptBundle:
     """Header lists for both tables, optional header-group sentences, the
     matching task sentence, then the output-format directive."""
     ann = _context(arm, ann)
@@ -175,15 +174,14 @@ def build_integration_prompt(table_a: TableSchema, table_b: TableSchema,
             raise MissingAnnotations("the annotations hold no header group of table "
                                      f"{table_a.name!r} or {table_b.name!r}")
         local = validate_annotations(OntologyAnnotations((), groups), pair)
-        parts.append(emit_contextual_schema(local, style).rstrip("\n"))
+        parts.append(emit_contextual_schema(local).rstrip("\n"))
     parts.append(INTEGRATION_TASK_TEMPLATE.format(a=table_a.name, b=table_b.name))
     parts.append(MAPPING_DIRECTIVE_TEMPLATE.format(a=table_a.name, b=table_b.name))
     return PromptBundle(TASK_INTEGRATION, arm, "\n".join(parts))
 
 
 def build_join_prompt(schema: ValidatedSchema, ann: ValidatedAnnotations | None,
-                      goal: str = DEFAULT_JOIN_GOAL, arm: str = WITH_CONTEXT,
-                      style: StyleFlags = DEFAULT_STYLE) -> PromptBundle:
+                      goal: str = DEFAULT_JOIN_GOAL, arm: str = WITH_CONTEXT) -> PromptBundle:
     """Whole-database header listing in alphabetical order, optional
     contextual sentences, the goal sentence, then the SQL directive."""
     ann = _context(arm, ann)
@@ -191,25 +189,13 @@ def build_join_prompt(schema: ValidatedSchema, ann: ValidatedAnnotations | None,
         raise ConfigError("join goal must be nonempty")
     parts = [emit_base_schema(schema).rstrip("\n")]
     if ann is not None:
-        context_text = emit_contextual_schema(ann, style).rstrip("\n")
+        context_text = emit_contextual_schema(ann).rstrip("\n")
         if not context_text:
             raise MissingAnnotations("the annotations hold no context sentence")
         parts.append(context_text)
     parts.append(goal)
     parts.append(SQL_DIRECTIVE)
     return PromptBundle(TASK_JOINING, arm, "\n".join(parts))
-
-
-def build_prompt(task: str, arm: str, annotations: ValidatedAnnotations | None,
-                 style: StyleFlags, *, table_a: TableSchema | None,
-                 table_b: TableSchema | None, schema: ValidatedSchema | None,
-                 goal: str) -> PromptBundle:
-    """The prompt for one task and arm, from the task's builder."""
-    if task == TASK_INTEGRATION:
-        return build_integration_prompt(table_a, table_b, annotations, arm, style)
-    if task == TASK_JOINING:
-        return build_join_prompt(schema, annotations, goal, arm, style)
-    raise ConfigError(f"unknown task {task!r}")
 
 
 def _retry_after(status: int, headers, cap: float) -> float | None:

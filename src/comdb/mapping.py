@@ -83,7 +83,7 @@ class HeaderMapping(Value):
 def parse_map_text(text: str, source_table: str | None = None,
                    target_table: str | None = None) -> HeaderMapping:
     entries, lines = [], []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -13,10 +13,11 @@ Contextual schema form:
 Table relations always use plain comma lists. Header groups are styled by
 StyleFlags: with the "In table" prefix or bare, and with or without the
 Oxford "and" before the last of three-plus headers (two headers always
-join with "and"). When parsing back, a bare line is read as a table
-relation only if every comma-separated token on both sides is a plain
-identifier; an "and" in the list or a concept that is not a bare
-identifier marks a header group.
+join with "and"). StyleFlags is part of this module's API; the CLI and the
+runner render the default style. When parsing back, a line ends at LF and
+nowhere else, and a bare line is read as a table relation only if every
+comma-separated token on both sides is a plain identifier; an "and" in
+the list or a concept that is not a bare identifier marks a header group.
 """
 
 from __future__ import annotations
@@ -103,7 +104,7 @@ def parse_base_schema(text: str, name: str = "database") -> DatabaseSchema:
     """Inverse of emit_base_schema. The schema name is not encoded in the
     sentences, so the caller supplies it."""
     tables = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.replace("\r\n", "\n").split("\n"), start=1):
         if not line.strip():
             continue
         m = _BASE_LINE.match(line)
@@ -149,7 +150,7 @@ def parse_contextual_schema(text: str,
     """
     relations = []
     groups = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.replace("\r\n", "\n").split("\n"), start=1):
         if not line.strip():
             continue
         m = _PREFIXED_GROUP.match(line)

@@ -28,6 +28,11 @@ def data_text(name: str) -> str:
     return (DATA_DIR / name).read_text(encoding="utf-8")
 
 
+# Every character but LF and CR at which str.splitlines() ends a line. A
+# line of comdb's text formats ends at LF alone, so a name may hold these.
+NOT_LINE_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
 @pytest.fixture(scope="session")
 def synthea_schema():
     return validate_schema(parse_fixture(bundled.fixture_text(bundled.SYNTHEA_SCHEMA),

@@ -279,6 +279,20 @@ def test_same_table_twice_is_an_error(tmp_path, capsys, command, one_table_schem
         "integration needs two different tables\n")
 
 
+# An unset side takes the first table the other side does not name.
+@pytest.mark.parametrize("flag, name, tables", [
+    ("--table-a", "patients_B", ("patients_B", "patients_A")),
+    ("--table-b", "patients_A", ("patients_B", "patients_A")),
+], ids=["table-a", "table-b"])
+def test_prompt_one_table_flag_takes_the_other_table(capsys, flag, name, tables):
+    rc = main(["prompt", "--task", "integration", flag, name])
+    assert rc == 0
+    alone = capsys.readouterr().out
+    main(["prompt", "--task", "integration", "--table-a", tables[0], "--table-b", tables[1]])
+    assert alone == capsys.readouterr().out
+    assert f"from table '{tables[0]}' and table '{tables[1]}'" in alone
+
+
 @pytest.mark.parametrize("tables, gold, message", [
     (["--table-a", "patients_B", "--table-b", "patients_A"], None,
      "left-side header 'Name' is not a header of --table-a table 'patients_B'"),
@@ -692,6 +706,20 @@ def test_main_words_handler_usage_errors_as_the_full_parser(capsys, monkeypatch,
     expected = _exit(capsys, lambda: build_parser().parse_args(argv).parser.error(message))
     assert expected[0] == 2 and message in expected[2]
     assert _exit(capsys, lambda: main(argv)) == expected
+
+
+# Every command renders nl's default style, so a style flag is an
+# unrecognized argument.
+@pytest.mark.parametrize("argv", [
+    ["emit", fx(bundled.SYNTHEA_SCHEMA), fx(bundled.SYNTHEA_CONTEXT), "--plain-groups"],
+    ["prompt", "--task", "integration", "--no-oxford"],
+    ["run", "--task", "joining", "--mock", fx(bundled.JOINING_MOCK), "--db", "s.db",
+     "--plain-groups"],
+], ids=["emit", "prompt", "run"])
+def test_style_flags_are_usage_errors(capsys, argv):
+    code, out, err = _exit(capsys, lambda: main(argv))
+    assert (code, out) == (2, "")
+    assert f"unrecognized arguments: {argv[-1]}" in err
 
 
 @pytest.mark.parametrize("command", ["ingest", "run"])

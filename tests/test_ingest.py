@@ -30,10 +30,19 @@ from comdb.ingest import (
     render_annotations,
     render_fixture,
 )
-from comdb.schema import ContextRelation, DatabaseSchema, TableSchema
+from comdb.mapping import parse_map_text
+from comdb.schema import (
+    ContextRelation,
+    DatabaseSchema,
+    HeaderContextGroup,
+    OntologyAnnotations,
+    TableSchema,
+    validate_annotations,
+    validate_schema,
+)
 from comdb import fixtures as bundled
 
-from conftest import rand_annotations, rand_schema
+from conftest import NOT_LINE_BREAKS, rand_annotations, rand_schema
 
 PROVIDERS_DDL = ("CREATE TABLE providers (Id TEXT, ORGANIZATION TEXT, NAME TEXT, "
                  "GENDER TEXT, SPECIALITY TEXT, ADDRESS TEXT, CITY TEXT, "
@@ -776,3 +785,43 @@ def test_annotations_round_trip(seed):
     if not rendered:
         return
     assert parse_annotations(rendered) == ann
+
+
+# --- line breaks ---
+
+# Each text's second line holds the error; only LF ends a line.
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_annotations, "a => b\x0c\nc =>", "line 2: empty object side"),
+    (parse_map_text, "A -> B\x85\nC ->", "line 2: empty header name"),
+    (parse_fixture, "t: a\x0cb, c\nu:", "line 2: table 'u' lists no headers"),
+], ids=["annotations", "map", "fixture"])
+def test_a_line_ends_at_lf_alone(parse, text, message):
+    with pytest.raises(ParseError) as excinfo:
+        parse(text)
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("char", NOT_LINE_BREAKS, ids=lambda c: f"U+{ord(c):04X}")
+def test_names_holding_a_unicode_line_break_round_trip(char):
+    a, b = f"t{char}a", f"u{char}b"
+    schema = DatabaseSchema("db", (TableSchema(a, (f"h{char}1", f"h{char}2")),
+                                   TableSchema(b, (f"x{char}y",))))
+    ann = OntologyAnnotations(
+        (ContextRelation((a,), (b,)),),
+        (HeaderContextGroup(a, (f"h{char}1", f"h{char}2"), f"c{char}d"),))
+    validate_annotations(ann, validate_schema(schema))
+    assert parse_fixture(render_fixture(schema), name="db") == schema
+    assert parse_annotations(render_annotations(ann)) == ann
+
+
+# Path.read_text turns CRLF into LF, but a string handed to a reader may
+# still hold it.
+@pytest.mark.parametrize("parse, name", [
+    (parse_fixture, bundled.SYNTHEA_SCHEMA),
+    (parse_annotations, bundled.SYNTHEA_CONTEXT),
+    (parse_map_text, bundled.PATIENTS_GOLD_MAP),
+], ids=["fixture", "annotations", "map"])
+def test_crlf_text_parses_as_lf_text(parse, name):
+    text = bundled.fixture_text(name)
+    assert "\r" not in text
+    assert parse(text.replace("\n", "\r\n")) == parse(text)

@@ -39,7 +39,6 @@ from comdb.llm import (
     MockChatClient,
     build_integration_prompt,
     build_join_prompt,
-    build_prompt,
     extract_sql,
     parse_mapping_response,
 )
@@ -106,13 +105,6 @@ def test_join_prompt_without_context(synthea_schema):
     assert "context of" not in text
     # all 14 base lines, plus goal and directive
     assert text.count("a table '") == 14
-
-
-def test_build_prompt_unknown_task(synthea_schema, synthea_annotations):
-    with pytest.raises(ConfigError, match="unknown task 'sorting'"):
-        build_prompt("sorting", WITH_CONTEXT, synthea_annotations, llm.DEFAULT_STYLE,
-                     table_a=None, table_b=None, schema=synthea_schema,
-                     goal=DEFAULT_JOIN_GOAL)
 
 
 def test_join_prompt_empty_goal(synthea_schema, synthea_annotations):

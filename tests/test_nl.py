@@ -14,6 +14,7 @@ from comdb.nl import (
     parse_contextual_schema,
 )
 from comdb.schema import (
+    ContextRelation,
     DatabaseSchema,
     HeaderContextGroup,
     OntologyAnnotations,
@@ -22,7 +23,7 @@ from comdb.schema import (
     validate_schema,
 )
 
-from conftest import data_text, rand_annotations, rand_schema
+from conftest import NOT_LINE_BREAKS, data_text, rand_annotations, rand_schema
 
 PREFIXED = StyleFlags(prefixed_header_groups=True, oxford_and=True)
 BARE = StyleFlags(prefixed_header_groups=False, oxford_and=False)
@@ -180,3 +181,27 @@ def test_contextual_round_trip_bare_groups(seed, oxford):
     assert parsed.table_relations == ann.table_relations
     assert [(g.headers, g.concept) for g in parsed.header_groups] == \
         [(g.headers, g.concept) for g in ann.header_groups]
+
+
+# A sentence ends at LF alone. A relation names plain identifiers only, so
+# the odd character sits in the base schema and the header group.
+@pytest.mark.parametrize("char", NOT_LINE_BREAKS, ids=lambda c: f"U+{ord(c):04X}")
+def test_names_holding_a_unicode_line_break_round_trip(char):
+    schema = DatabaseSchema("db", (TableSchema(f"t{char}a", (f"h{char}1", f"h{char}2", "x")),
+                                   TableSchema("u", ("y",)), TableSchema("v", ("z",))))
+    ann = OntologyAnnotations(
+        (ContextRelation(("u",), ("v",)),),
+        (HeaderContextGroup(f"t{char}a", (f"h{char}1", f"h{char}2", "x"), f"c{char}d"),))
+    validated = validate_schema(schema)
+    assert parse_base_schema(emit_base_schema(validated, INPUT_ORDER), name="db") == schema
+    text = emit_contextual_schema(validate_annotations(ann, validated))
+    assert text.count("\n") == 2
+    assert parse_contextual_schema(text) == ann
+
+
+def test_crlf_text_parses_as_lf_text(synthea_schema, synthea_annotations):
+    base = emit_base_schema(synthea_schema)
+    context = emit_contextual_schema(synthea_annotations)
+    assert parse_base_schema(base.replace("\n", "\r\n")) == parse_base_schema(base)
+    assert parse_contextual_schema(context.replace("\n", "\r\n")) == \
+        parse_contextual_schema(context)
