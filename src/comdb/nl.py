@@ -15,9 +15,9 @@ StyleFlags: with the "In table" prefix or bare, and with or without the
 Oxford "and" before the last of three-plus headers (two headers always
 join with "and"). StyleFlags is part of this module's API; the CLI and the
 runner render the default style. When parsing back, a line ends at LF and
-nowhere else, and a bare line is read as a table relation only if every
-comma-separated token on both sides is a plain identifier; an "and" in
-the list or a concept that is not a bare identifier marks a header group.
+nowhere else. A line with the "In table" prefix is a header group; every
+other line is a table relation whose comma-separated names are taken as
+written. Bare header groups are written but not read back.
 """
 
 from __future__ import annotations
@@ -126,7 +126,6 @@ def parse_base_schema(text: str, name: str = "database") -> DatabaseSchema:
 _PREFIXED_GROUP = re.compile(
     r"^In table '(?P<table>[^']+)', headers (?P<headers>.+?) "
     r"are in the context of (?P<concept>.+)\.$")
-_IDENTIFIER = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 _CONTEXT_SEP = " are in the context of "
 
 
@@ -141,13 +140,8 @@ def _split_header_list(text: str) -> list[str]:
     return [p.strip() for p in text.split(",")]
 
 
-def parse_contextual_schema(text: str,
-                            bare_group_table: str = "") -> OntologyAnnotations:
-    """Inverse of emit_contextual_schema for all supported styles.
-
-    The bare (unprefixed) header-group form does not name its table, so
-    groups parsed from it get bare_group_table as their table name.
-    """
+def parse_contextual_schema(text: str) -> OntologyAnnotations:
+    """Inverse of emit_contextual_schema for prefixed header groups."""
     relations = []
     groups = []
     for lineno, line in enumerate(text.replace("\r\n", "\n").split("\n"), start=1):
@@ -167,15 +161,9 @@ def parse_contextual_schema(text: str,
         left, right = body.split(_CONTEXT_SEP, 1)
         if not left.strip() or not right.strip():
             raise ParseError("empty side in context sentence", lineno)
-        left_items = [p.strip() for p in left.split(",")]
-        right_items = [p.strip() for p in right.split(",")]
-        has_and = " and " in left
-        all_idents = all(_IDENTIFIER.match(p) for p in left_items + right_items)
-        if not has_and and all_idents:
-            relations.append(ContextRelation(tuple(left_items), tuple(right_items)))
-        else:
-            headers = _split_header_list(left)
-            if any(not h for h in headers):
-                raise ParseError("empty header name in group", lineno)
-            groups.append(HeaderContextGroup(bare_group_table, tuple(headers), right))
+        subjects = [p.strip() for p in left.split(",")]
+        objects = [p.strip() for p in right.split(",")]
+        if "" in subjects or "" in objects:
+            raise ParseError("empty table name in relation", lineno)
+        relations.append(ContextRelation(tuple(subjects), tuple(objects)))
     return OntologyAnnotations(tuple(relations), tuple(groups))

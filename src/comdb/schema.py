@@ -149,7 +149,7 @@ class ValidatedAnnotations(Value):
 
 
 def _check_name(kind: str, name: str):
-    if not name or "\n" in name or "\r" in name:
+    if not name or "\n" in name or "\r" in name or "," in name:
         raise InvalidName(kind, name)
 
 
@@ -158,7 +158,8 @@ def validate_schema(schema: DatabaseSchema) -> ValidatedSchema:
 
     Raises EmptySchema, EmptyTable, DuplicateTable, DuplicateHeader or
     InvalidName; on success the returned wrapper vouches for all of them.
-    Two names clash when they are equal under normalize_header.
+    Two names clash when they are equal under normalize_header. A name is
+    invalid when empty or holding a CR, an LF or a list-separating comma.
     """
     if not schema.tables:
         raise EmptySchema()
@@ -175,7 +176,7 @@ def validate_schema(schema: DatabaseSchema) -> ValidatedSchema:
         # One test over all headers; only a table that fails it is walked
         # header by header, to name the first offender.
         joined = "".join(headers)
-        if ("" in headers or "\n" in joined or "\r" in joined
+        if ("" in headers or "\n" in joined or "\r" in joined or "," in joined
                 or len(normalize_headers(headers)) < len(headers)):
             seen_headers = set()
             for header in headers:

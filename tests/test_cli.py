@@ -4,8 +4,10 @@ import hashlib
 import io
 import json
 import os
+import sqlite3
 import subprocess
 import sys
+from contextlib import closing
 from pathlib import Path
 
 import pytest
@@ -49,6 +51,23 @@ def test_emit_missing_file(capsys):
     rc = main(["emit", "missing.schema"])
     assert rc == 1
     assert "file not found" in capsys.readouterr().err
+
+
+# A comma separates the names of a sentence's list, so no name may hold one:
+# "Given a table 't' with headers: a,b, c." would read back as three headers.
+@pytest.mark.parametrize("suffix", [".sql", ".db"])
+def test_emit_rejects_a_comma_in_a_name(tmp_path, capsys, suffix):
+    ddl = 'CREATE TABLE t ("a,b" TEXT, c TEXT);'
+    source = tmp_path / f"x{suffix}"
+    if suffix == ".sql":
+        source.write_text(ddl)
+    else:
+        with closing(sqlite3.connect(source)) as conn:
+            conn.execute(ddl)
+    assert main(["emit", str(source)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: invalid header name 'a,b'\n"
 
 
 def test_emit_to_file(tmp_path):

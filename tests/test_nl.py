@@ -121,23 +121,12 @@ def test_parse_contextual_golden(synthea_annotations):
     (" are in the context of patients.", "line 1: empty side in context sentence"),
     ("a are in the context of b.\na are in the context of b",
      "line 2: sentence does not end with '.'"),
-    ("A, , B are in the context of x.", "line 1: empty header name in group"),
+    ("A, , B are in the context of x.", "line 1: empty table name in relation"),
 ], ids=["no-clause", "empty-subject", "no-period", "empty-header"])
 def test_parse_contextual_empty_subject(text, message):
     with pytest.raises(ParseError) as excinfo:
         parse_contextual_schema(text)
     assert str(excinfo.value) == message
-
-
-def test_parse_contextual_bare_group():
-    # single-table style: bare header list, no table prefix
-    parsed = parse_contextual_schema(
-        "ADDRESS, CITY, STATE, COUNTY are in the context of patients' address.",
-        bare_group_table="patients")
-    group = parsed.header_groups[0]
-    assert group.table == "patients"
-    assert group.headers == ("ADDRESS", "CITY", "STATE", "COUNTY")
-    assert group.concept == "patients' address"
 
 
 def test_emission_deterministic(synthea_schema, synthea_annotations):
@@ -169,28 +158,25 @@ def test_contextual_round_trip_prefixed(seed, oxford):
     assert parse_contextual_schema(text) == ann
 
 
-@given(seed=st.integers(0, 2**32 - 1), oxford=st.booleans())
-def test_contextual_round_trip_bare_groups(seed, oxford):
-    # the bare form drops table names; headers and concepts survive
-    rng = random.Random(seed)
-    schema = rand_schema(rng)
-    ann = rand_annotations(rng, schema)
-    validated = validate_annotations(ann, validate_schema(schema))
-    style = StyleFlags(prefixed_header_groups=False, oxford_and=oxford)
-    parsed = parse_contextual_schema(emit_contextual_schema(validated, style))
-    assert parsed.table_relations == ann.table_relations
-    assert [(g.headers, g.concept) for g in parsed.header_groups] == \
-        [(g.headers, g.concept) for g in ann.header_groups]
+# A sentence without the "In table" prefix is a relation, whatever its
+# table names hold: a space, a hyphen, or the word "and".
+@pytest.mark.parametrize("name", ["my table", "t-2", "a and b"])
+def test_relation_names_round_trip_as_written(name):
+    schema = validate_schema(DatabaseSchema("db", (
+        TableSchema(name, ("x",)), TableSchema("c", ("y",)), TableSchema("d", ("z",)))))
+    ann = OntologyAnnotations((ContextRelation((name,), ("c", "d")),
+                               ContextRelation(("c",), (name,))))
+    text = emit_contextual_schema(validate_annotations(ann, schema))
+    assert parse_contextual_schema(text) == ann
 
 
-# A sentence ends at LF alone. A relation names plain identifiers only, so
-# the odd character sits in the base schema and the header group.
+# A sentence ends at LF alone, so the odd character may sit in any name.
 @pytest.mark.parametrize("char", NOT_LINE_BREAKS, ids=lambda c: f"U+{ord(c):04X}")
 def test_names_holding_a_unicode_line_break_round_trip(char):
     schema = DatabaseSchema("db", (TableSchema(f"t{char}a", (f"h{char}1", f"h{char}2", "x")),
-                                   TableSchema("u", ("y",)), TableSchema("v", ("z",))))
+                                   TableSchema(f"u{char}w", ("y",)), TableSchema("v", ("z",))))
     ann = OntologyAnnotations(
-        (ContextRelation(("u",), ("v",)),),
+        (ContextRelation((f"u{char}w",), ("v",)),),
         (HeaderContextGroup(f"t{char}a", (f"h{char}1", f"h{char}2", "x"), f"c{char}d"),))
     validated = validate_schema(schema)
     assert parse_base_schema(emit_base_schema(validated, INPUT_ORDER), name="db") == schema

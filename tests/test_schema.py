@@ -67,7 +67,7 @@ def test_validate_empty_table():
         validate_schema(DatabaseSchema("x", (TableSchema("t", ()),)))
 
 
-@pytest.mark.parametrize("bad", ["", "a\nb"])
+@pytest.mark.parametrize("bad", ["", "a\nb", "a,b"])
 def test_validate_bad_names(bad):
     with pytest.raises(InvalidName):
         validate_schema(DatabaseSchema("x", (table(bad, "Id"),)))
@@ -274,7 +274,7 @@ def _first_bad_header(table):
     """The per-header walk validate_schema does without its bulk test."""
     seen = set()
     for header in table.headers:
-        if not header or "\n" in header or "\r" in header:
+        if not header or "\n" in header or "\r" in header or "," in header:
             return InvalidName, header
         key = normalize_header(header)
         if key in seen:
@@ -284,7 +284,7 @@ def _first_bad_header(table):
 
 
 @given(headers=st.lists(st.sampled_from(
-    ["Id", "ID", " id", "Name", "name ", "", "a\nb", "c\r", "Zip", "ZİP", "ß", "SS"]),
+    ["Id", "ID", " id", "Name", "name ", "", "a\nb", "c\r", "a,b", "Zip", "ZİP", "ß", "SS"]),
     min_size=1, max_size=6))
 def test_bulk_header_check_names_first_offender(headers):
     t = table("t", *headers)
@@ -327,7 +327,7 @@ def _walk_schema(schema):
         raise EmptySchema()
     seen_tables = set()
     for t in schema.tables:
-        if not t.name or "\n" in t.name or "\r" in t.name:
+        if not t.name or "\n" in t.name or "\r" in t.name or "," in t.name:
             raise InvalidName("table", t.name)
         if normalize_header(t.name) in seen_tables:
             raise DuplicateTable(t.name)
@@ -339,7 +339,7 @@ def _walk_schema(schema):
                    else DuplicateHeader(t.name, bad[1]))
 
 
-_NAMES = st.sampled_from(["a", "A", " a", "b", "ß", "SS", "", "x\ny", "c\r", "ﬁ", "FI"])
+_NAMES = st.sampled_from(["a", "A", " a", "b", "ß", "SS", "", "x\ny", "c\r", "a,b", "ﬁ", "FI"])
 
 
 @given(st.lists(st.tuples(_NAMES, st.lists(_NAMES, max_size=4)), max_size=4))
