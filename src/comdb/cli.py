@@ -14,7 +14,6 @@ import errno
 import functools
 import json
 import os
-import shutil
 import sys
 from pathlib import Path
 
@@ -332,50 +331,27 @@ _SUBCOMMANDS = {
 }
 
 
-def _add_subcommand(name: str, parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
-    _, add_arguments, handler = _SUBCOMMANDS[name]
-    add_arguments(parser)
-    parser.set_defaults(func=handler, parser=parser)
-    return parser
-
-
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """For a known `command`, that subcommand's parser on its own; `main`
-    passes it the arguments after the name. It parses, and words its help
-    and usage errors, as the full parser's subparser of that name does:
-    its prog is the same "comdb <command>", and its formatter takes the
-    width HelpFormatter would (the terminal's columns less 2) from one
-    terminal-size lookup per parser, not one per argument. Otherwise the
-    full comdb parser, with every subcommand and argparse's default
-    formatter, which words top-level help and usage errors."""
-    if command in _SUBCOMMANDS:
-        width = shutil.get_terminal_size().columns - 2
-        return _add_subcommand(command, argparse.ArgumentParser(
-            prog=f"comdb {command}",
-            formatter_class=functools.partial(argparse.HelpFormatter, width=width)))
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The full comdb parser, with every subcommand, built once per process.
+    Each subparser sets its handler as `func` and itself as `parser`, through
+    which a handler words its own usage errors. parse_args makes a fresh
+    namespace on each call, so a reused parser carries nothing over."""
     parser = argparse.ArgumentParser(
         prog="comdb",
         description="Natural-language schema representations and the two "
                     "database-management experiments built on them.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, (help_text, _, _) in _SUBCOMMANDS.items():
-        _add_subcommand(name, sub.add_parser(name, help=help_text))
+    for name, (help_text, add_arguments, handler) in _SUBCOMMANDS.items():
+        subparser = sub.add_parser(name, help=help_text)
+        add_arguments(subparser)
+        subparser.set_defaults(func=handler, parser=subparser)
     return parser
 
 
 def main(argv=None) -> int:
-    """Run one comdb command and return its exit code. A known subcommand
-    is parsed by its own parser alone (see build_parser). The full parser
-    is built only when argv names no subcommand or that parse leaves
-    extras: only its usage line lists every subcommand, so it words the
-    top-level help, a missing or unknown subcommand and the
-    "unrecognized arguments" error."""
-    argv = sys.argv[1:] if argv is None else list(argv)
-    args = extras = None
-    if argv and argv[0] in _SUBCOMMANDS:
-        args, extras = build_parser(argv[0]).parse_known_args(argv[1:])
-    if args is None or extras:
-        args = build_parser().parse_args(argv)
+    """Run one comdb command and return its exit code."""
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ComdbError as exc:

@@ -46,6 +46,7 @@ from urllib.parse import quote
 from .errors import (
     BuildFailed,
     EmptyInput,
+    InvalidName,
     MixedScope,
     NoTables,
     ParseError,
@@ -284,7 +285,15 @@ def parse_fixture(text: str, name: str = "database") -> DatabaseSchema:
 
 
 def render_fixture(schema: DatabaseSchema) -> str:
-    """Inverse of parse_fixture."""
+    """Inverse of parse_fixture. Raises InvalidName for a name that
+    parse_fixture would read back as another: a table name holding ':' or
+    opening with '#', or any name with surrounding whitespace."""
+    for table in schema.tables:
+        if ":" in table.name or table.name.startswith("#"):
+            raise InvalidName("table", table.name)
+        for kind, name in (("table", table.name), *(("header", h) for h in table.headers)):
+            if name != name.strip():
+                raise InvalidName(kind, name)
     lines = [f"{t.name}: {', '.join(t.headers)}" for t in schema.tables]
     return "\n".join(lines) + "\n"
 

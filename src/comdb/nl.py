@@ -15,9 +15,11 @@ StyleFlags: with the "In table" prefix or bare, and with or without the
 Oxford "and" before the last of three-plus headers (two headers always
 join with "and"). StyleFlags is part of this module's API; the CLI and the
 runner render the default style. When parsing back, a line ends at LF and
-nowhere else. A line with the "In table" prefix is a header group; every
-other line is a table relation whose comma-separated names are taken as
-written. Bare header groups are written but not read back.
+nowhere else. A quoted table name may hold an apostrophe: it is read up
+to the first "' with headers: " or "', headers ". A line with the "In
+table" prefix is a header group; every other line is a table relation
+whose comma-separated names are taken as written. Bare header groups are
+written but not read back.
 """
 
 from __future__ import annotations
@@ -97,7 +99,7 @@ def emit_contextual_schema(ann: ValidatedAnnotations,
 
 
 _BASE_LINE = re.compile(
-    r"^(?P<lead>Given|And) a table '(?P<name>[^']+)' with headers: (?P<headers>.+)\.$")
+    r"^(?P<lead>Given|And) a table '(?P<name>.+?)' with headers: (?P<headers>.+)\.$")
 
 
 def parse_base_schema(text: str, name: str = "database") -> DatabaseSchema:
@@ -124,7 +126,7 @@ def parse_base_schema(text: str, name: str = "database") -> DatabaseSchema:
 
 
 _PREFIXED_GROUP = re.compile(
-    r"^In table '(?P<table>[^']+)', headers (?P<headers>.+?) "
+    r"^In table '(?P<table>.+?)', headers (?P<headers>.+?) "
     r"are in the context of (?P<concept>.+)\.$")
 _CONTEXT_SEP = " are in the context of "
 

@@ -112,6 +112,25 @@ def test_ingest_rejects_names_equal_ignoring_case(tmp_path, capsys, ddl, clash):
     assert not db.exists()
 
 
+# parse_fixture would read these names back as others: "a:b" as table "a",
+# "#c" as a comment, and a name with surrounding whitespace stripped.
+@pytest.mark.parametrize("ddl, name", [
+    ('CREATE TABLE "a:b" (h TEXT, g TEXT); CREATE TABLE c (x TEXT);', "table name 'a:b'"),
+    ('CREATE TABLE a (h TEXT); CREATE TABLE "#c" (x TEXT);', "table name '#c'"),
+    ('CREATE TABLE " a" (h TEXT);', "table name ' a'"),
+    ('CREATE TABLE a ("h " TEXT, g TEXT);', "header name 'h '"),
+], ids=["colon", "hash", "table-space", "header-space"])
+def test_ingest_refuses_a_fixture_that_reads_back_as_another_schema(tmp_path, capsys,
+                                                                    ddl, name):
+    source = tmp_path / "names.sql"
+    source.write_text(ddl)
+    out = tmp_path / "names.schema"
+    assert main(["ingest", str(source), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: invalid {name}\n"
+    assert not out.exists()
+    assert main(["ingest", str(source), "--to", "db", "--out", str(tmp_path / "n.db")]) == 0
+
+
 def test_ingest_db_requires_out():
     with pytest.raises(SystemExit) as excinfo:
         main(["ingest", fx(bundled.SYNTHEA_DDL), "--to", "db"])
@@ -668,14 +687,15 @@ def test_run_is_deterministic(tmp_path):
     assert first.read_text() == second.read_text()
 
 
+_COMMANDS = ("ingest", "emit", "prompt", "run", "validate-sql", "score", "report")
+
 # argv cases whose output is help, usage or a usage error, each as the full
 # parser words it: the top level, every subcommand's help, a missing
 # required flag, a bad choice, and unrecognized arguments after a
-# subcommand (which only the full parser's usage line can word).
+# subcommand.
 _PARSER_CASES = [
     [], ["--help"], ["-h", "run"], ["sorting"], ["--bogus"],
-    *([name, "--help"] for name in
-      ("ingest", "emit", "prompt", "run", "validate-sql", "score", "report")),
+    *([name, "--help"] for name in _COMMANDS),
     ["run"], ["score", "--gold", "g.map"], ["run", "--task", "sorting"],
     ["emit", "s.schema", "--order", "random"],
     ["run", "--task", "joining", "--bogus"], ["report", "a.json", "b.json"],
@@ -701,7 +721,7 @@ def _set_columns(monkeypatch, columns):
 def test_main_words_help_and_usage_errors_as_the_full_parser(capsys, monkeypatch,
                                                              argv, columns):
     _set_columns(monkeypatch, columns)
-    expected = _exit(capsys, lambda: build_parser().parse_args(argv))
+    expected = _exit(capsys, lambda: build_parser.__wrapped__().parse_args(argv))
     assert _exit(capsys, lambda: main(argv)) == expected
 
 
@@ -721,8 +741,9 @@ _JOINING_MOCK = ["--task", "joining", "--mock", fx(bundled.JOINING_MOCK)]
 def test_main_words_handler_usage_errors_as_the_full_parser(capsys, monkeypatch,
                                                             argv, message, columns):
     _set_columns(monkeypatch, columns)
-    # The full parser accepts argv, so its subparser is args.parser.
-    expected = _exit(capsys, lambda: build_parser().parse_args(argv).parser.error(message))
+    # A new full parser accepts argv, so its subparser is args.parser.
+    expected = _exit(capsys, lambda: build_parser.__wrapped__().parse_args(argv)
+                     .parser.error(message))
     assert expected[0] == 2 and message in expected[2]
     assert _exit(capsys, lambda: main(argv)) == expected
 
@@ -741,8 +762,8 @@ def test_style_flags_are_usage_errors(capsys, argv):
     assert f"unrecognized arguments: {argv[-1]}" in err
 
 
-@pytest.mark.parametrize("command", ["ingest", "run"])
-def test_main_builds_only_the_invoked_subparser(tmp_path, monkeypatch, command):
+def test_main_builds_the_parser_once(tmp_path, monkeypatch):
+    build_parser.cache_clear()
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -751,12 +772,37 @@ def test_main_builds_only_the_invoked_subparser(tmp_path, monkeypatch, command):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-    argv = {"ingest": ["ingest", fx(bundled.SYNTHEA_SCHEMA)],
-            "run": ["run", "--task", "integration", "--n", "1",
-                    "--mock", fx(bundled.INTEGRATION_MOCK),
-                    "--gold", fx(bundled.PATIENTS_GOLD_MAP)]}[command]
-    assert main(argv + ["--out", str(tmp_path / "out")]) == 0
-    assert built == [f"comdb {command}"]
+    assert main(["ingest", fx(bundled.SYNTHEA_SCHEMA), "--out", str(tmp_path / "out")]) == 0
+    assert built == ["comdb", *(f"comdb {name}" for name in _COMMANDS)]
+    built.clear()
+    assert main(["run", "--task", "integration", "--n", "1",
+                 "--mock", fx(bundled.INTEGRATION_MOCK),
+                 "--gold", fx(bundled.PATIENTS_GOLD_MAP),
+                 "--out", str(tmp_path / "report")]) == 0
+    assert built == []
+
+
+def _fresh_output(capsys, argv):
+    build_parser.cache_clear()
+    assert main(argv) == 0
+    return capsys.readouterr().out
+
+
+# The first argv sets flags away from their defaults; the second leaves
+# them unset and must print what it prints from a new parser.
+@pytest.mark.parametrize("command", ["emit", "run"])
+def test_a_reused_parser_carries_nothing_over(tmp_path, capsys, command):
+    schema = tmp_path / "unsorted.schema"
+    schema.write_text("b: x, y\na: z\n")
+    run = ["run", "--task", "integration", "--mock", fx(bundled.INTEGRATION_MOCK),
+           "--gold", fx(bundled.PATIENTS_GOLD_MAP)]
+    first, second = {"emit": (["emit", str(schema), "--order", "input-order"],
+                              ["emit", str(schema)]),
+                     "run": ([*run, "--arm", "with", "--n", "3"], run)}[command]
+    expected = _fresh_output(capsys, second)
+    assert _fresh_output(capsys, first) != expected
+    assert main(second) == 0
+    assert capsys.readouterr().out == expected
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")

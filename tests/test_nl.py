@@ -170,6 +170,22 @@ def test_relation_names_round_trip_as_written(name):
     assert parse_contextual_schema(text) == ann
 
 
+# A quoted table name is read up to the quote that closes its clause, so
+# it may hold an apostrophe.
+def test_a_table_name_holding_an_apostrophe_round_trips():
+    schema = DatabaseSchema("db", (TableSchema("o'brien", ("a", "b")),
+                                   TableSchema("c", ("x",)), TableSchema("d", ("y",))))
+    ann = OntologyAnnotations(
+        (ContextRelation(("o'brien",), ("c", "d")),),
+        (HeaderContextGroup("o'brien", ("a", "b"), "o'brien's name"),))
+    validated = validate_schema(schema)
+    base = emit_base_schema(validated, INPUT_ORDER)
+    assert base.startswith("Given a table 'o'brien' with headers: a, b.\n")
+    assert parse_base_schema(base, name="db") == schema
+    text = emit_contextual_schema(validate_annotations(ann, validated))
+    assert parse_contextual_schema(text) == ann
+
+
 # A sentence ends at LF alone, so the odd character may sit in any name.
 @pytest.mark.parametrize("char", NOT_LINE_BREAKS, ids=lambda c: f"U+{ord(c):04X}")
 def test_names_holding_a_unicode_line_break_round_trip(char):
