@@ -52,18 +52,12 @@ _DB_SUFFIXES = {".db", ".sqlite", ".sqlite3"}
 _DDL_SUFFIXES = {".sql", ".ddl"}
 
 
-def _load_schema_file(path: str, fmt: str = "auto"):
-    if fmt == "auto":
-        suffix = Path(path).suffix.lower()
-        if suffix in _DB_SUFFIXES:
-            fmt = "db"
-        elif suffix in _DDL_SUFFIXES:
-            fmt = "ddl"
-        else:
-            fmt = "fixture"
-    if fmt == "db":
+def _load_schema_file(path: str):
+    """Read path as SQLite, as DDL or as a .schema fixture, by its suffix alone."""
+    suffix = Path(path).suffix.lower()
+    if suffix in _DB_SUFFIXES:
         return introspect_database(path)
-    if fmt == "ddl":
+    if suffix in _DDL_SUFFIXES:
         return parse_ddl(read_text(path), name=Path(path).stem)
     return parse_fixture(read_text(path), name=Path(path).stem)
 
@@ -93,7 +87,7 @@ def cmd_ingest(args) -> int:
     if args.to == "db" and not args.out:
         args.parser.error("--to db requires --out")
     _check_output(args.out)
-    schema = _load_schema_file(args.source, args.schema_format)
+    schema = _load_schema_file(args.source)
     validate_schema(schema)
     if args.to == "db":
         build_database(schema, args.out)
@@ -104,7 +98,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_emit(args) -> int:
-    schema = validate_schema(_load_schema_file(args.schema, args.schema_format))
+    schema = validate_schema(_load_schema_file(args.schema))
     text = emit_base_schema(schema, args.order)
     if args.annotations:
         ann = validate_annotations(parse_annotations(read_text(args.annotations)),
@@ -125,7 +119,7 @@ def _task_inputs(args) -> dict:
                                    (fixtures.SYNTHEA_SCHEMA, fixtures.SYNTHEA_CONTEXT))
     schema_path = args.schema or fixtures.fixture_path(default_schema)
     ctx_path = args.ctx or fixtures.fixture_path(default_ctx)
-    schema = validate_schema(_load_schema_file(str(schema_path), args.schema_format))
+    schema = validate_schema(_load_schema_file(str(schema_path)))
     ann = validate_annotations(parse_annotations(read_text(str(ctx_path))), schema)
     inputs = dict(annotations=ann, schema=schema, goal=args.goal,
                   table_a=None, table_b=None)
@@ -247,11 +241,6 @@ def cmd_report(args) -> int:
     return 0
 
 
-def _add_schema_format(parser):
-    parser.add_argument("--schema-format", choices=["auto", "fixture", "ddl", "db"],
-                        default="auto", help="how to read the schema source")
-
-
 def _add_task_fixture_flags(parser):
     parser.add_argument("--schema", help="schema file (default: bundled fixture)")
     parser.add_argument("--ctx", help="annotation file (default: bundled fixture)")
@@ -259,14 +248,12 @@ def _add_task_fixture_flags(parser):
     parser.add_argument("--table-b", help="target table for integration")
     parser.add_argument("--goal", default=DEFAULT_JOIN_GOAL,
                         help="joining goal sentence")
-    _add_schema_format(parser)
 
 
 def _add_ingest_args(p):
     p.add_argument("source", help="schema file (.schema, .sql/.ddl, or SQLite)")
     p.add_argument("--to", choices=["fixture", "db"], default="fixture")
     p.add_argument("--out", help="output path (required for --to db)")
-    _add_schema_format(p)
 
 
 def _add_emit_args(p):
@@ -275,7 +262,6 @@ def _add_emit_args(p):
     p.add_argument("--order", choices=[ALPHABETICAL, INPUT_ORDER],
                    default=ALPHABETICAL)
     p.add_argument("--out")
-    _add_schema_format(p)
 
 
 def _add_prompt_args(p):

@@ -99,7 +99,9 @@ def execute_sql(sql: str, database) -> SqlValidationReport:
     too. PRAGMA query_only, set for the statement and restored after,
     backstops anything sneakier, on any connection. A statement
     still running after SQL_TIME_LIMIT_S seconds is interrupted and
-    reported as failed. Rows are counted as they stream, never held.
+    reported as failed, and so is one that runs out of SQLite's heap
+    (ingest.SQL_HEAP_LIMIT); the connection stays usable after either.
+    Rows are counted as they stream, never held.
     """
     if isinstance(database, sqlite3.Connection):
         return _execute(sql, database)
@@ -142,6 +144,10 @@ def _execute(sql: str, con: sqlite3.Connection) -> SqlValidationReport:
                 False, f"interrupted: statement exceeded the {SQL_TIME_LIMIT_S:g} s time limit",
                 (), 0)
         return SqlValidationReport(False, str(exc), (), 0)
+    except MemoryError:  # how SQLite's out-of-memory error reaches Python
+        (limit,) = con.execute("PRAGMA hard_heap_limit").fetchone() or (0,)
+        bound = f"the {limit / 2**20:g} MiB heap limit" if limit else "available memory"
+        return SqlValidationReport(False, f"out of memory: statement exceeded {bound}", (), 0)
     finally:
         con.set_progress_handler(None, 0)
         con.execute(f"PRAGMA query_only = {query_only}")

@@ -380,18 +380,26 @@ def check_sqlite_file(location) -> None:
 # Bound on the bytes of any one string or blob a statement makes
 # (SQLITE_LIMIT_LENGTH), so that it cannot take memory at will.
 SQL_LENGTH_LIMIT = 16 * 1024 * 1024
+# Bound on SQLite's heap (hard_heap_limit), which also holds a statement's
+# temporary b-trees once temp_store is MEMORY, so that they cannot fill the
+# disk. SQLite keeps one such bound per process, and a pragma only lowers it.
+SQL_HEAP_LIMIT = 64 * 1024 * 1024
 
 
 def open_readonly(location, *, check_same_thread: bool = True) -> sqlite3.Connection:
     """Connect read-only (``mode=ro``) to an existing SQLite file, with
-    SQL_LENGTH_LIMIT set on Python 3.11+. check_sqlite_file's errors come
-    before SQLite is asked. check_same_thread goes to sqlite3.connect."""
+    SQL_LENGTH_LIMIT set on Python 3.11+, and, where SQLite has
+    hard_heap_limit, SQL_HEAP_LIMIT set for the whole process and temporary
+    b-trees kept in memory under it. check_sqlite_file's errors come before
+    SQLite is asked. check_same_thread goes to sqlite3.connect."""
     path = os.fspath(location)
     check_sqlite_file(path)
     con = sqlite3.connect("file:" + quote(os.path.abspath(path)) + "?mode=ro", uri=True,
                           check_same_thread=check_same_thread)
     if hasattr(con, "setlimit"):
         con.setlimit(sqlite3.SQLITE_LIMIT_LENGTH, SQL_LENGTH_LIMIT)
+    if con.execute(f"PRAGMA hard_heap_limit = {SQL_HEAP_LIMIT}").fetchone():
+        con.execute("PRAGMA temp_store = MEMORY")
     return con
 
 

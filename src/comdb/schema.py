@@ -149,7 +149,8 @@ class ValidatedAnnotations(Value):
 
 
 def _check_name(kind: str, name: str):
-    if not name or "\n" in name or "\r" in name or "," in name:
+    if (not name or "\n" in name or "\r" in name or "," in name
+            or (kind == "table" and "." in name)):
         raise InvalidName(kind, name)
 
 
@@ -159,7 +160,9 @@ def validate_schema(schema: DatabaseSchema) -> ValidatedSchema:
     Raises EmptySchema, EmptyTable, DuplicateTable, DuplicateHeader or
     InvalidName; on success the returned wrapper vouches for all of them.
     Two names clash when they are equal under normalize_header. A name is
-    invalid when empty or holding a CR, an LF or a list-separating comma.
+    invalid when empty or holding a CR, an LF or a list-separating comma;
+    a table name also when holding ".", which ends the table part of a
+    table.header reference.
     """
     if not schema.tables:
         raise EmptySchema()

@@ -3,18 +3,19 @@
 An exchange writes the request head and body in one sendall and reads one
 reply with http.client's bounds: a status line, then at most 100 header
 lines of at most 65 536 bytes each; repeated lines of one field are
-joined with ", " (RFC 9110 §5.3). Every 1xx interim head but 101 is
-skipped; a 204 or 304 reply has no body. Otherwise the body is taken by chunked coding
-if Transfer-Encoding is one "chunked" (a chunk size is hex digits only;
-the trailer section is read and dropped), else by a Content-Length of
-digits only or a list of equal such values, else up to the end of the
-stream. Any other Transfer-Encoding (no other coding is undone),
-Content-Length or chunk size, or a length above sys.maxsize, is an error.
+joined with ", " (RFC 9110 §5.3). The body is taken by chunked coding if
+Transfer-Encoding is "chunked" (the trailer section is read and dropped),
+else by Content-Length, else up to the end of the stream.
 
-Deliberate deviations from http.client, which reads a 1xx other than 100
-as the final reply, with an empty body: wire skips it and reads the reply
-that follows, and it refuses a 101 Switching Protocols, which comdb never
-asks for.
+Its only deliberate deviations from http.client follow the RFCs where
+http.client guesses. It skips a 1xx interim reply but 101 and reads the
+reply that follows (http.client reads a 1xx but 100 as the final reply,
+with no body), and refuses a 101 Switching Protocols, which comdb never
+asks for. A 204 or 304 reply has no body, even a chunked one. It refuses a
+Transfer-Encoding other than one chunked, a Content-Length that is not
+digits or holds unequal values, a chunk size that is not hex digits, a
+length above sys.maxsize, and a reply whose stream ends inside a line or
+a field section. It reads a list of equal Content-Length values as one.
 
 A connection carries the next request too (RFC 9112 §9.3) when its reply
 was HTTP/1.1, did not say Connection: close, and was framed by
@@ -119,9 +120,8 @@ def _chunked(reader) -> bytes:
 
 
 def read_reply(reader) -> tuple[int, dict, bytes, bool]:
-    """One reply from a buffered binary reader: (status, headers, body,
-    keep), where keep says whether the connection may carry another
-    request."""
+    """One reply from a buffered binary reader: (status, headers, body, keep),
+    keep saying whether the connection may carry another request."""
     version, status, _, headers = read_head(reader)
     while 100 <= status < 200:  # interim replies (RFC 9110 §15.2)
         if status == 101:

@@ -3,6 +3,7 @@ database, and seeded random generators for round-trip properties."""
 
 from __future__ import annotations
 
+import os
 import random
 from pathlib import Path
 
@@ -26,6 +27,13 @@ DATA_DIR = Path(__file__).parent / "data"
 
 def data_text(name: str) -> str:
     return (DATA_DIR / name).read_text(encoding="utf-8")
+
+
+def src_env() -> dict:
+    """The environment for a fresh interpreter that imports comdb from src/."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
 
 
 # Every character but LF and CR at which str.splitlines() ends a line. A

@@ -16,7 +16,7 @@ from comdb import fixtures as bundled
 from comdb.cli import build_parser, main
 from comdb.ingest import introspect_database
 
-from conftest import data_text
+from conftest import data_text, src_env
 
 
 def fx(name):
@@ -68,6 +68,23 @@ def test_emit_rejects_a_comma_in_a_name(tmp_path, capsys, suffix):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: invalid header name 'a,b'\n"
+
+
+# A .ctx reference splits table from header at its first ".", so no table
+# name may hold one: "a.b.x" would name header "b.x" of table "a".
+@pytest.mark.parametrize("ctx", [None, "a.b => c\n", "a.b.x, a.b.y => concept: pair\n"],
+                         ids=["no-ctx", "relation", "group"])
+def test_emit_rejects_a_dot_in_a_table_name(tmp_path, capsys, ctx):
+    source = tmp_path / "dot.sql"
+    source.write_text('CREATE TABLE "a.b" (x TEXT, y TEXT); CREATE TABLE c (z TEXT);')
+    argv = ["emit", str(source)]
+    if ctx is not None:
+        (tmp_path / "dot.ctx").write_text(ctx)
+        argv.append(str(tmp_path / "dot.ctx"))
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: invalid table name 'a.b'\n"
 
 
 def test_emit_to_file(tmp_path):
@@ -511,10 +528,8 @@ def test_stdin_that_is_not_utf8_is_an_error(capsys, monkeypatch, fixture_db,
 
 def test_stdin_is_decoded_from_bytes_in_a_fresh_process(fixture_db):
     # A real process, its standard input a pipe, under a UTF-8 locale.
-    env = {name: value for name, value in os.environ.items() if name != "PYTHONIOENCODING"}
-    env.update(LC_ALL="C.UTF-8", PYTHONPATH=os.pathsep.join(
-        p for p in (str(Path(__file__).resolve().parents[1] / "src"),
-                    os.environ.get("PYTHONPATH")) if p))
+    env = {name: value for name, value in src_env().items() if name != "PYTHONIOENCODING"}
+    env.update(LC_ALL="C.UTF-8")
     proc = subprocess.run([sys.executable, "-m", "comdb", "validate-sql", "--db", str(fixture_db)],
                           input=b"\xef\xbb\xbfSELECT 1;\xff", env=env, capture_output=True,
                           timeout=60)
@@ -569,12 +584,18 @@ def _joining_on(db):
 ])
 @pytest.mark.parametrize("command", [
     lambda db: ["validate-sql", "--db", db],
-    lambda db: ["ingest", db, "--schema-format", "db"],
+    lambda db: ["ingest", db],
     _joining_on,
 ], ids=["validate-sql", "ingest", "run"])
 def test_sqlite_path_that_is_no_sqlite_file_is_an_error(tmp_path, capsys, monkeypatch,
                                                          kind, reason, command):
-    db = str(tmp_path) if kind == "directory" else fx(bundled.SYNTHEA_DDL)
+    # A .db suffix is what makes ingest read the path as SQLite.
+    db = tmp_path / ("x.db" if kind == "directory" else "ddl.db")
+    if kind == "directory":
+        db.mkdir()
+    else:
+        db.write_bytes(Path(fx(bundled.SYNTHEA_DDL)).read_bytes())
+    db = str(db)
     feed_stdin(monkeypatch, "SELECT 1;")
     monkeypatch.setattr("comdb.evaluate._repetition",
                         lambda *args: pytest.fail("a repetition ran"))
@@ -760,6 +781,21 @@ def test_style_flags_are_usage_errors(capsys, argv):
     code, out, err = _exit(capsys, lambda: main(argv))
     assert (code, out) == (2, "")
     assert f"unrecognized arguments: {argv[-1]}" in err
+
+
+# A schema source is read by its suffix alone, so --schema-format is an
+# unrecognized argument.
+@pytest.mark.parametrize("argv", [
+    ["ingest", fx(bundled.SYNTHEA_DDL), "--schema-format", "ddl"],
+    ["emit", fx(bundled.SYNTHEA_SCHEMA), "--schema-format", "fixture"],
+    ["prompt", "--task", "joining", "--schema-format", "auto"],
+    ["run", "--task", "joining", "--mock", fx(bundled.JOINING_MOCK), "--db", "s.db",
+     "--schema-format", "db"],
+], ids=["ingest", "emit", "prompt", "run"])
+def test_schema_format_is_a_usage_error(capsys, argv):
+    code, out, err = _exit(capsys, lambda: main(argv))
+    assert (code, out) == (2, "")
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err
 
 
 def test_main_builds_the_parser_once(tmp_path, monkeypatch):

@@ -5,10 +5,12 @@ import random
 import re
 import sqlite3
 import string
+import subprocess
 import sys
 import tempfile
 import threading
 import time
+from contextlib import closing
 from pathlib import Path
 
 import pytest
@@ -52,7 +54,7 @@ from comdb.ingest import (
 from comdb.mapping import HeaderMapping, MappingEntry, parse_map_text, split_reused
 from comdb.schema import DatabaseSchema, validate_annotations, validate_schema
 
-from conftest import data_text, rand_annotations, rand_schema
+from conftest import data_text, rand_annotations, rand_schema, src_env
 
 FLAWED_JOIN = """\
 SELECT careplans.Id, providers.NAME
@@ -366,6 +368,47 @@ def test_open_readonly_sets_the_length_limit(fixture_db):
         assert con.getlimit(sqlite3.SQLITE_LIMIT_LENGTH) == SQL_LENGTH_LIMIT
     finally:
         con.close()
+
+
+def _sqlite_has_hard_heap_limit() -> bool:
+    with closing(sqlite3.connect(":memory:")) as con:
+        return bool(con.execute("PRAGMA hard_heap_limit").fetchall())
+
+
+# Its temporary b-tree grows without end: on disk until the time limit, or
+# in memory until the heap limit.
+COUNT_DISTINCT_FOREVER = ("WITH RECURSIVE c(x) AS (SELECT 1 UNION ALL SELECT x + 1 FROM c) "
+                          "SELECT count(DISTINCT x) FROM c")
+# SQLite's heap limit holds for the whole process and a pragma only lowers
+# it, so a fresh interpreter lowers it to 4 MiB.
+_HEAP_LIMIT_CHILD = """
+import json, sys, time
+from comdb import evaluate, ingest
+ingest.SQL_HEAP_LIMIT = 4 * 1024 * 1024
+evaluate.SQL_TIME_LIMIT_S = 4.0
+con = ingest.open_readonly(sys.argv[1])
+start = time.perf_counter()
+report = evaluate.execute_sql(sys.argv[2], con)
+elapsed = time.perf_counter() - start
+after = evaluate.execute_sql("SELECT Id FROM patients", con)
+temp_store = con.execute("PRAGMA temp_store").fetchone()[0]
+con.close()
+print(json.dumps([elapsed, report.success, report.error_text, after.success, temp_store]))
+"""
+
+
+@pytest.mark.skipif(not _sqlite_has_hard_heap_limit(), reason="SQLite lacks hard_heap_limit")
+def test_a_statement_past_the_heap_limit_fails_and_the_connection_stays_usable(fixture_db):
+    # Without the bound the statement spills to temporary files until the
+    # time limit interrupts it.
+    proc = subprocess.run([sys.executable, "-c", _HEAP_LIMIT_CHILD, str(fixture_db),
+                           COUNT_DISTINCT_FOREVER], env=src_env(), capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    elapsed, success, error, after, temp_store = json.loads(proc.stdout)
+    assert (success, error) == (False, "out of memory: statement exceeded the 4 MiB heap limit")
+    assert elapsed < 2.0
+    assert after and temp_store == 2  # MEMORY
 
 
 def test_execute_on_connection_leaves_it_open(fixture_db, monkeypatch):

@@ -44,6 +44,8 @@ from comdb.llm import (
 )
 from comdb.schema import TableSchema
 
+from conftest import src_env
+
 
 # --- prompt building ---
 
@@ -1227,13 +1229,6 @@ def test_cr_or_lf_in_the_api_key_fails_before_any_attempt(patient_tables, keepal
         transport(keepalive.url, {}, {"Authorization": "Bearer sk-test\nX: 1"}, 5.0)
     assert "sk-" not in str(excinfo.value)
     assert delays == [] and keepalive.accepted == []
-
-
-def src_env() -> dict:
-    """The environment for a fresh interpreter that imports comdb from src/."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
 
 
 def test_import_loads_no_third_party_module():

@@ -67,10 +67,15 @@ def test_validate_empty_table():
         validate_schema(DatabaseSchema("x", (TableSchema("t", ()),)))
 
 
-@pytest.mark.parametrize("bad", ["", "a\nb", "a,b"])
+@pytest.mark.parametrize("bad", ["", "a\nb", "a,b", "a.b"])
 def test_validate_bad_names(bad):
     with pytest.raises(InvalidName):
         validate_schema(DatabaseSchema("x", (table(bad, "Id"),)))
+    if bad == "a.b":
+        # Only a table name may not hold "."; "t.a.b" reads as header "a.b".
+        assert validate_schema(DatabaseSchema("x", (table("t", bad),))).table("t").headers == (
+            bad,)
+        return
     with pytest.raises(InvalidName):
         validate_schema(DatabaseSchema("x", (table("t", bad),)))
 
@@ -284,7 +289,8 @@ def _first_bad_header(table):
 
 
 @given(headers=st.lists(st.sampled_from(
-    ["Id", "ID", " id", "Name", "name ", "", "a\nb", "c\r", "a,b", "Zip", "ZİP", "ß", "SS"]),
+    ["Id", "ID", " id", "Name", "name ", "", "a\nb", "c\r", "a,b", "h.x", "Zip", "ZİP", "ß",
+     "SS"]),
     min_size=1, max_size=6))
 def test_bulk_header_check_names_first_offender(headers):
     t = table("t", *headers)
@@ -327,7 +333,7 @@ def _walk_schema(schema):
         raise EmptySchema()
     seen_tables = set()
     for t in schema.tables:
-        if not t.name or "\n" in t.name or "\r" in t.name or "," in t.name:
+        if not t.name or "\n" in t.name or "\r" in t.name or "," in t.name or "." in t.name:
             raise InvalidName("table", t.name)
         if normalize_header(t.name) in seen_tables:
             raise DuplicateTable(t.name)
@@ -339,7 +345,8 @@ def _walk_schema(schema):
                    else DuplicateHeader(t.name, bad[1]))
 
 
-_NAMES = st.sampled_from(["a", "A", " a", "b", "ß", "SS", "", "x\ny", "c\r", "a,b", "ﬁ", "FI"])
+_NAMES = st.sampled_from(["a", "A", " a", "b", "ß", "SS", "", "x\ny", "c\r", "a,b", "a.b", "ﬁ",
+                          "FI"])
 
 
 @given(st.lists(st.tuples(_NAMES, st.lists(_NAMES, max_size=4)), max_size=4))
