@@ -19,7 +19,14 @@ from pathlib import Path
 
 from . import fixtures
 from .errors import ComdbError, ConfigError, UnknownTable, UnreadableFile
-from .evaluate import execute_sql, render_report, render_summary, run_experiment, score_mapping
+from .evaluate import (
+    execute_sql,
+    render_json,
+    render_report,
+    render_summary,
+    run_experiment,
+    score_mapping,
+)
 from .ingest import (
     build_database,
     introspect_database,
@@ -221,14 +228,14 @@ def cmd_score(args) -> int:
     predicted = parse_map_text(read_text(args.predicted))
     gold = parse_map_text(read_text(args.gold))
     score = score_mapping(predicted, gold)
-    print(json.dumps({
+    sys.stdout.write(render_json({
         "matched": score.matched,
         "goldSize": score.gold_size,
         "predictedSize": score.predicted_size,
         "precision": score.precision,
         "recall": score.recall,
         "f1": score.f1,
-    }, indent=2))
+    }))
     return 0
 
 
@@ -237,6 +244,8 @@ def cmd_report(args) -> int:
         payload = json.loads(read_text(args.report_file))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"report is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigError("report nests too deeply to read") from exc
     sys.stdout.write(render_summary(payload))
     return 0
 

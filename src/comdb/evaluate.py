@@ -7,12 +7,15 @@ against gold (semantic integration) or its SQL executed against the
 fixture database (tables joining). Failed repetitions are recorded and score
 zero; they never abort the experiment, so aggregates stay comparable
 across arms. The runner returns the report's experiments as plain dicts,
-and each run is its finished report entry, so render_report only dumps
-them.
+and each run is its finished report entry. render_report writes the bytes
+json.dumps(payload, indent=2) would, for a payload whose keys are strings:
+it walks the nesting itself and gives each container of scalars to json's
+C encoder, which json.dumps skips whenever indent is set.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -319,9 +322,61 @@ def run_experiment(task: str, *,
     return experiments
 
 
+@functools.cache
+def _flat_encoder(depth: int) -> json.JSONEncoder:
+    """json's encoder, its C one where it has one (json.dumps skips that when
+    indent is set), with the newline and indent of depth + 1 in its item
+    separator: a flat container's text then lacks only the inner breaks."""
+    return json.JSONEncoder(separators=(",\n" + "  " * (depth + 1), ": "),
+                            check_circular=False)
+
+
+def _indented(value, depth: int, texts: dict) -> str:
+    """value as json.dumps(value, indent=2) writes it at nesting depth.
+
+    A container of scalars is encoded in one call; a container holding
+    containers is walked here. The text of a flat container is kept in
+    texts under its depth, keys and the ids of its values, so a repeat that
+    shares its value objects (runs of one memoized verdict do) is encoded
+    once. Equal values in other objects, such as 0.0 and -0.0, or True and
+    1, never share a text. The caller holds value for the whole render, so
+    no id is reused while texts lives."""
+    is_dict = isinstance(value, dict)
+    if not is_dict and not isinstance(value, (list, tuple)):
+        return _flat_encoder(depth).encode(value)
+    brackets = "{}" if is_dict else "[]"
+    if not value:
+        return brackets
+    items = value.values() if is_dict else value
+    # One tuple of exact size: tuple(map(...)) guesses a size and shrinks it,
+    # which moves tuples between CPython's free lists and grows the heap.
+    key = (depth, *value, *map(id, items)) if is_dict else (depth, *map(id, value))
+    text = texts.get(key)  # only flat containers are kept
+    if text is not None:
+        return text
+    inner, outer = "\n" + "  " * (depth + 1), "\n" + "  " * depth
+    if any(isinstance(item, (dict, list, tuple)) for item in items):
+        if is_dict:
+            parts = [f"{json.encoder.encode_basestring_ascii(name)}: "
+                     f"{_indented(item, depth + 1, texts)}" for name, item in value.items()]
+        else:
+            parts = [_indented(item, depth + 1, texts) for item in value]
+        return f"{brackets[0]}{inner}{(',' + inner).join(parts)}{outer}{brackets[1]}"
+    flat = _flat_encoder(depth).encode(value)
+    text = texts[key] = f"{brackets[0]}{inner}{flat[1:-1]}{outer}{brackets[1]}"
+    return text
+
+
+def render_json(value) -> str:
+    """json.dumps(value, indent=2) and a newline, byte for byte, for a JSON
+    value whose dict keys are strings."""
+    return _indented(value, 0, {}) + "\n"
+
+
 def render_report(experiments) -> str:
-    """Machine-readable report JSON with stable key order."""
-    return json.dumps({"experiments": experiments}, indent=2) + "\n"
+    """The report JSON: the bytes of json.dumps(payload, indent=2) and a
+    newline, payload being {"experiments": experiments} with string keys."""
+    return render_json({"experiments": experiments})
 
 
 def render_summary(payload: dict) -> str:

@@ -218,8 +218,9 @@ class HttpChatClient:
     long instead, at most backoff_cap and the timeout. If the last attempt
     still gets such a reply, it is an ApiError with that status and body.
     Other error statuses are not retried, and a reply without string
-    content is an ApiError. The credential is read from the environment
-    variable named by the config and never logged.
+    content, or one nested too deeply to read, is an ApiError. The
+    credential is read from the environment variable named by the config
+    and never logged.
 
     complete() returns the reply's message content. The request goes to
     the endpoint's path joined with /chat/completions, and the endpoint's
@@ -304,7 +305,7 @@ class HttpChatClient:
             raise ApiError(status, body)
         try:
             content = json.loads(body)["choices"][0]["message"]["content"]
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
+        except (ValueError, KeyError, IndexError, TypeError, RecursionError) as exc:
             raise ApiError(status, body) from exc
         if not isinstance(content, str):
             raise ApiError(status, body)
@@ -341,6 +342,8 @@ class MockChatClient:
             data = json.loads(read_text(path))
         except json.JSONDecodeError as exc:
             raise ConfigError(f"mock script is not valid JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise ConfigError("mock script nests too deeply to read") from exc
         if not isinstance(data, list):
             raise ConfigError("mock script must be a JSON array of records")
         return cls(data)

@@ -452,6 +452,20 @@ def test_run_mock_not_json_is_an_error(tmp_path, capsys):
     assert capsys.readouterr().err == "error: mock script must be a JSON array of records\n"
 
 
+@pytest.mark.parametrize("command, what", [("report", "report"), ("run", "mock script")],
+                         ids=["report", "run-mock"])
+def test_json_nested_past_the_recursion_limit_is_an_error(tmp_path, capsys, command, what):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000)
+    argv = (["report", str(deep)] if command == "report" else
+            ["run", "--task", "integration", "--mock", str(deep),
+             "--gold", fx(bundled.PATIENTS_GOLD_MAP)])
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {what} nests too deeply to read\n"
+
+
 @pytest.mark.parametrize("kind", ["not-utf8", "not-utf8-after-bom", "directory"])
 @pytest.mark.parametrize("command", [
     lambda path: ["ingest", path],
@@ -657,9 +671,11 @@ def test_score_command(tmp_path, capsys):
     rc = main(["score", "--predicted", str(predicted),
                "--gold", fx(bundled.PATIENTS_GOLD_MAP)])
     assert rc == 0
-    score = json.loads(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    score = json.loads(out)
     assert score == {"matched": 3, "goldSize": 6, "predictedSize": 4,
                      "precision": 0.75, "recall": 0.5, "f1": 0.6}
+    assert out == json.dumps(score, indent=2) + "\n"
 
 
 def test_report_command(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -1176,6 +1177,39 @@ def test_render_report_golden(patient_tables, patient_annotations, gold_mapping,
         schema=synthea_schema, annotations=synthea_annotations,
         database=fixture_db)
     assert render_report(reports) == data_text("mock_report_n3.json")
+
+
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(),
+    st.sampled_from([-0.0, 0.0, float("nan"), float("inf"), float("-inf"), True, 1, 1.0,
+                     "\u00e9\u2028\x00\x1f\"\\\U0001f600"]))
+_JSON = st.recursive(_JSON_SCALARS, lambda children: st.one_of(
+    st.lists(children, max_size=4), st.dictionaries(st.text(max_size=4), children, max_size=4)),
+    max_leaves=20)
+# Equal under ==, and so under a dict key, but each written its own way.
+_LOOKALIKES = [{"v": True}, {"v": 1}, {"v": 1.0}, {"v": 0.0}, {"v": -0.0}, {"v": False}]
+
+
+@settings(deadline=None, max_examples=300)
+@given(_JSON, st.dictionaries(st.text(max_size=4), _JSON_SCALARS, max_size=4))
+def test_render_report_writes_the_bytes_of_json_dumps(value, flat):
+    for payload in (value, [flat, value, flat, dict(flat), flat, *_LOOKALIKES]):
+        assert render_report(payload) == json.dumps({"experiments": payload}, indent=2) + "\n"
+
+
+def test_render_report_leaves_no_cyclic_garbage():
+    experiments = (_bundled_runs(TASK_INTEGRATION, str, 1)
+                   + _bundled_runs(TASK_JOINING, str, 1))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        text = render_report(experiments)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+    assert text == data_text("mock_report_n3.json")
 
 
 def test_render_summary(patient_tables, patient_annotations, gold_mapping):

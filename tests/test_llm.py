@@ -347,6 +347,18 @@ def test_http_client_malformed_body(patient_tables, api_key):
         client.complete(simple_bundle(patient_tables))
 
 
+def test_http_client_body_nested_past_the_recursion_limit(patient_tables, api_key):
+    body = "[" * 100000 + "]" * 100000
+
+    def transport(url, payload, headers, timeout):
+        return 200, {}, body
+
+    client = HttpChatClient(make_config(), transport=transport)
+    with pytest.raises(ApiError) as excinfo:
+        client.complete(simple_bundle(patient_tables))
+    assert (excinfo.value.status, excinfo.value.body) == (200, body)
+
+
 @pytest.mark.parametrize("content", [None, 42])
 def test_run_records_non_string_reply_as_failure(patient_tables, patient_annotations,
                                                   gold_mapping, api_key, content):
