@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from . import fixtures
-from .errors import ComdbError, ConfigError, UnknownTable, UnreadableFile
+from .errors import ComdbError, ConfigError
 from .evaluate import (
     execute_sql,
     render_json,
@@ -72,7 +72,7 @@ def _load_schema_file(path: str):
 def _check_output(out: str | None):
     """Raise now what writing to out would raise for a directory or a missing parent."""
     if out and os.path.isdir(out):
-        raise UnreadableFile(out, "is a directory, not a file")
+        raise ConfigError(f"{out}: is a directory, not a file")
     if out and not os.path.isdir(os.path.dirname(out) or "."):
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out)
 
@@ -136,7 +136,7 @@ def _task_inputs(args) -> dict:
         name_b = args.table_b or next((n for n in names if n != name_a), name_a)
         for flag, name in (("--table-a", name_a), ("--table-b", name_b)):
             if not schema.has_table(name):
-                raise UnknownTable(name, flag)
+                raise ConfigError(f"{flag} references unknown table {name!r}")
         if name_a == name_b:
             raise ConfigError(f"--table-a and --table-b both name {name_a!r}; "
                               "integration needs two different tables")

@@ -1,7 +1,18 @@
 """Exception types raised across the package.
 
-Everything derives from ComdbError so callers (notably the CLI) can catch
-one base class and map it to a nonzero exit code.
+Everything derives from ComdbError, which the CLI prints as
+``error: <message>`` with exit code 1. A failure has a class of its own
+only where a caller tells it apart by class:
+
+* the package catches it by type: ComdbError, ConfigError, WriteAttempt,
+  TransportError and Timeout;
+* callers read its fields: ParseError (line, col, expected) and ApiError
+  (status, body);
+* it is a way one repetition fails on the model's answer (NoMappingFound,
+  NoSqlFound) or on the transport (TransportError, Timeout, ApiError).
+
+Every other failure, from a bad name in a schema to a file that is not an
+SQLite database, is a ConfigError, and its message says which it is.
 """
 
 from __future__ import annotations
@@ -11,74 +22,9 @@ class ComdbError(Exception):
     pass
 
 
-# --- schema validation ---
+class ConfigError(ComdbError):
+    pass
 
-class EmptySchema(ComdbError):
-    def __init__(self):
-        super().__init__("schema contains no tables")
-
-
-class EmptyTable(ComdbError):
-    def __init__(self, table: str):
-        self.table = table
-        super().__init__(f"table {table!r} has no headers")
-
-
-class DuplicateTable(ComdbError):
-    def __init__(self, table: str):
-        self.table = table
-        super().__init__(f"duplicate table name {table!r}")
-
-
-class DuplicateHeader(ComdbError):
-    def __init__(self, table: str, header: str):
-        self.table = table
-        self.header = header
-        super().__init__(f"duplicate header {header!r} in table {table!r}")
-
-
-class InvalidName(ComdbError):
-    def __init__(self, kind: str, name: str):
-        self.kind = kind
-        self.name = name
-        super().__init__(f"invalid {kind} name {name!r}")
-
-
-# --- annotation validation ---
-
-class UnknownTable(ComdbError):
-    def __init__(self, table: str, referrer: str = "annotation"):
-        self.table = table
-        super().__init__(f"{referrer} references unknown table {table!r}")
-
-
-class UnknownHeader(ComdbError):
-    def __init__(self, table: str, header: str):
-        self.table = table
-        self.header = header
-        super().__init__(f"table {table!r} has no header {header!r}")
-
-
-class SelfContext(ComdbError):
-    def __init__(self, table: str):
-        self.table = table
-        super().__init__(f"table {table!r} appears on both sides of one relation")
-
-
-class EmptySide(ComdbError):
-    def __init__(self, index: int):
-        self.index = index
-        super().__init__(f"relation {index} has an empty subject or object list")
-
-
-class InvalidGroup(ComdbError):
-    def __init__(self, table: str, reason: str):
-        self.table = table
-        self.reason = reason
-        super().__init__(f"bad header group on table {table!r}: {reason}")
-
-
-# --- parsing ---
 
 class ParseError(ComdbError):
     """Syntax error in one of the textual input formats."""
@@ -92,46 +38,6 @@ class ParseError(ComdbError):
         super().__init__(f"{loc}: {message}")
 
 
-class MixedScope(ParseError):
-    def __init__(self, line: int, message: str = "line mixes table-level and header-level scope"):
-        super().__init__(message, line)
-
-
-class UnreadableFile(ComdbError):
-    """A path that names no usable file: a directory, or text that is not
-    UTF-8. Output paths that name a directory raise it too."""
-
-    def __init__(self, path, reason: str):
-        self.path = path
-        super().__init__(f"{path}: {reason}")
-
-
-class EmptyInput(ComdbError):
-    def __init__(self, what: str = "input"):
-        super().__init__(f"{what} is empty")
-
-
-# --- database introspection / execution ---
-
-class UnsupportedFormat(ComdbError):
-    def __init__(self, path: str):
-        self.path = path
-        super().__init__(f"{path}: not an SQLite database file")
-
-
-class NoTables(ComdbError):
-    def __init__(self, path: str):
-        self.path = path
-        super().__init__(f"{path}: database contains no user tables")
-
-
-class BuildFailed(ComdbError):
-    def __init__(self, path: str, detail: str):
-        self.path = path
-        self.detail = detail
-        super().__init__(f"{path}: cannot build database: {detail}")
-
-
 class WriteAttempt(ComdbError):
     def __init__(self, statement_kind: str):
         self.statement_kind = statement_kind
@@ -139,12 +45,6 @@ class WriteAttempt(ComdbError):
 
 
 # --- chat-completion client ---
-
-class MissingCredentials(ComdbError):
-    def __init__(self, env_var: str):
-        self.env_var = env_var
-        super().__init__(f"environment variable {env_var} is not set")
-
 
 class TransportError(ComdbError):
     def __init__(self, detail: str):
@@ -165,12 +65,7 @@ class ApiError(ComdbError):
         super().__init__(f"API returned HTTP {status}: {body[:200]}")
 
 
-# --- prompt building and response parsing ---
-
-class MissingAnnotations(ComdbError):
-    def __init__(self, reason: str = "with-context prompt requested but no annotations given"):
-        super().__init__(reason)
-
+# --- response parsing ---
 
 class NoMappingFound(ComdbError):
     def __init__(self):
@@ -180,21 +75,3 @@ class NoMappingFound(ComdbError):
 class NoSqlFound(ComdbError):
     def __init__(self):
         super().__init__("response contains no SQL statement")
-
-
-# --- scoring and experiments ---
-
-class TableMismatch(ComdbError):
-    def __init__(self, predicted: tuple, gold: tuple):
-        self.predicted = predicted
-        self.gold = gold
-        super().__init__(f"mappings cover different table pairs: {predicted} vs {gold}")
-
-
-class ConfigError(ComdbError):
-    pass
-
-
-class FixtureMissing(ComdbError):
-    def __init__(self, what: str):
-        super().__init__(f"required fixture missing: {what}")

@@ -26,7 +26,7 @@ import time
 from contextlib import closing
 
 from . import llm
-from .errors import ComdbError, ConfigError, FixtureMissing, TableMismatch, WriteAttempt
+from .errors import ComdbError, ConfigError, WriteAttempt
 from .ingest import check_sqlite_file, open_readonly
 from .mapping import HeaderMapping
 from .schema import TableSchema, ValidatedAnnotations, ValidatedSchema
@@ -49,12 +49,12 @@ class MappingScore(Value):
 def score_mapping(predicted: HeaderMapping, gold: HeaderMapping) -> MappingScore:
     """Exact-entry scoring: a predicted entry counts iff both its header
     sets equal a gold entry's sets after normalization. Partial overlap
-    (e.g. covering one of four gold target headers) earns nothing."""
+    (e.g. covering one of four gold target headers) earns nothing.
+    Mappings between different table pairs are a ConfigError."""
     if (predicted.source_table and gold.source_table
-            and (predicted.source_table, predicted.target_table)
-            != (gold.source_table, gold.target_table)):
-        raise TableMismatch((predicted.source_table, predicted.target_table),
-                            (gold.source_table, gold.target_table))
+            and (pair := (predicted.source_table, predicted.target_table))
+            != (gold_pair := (gold.source_table, gold.target_table))):
+        raise ConfigError(f"mappings cover different table pairs: {pair} vs {gold_pair}")
     gold_entries = {e.normalized() for e in gold.entries}
     matched = sum(1 for e in predicted.entries if e.normalized() in gold_entries)
     predicted_size = len(predicted.entries)
@@ -237,12 +237,13 @@ def run_experiment(task: str, *,
         raise ConfigError("repetitions must be >= 1")
     if workers < 1:
         raise ConfigError("workers must be >= 1")
+    missing = "required fixture missing: {}".format
     con = None
     if task == llm.TASK_INTEGRATION:
         if table_a is None or table_b is None:
-            raise FixtureMissing("both tables for semantic integration")
+            raise ConfigError(missing("both tables for semantic integration"))
         if gold is None:
-            raise FixtureMissing("gold mapping for semantic integration")
+            raise ConfigError(missing("gold mapping for semantic integration"))
         failed = {"precision": 0.0, "recall": 0.0, "f1": 0.0}
         means = {"meanPrecision": "precision", "meanRecall": "recall", "meanF1": "f1"}
         build = lambda arm: llm.build_integration_prompt(table_a, table_b, annotations, arm)
@@ -253,11 +254,11 @@ def run_experiment(task: str, *,
                                 "f1": score.f1}
     elif task == llm.TASK_JOINING:
         if schema is None:
-            raise FixtureMissing("database schema for tables joining")
+            raise ConfigError(missing("database schema for tables joining"))
         if database is None:
-            raise FixtureMissing("database file for tables joining")
+            raise ConfigError(missing("database file for tables joining"))
         if not os.path.exists(os.fspath(database)):
-            raise FixtureMissing(f"database file {database}")
+            raise ConfigError(missing(f"database file {database}"))
         # A directory or a file that is not SQLite fails here, not in every run.
         check_sqlite_file(database)
         failed, means = {"sqlSuccess": False}, {}

@@ -43,16 +43,7 @@ from itertools import islice
 from pathlib import Path
 from urllib.parse import quote
 
-from .errors import (
-    BuildFailed,
-    EmptyInput,
-    InvalidName,
-    MixedScope,
-    NoTables,
-    ParseError,
-    UnreadableFile,
-    UnsupportedFormat,
-)
+from .errors import ConfigError, ParseError
 from .schema import (
     ContextRelation,
     DatabaseSchema,
@@ -68,17 +59,17 @@ _SQLITE_MAGIC = b"SQLite format 3\x00"
 def read_text(path) -> str:
     """The UTF-8 text of the file at path, or of the bytes on standard
     input when path is None, less a leading byte-order mark. A directory,
-    or bytes that are not UTF-8, is an UnreadableFile; a missing file stays
+    or bytes that are not UTF-8, is a ConfigError; a missing file stays
     FileNotFoundError."""
     try:
         if path is None:
             return sys.stdin.buffer.read().decode("utf-8").removeprefix("\ufeff")
         return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except IsADirectoryError:
-        raise UnreadableFile(path, "is a directory, not a file") from None
+        raise ConfigError(f"{path}: is a directory, not a file") from None
     except UnicodeDecodeError as exc:
-        raise UnreadableFile(path or "standard input",
-                             f"not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+        raise ConfigError(f"{path or 'standard input'}: "
+                          f"not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
 # --- DDL ---
@@ -198,7 +189,7 @@ def _parse_ddl_tokens(text: str, start: int) -> list[TableSchema]:
     """The token parser for text[start:]: every DDL the subset allows, every error."""
     toks = _tokenize_ddl(text, start)
     if not toks[0]:
-        raise EmptyInput("DDL text")
+        raise ConfigError("DDL text is empty")
     tables = []
     # start is 0 or just after a ';', so the doubled ';' tolerated below may lead.
     i = 1 if start and toks[0] == ";" else 0
@@ -278,22 +269,21 @@ def parse_fixture(text: str, name: str = "database") -> DatabaseSchema:
             raise ParseError("empty header name", lineno)
         tables.append(TableSchema(table, tuple(headers)))
     if not tables:
-        raise EmptyInput("fixture text")
+        raise ConfigError("fixture text is empty")
     schema = DatabaseSchema(name, tuple(tables))
     validate_schema(schema)
     return schema
 
 
 def render_fixture(schema: DatabaseSchema) -> str:
-    """Inverse of parse_fixture. Raises InvalidName for a name that
+    """Inverse of parse_fixture. Raises ConfigError for a name that
     parse_fixture would read back as another: a table name holding ':' or
     opening with '#', or any name with surrounding whitespace."""
     for table in schema.tables:
-        if ":" in table.name or table.name.startswith("#"):
-            raise InvalidName("table", table.name)
         for kind, name in (("table", table.name), *(("header", h) for h in table.headers)):
-            if name != name.strip():
-                raise InvalidName(kind, name)
+            if (name != name.strip()
+                    or kind == "table" and (":" in name or name.startswith("#"))):
+                raise ConfigError(f"invalid {kind} name {name!r}")
     lines = [f"{t.name}: {', '.join(t.headers)}" for t in schema.tables]
     return "\n".join(lines) + "\n"
 
@@ -322,16 +312,15 @@ def parse_annotations(text: str) -> OntologyAnnotations:
             headers = []
             for ref in (p.strip() for p in left.split(",")):
                 if "." not in ref:
-                    raise MixedScope(lineno,
-                                     f"header group needs table.header references, got {ref!r}")
+                    raise ParseError(
+                        f"header group needs table.header references, got {ref!r}", lineno)
                 t, h = (s.strip() for s in ref.split(".", 1))
                 if not t or not h:
                     raise ParseError(f"bad header reference {ref!r}", lineno)
                 if table is None:
                     table = t
                 elif t != table:
-                    raise MixedScope(lineno,
-                                     f"header group spans tables {table!r} and {t!r}")
+                    raise ParseError(f"header group spans tables {table!r} and {t!r}", lineno)
                 headers.append(h)
             groups.append(HeaderContextGroup(table, tuple(headers), concept))
         else:
@@ -340,8 +329,7 @@ def parse_annotations(text: str) -> OntologyAnnotations:
             if "" in subjects or "" in objects:
                 raise ParseError("empty table name in relation", lineno)
             if "." in left or "." in right:
-                raise MixedScope(lineno,
-                                 "table relation mixes in a table.header reference")
+                raise ParseError("table relation mixes in a table.header reference", lineno)
             relations.append(ContextRelation(subjects, objects))
     return OntologyAnnotations(tuple(relations), tuple(groups))
 
@@ -363,8 +351,8 @@ def render_annotations(ann: OntologyAnnotations) -> str:
 
 def check_sqlite_file(location) -> None:
     """Raise unless location names a file SQLite can open: FileNotFoundError
-    if it is missing, UnreadableFile if it is a directory, UnsupportedFormat
-    if it is neither empty nor starts with the SQLite header."""
+    if it is missing, ConfigError if it is a directory or is neither empty
+    nor starts with the SQLite header."""
     path = os.fspath(location)
     try:
         with open(path, "rb") as fh:
@@ -372,9 +360,9 @@ def check_sqlite_file(location) -> None:
     except FileNotFoundError:
         raise FileNotFoundError(path) from None
     except IsADirectoryError:
-        raise UnreadableFile(path, "is a directory, not a file") from None
+        raise ConfigError(f"{path}: is a directory, not a file") from None
     if magic and magic != _SQLITE_MAGIC:
-        raise UnsupportedFormat(path)
+        raise ConfigError(f"{path}: not an SQLite database file")
 
 
 # Bound on the bytes of any one string or blob a statement makes
@@ -418,11 +406,11 @@ def introspect_database(location) -> DatabaseSchema:
                 f"PRAGMA table_info({_quote_ident(table_name)})").fetchall()
             tables.append(TableSchema(table_name, tuple(c[1] for c in cols)))
     except sqlite3.DatabaseError as exc:
-        raise UnsupportedFormat(path) from exc
+        raise ConfigError(f"{path}: not an SQLite database file") from exc
     finally:
         con.close()
     if not tables:
-        raise NoTables(path)
+        raise ConfigError(f"{path}: database contains no user tables")
     return DatabaseSchema(Path(path).stem, tuple(tables))
 
 
@@ -460,14 +448,15 @@ def build_database(schema: DatabaseSchema, location) -> None:
     headers of one table equal under its ASCII case rule, a NUL) is still
     refused here. That failure, a name with no UTF-8 encoding, or a table
     name starting with the prefix SQLite reserves (sqlite_, in any ASCII
-    case) raises BuildFailed and leaves no file.
+    case) raises ConfigError and leaves no file.
     """
     path = os.fspath(location)
     if os.path.exists(path):
         raise FileExistsError(path)
+    failed = f"{path}: cannot build database: "
     for table in schema.tables:
         if table.name[:7].isascii() and table.name[:7].lower() == "sqlite_":
-            raise BuildFailed(path, f"object name reserved for internal use: {table.name}")
+            raise ConfigError(f"{failed}object name reserved for internal use: {table.name}")
     rows = []
     try:
         for root, table in enumerate(schema.tables, 2):
@@ -477,7 +466,7 @@ def build_database(schema: DatabaseSchema, location) -> None:
             sql.encode()  # a lone surrogate fails here, at its position in sql
             rows.append((table.name, table.name, root, sql))
     except UnicodeEncodeError as exc:
-        raise BuildFailed(path, str(exc)) from None
+        raise ConfigError(failed + str(exc)) from None
     version = sqlite3.sqlite_version_info
     # Change counter 1, the size in pages, no freelist, schema cookie 1,
     # schema format 4, no cache size or vacuum settings, UTF-8, user version
@@ -503,4 +492,4 @@ def build_database(schema: DatabaseSchema, location) -> None:
     except (OSError, sqlite3.Error) as exc:
         with suppress(FileNotFoundError):
             os.remove(path)
-        raise BuildFailed(path, str(exc)) from exc
+        raise ConfigError(failed + str(exc)) from exc

@@ -40,8 +40,6 @@ from urllib.parse import urlsplit
 from .errors import (
     ApiError,
     ConfigError,
-    MissingAnnotations,
-    MissingCredentials,
     NoMappingFound,
     NoSqlFound,
     Timeout,
@@ -152,7 +150,7 @@ def _context(arm: str, ann: ValidatedAnnotations | None) -> ValidatedAnnotations
     if arm not in ARMS:
         raise ConfigError(f"unknown arm {arm!r}")
     if arm == WITH_CONTEXT and ann is None:
-        raise MissingAnnotations()
+        raise ConfigError("with-context prompt requested but no annotations given")
     return ann if arm == WITH_CONTEXT else None
 
 
@@ -171,8 +169,8 @@ def build_integration_prompt(table_a: TableSchema, table_b: TableSchema,
         groups = tuple(g for g in ann.header_groups
                        if g.table in (table_a.name, table_b.name))
         if not groups:
-            raise MissingAnnotations("the annotations hold no header group of table "
-                                     f"{table_a.name!r} or {table_b.name!r}")
+            raise ConfigError("the annotations hold no header group of table "
+                              f"{table_a.name!r} or {table_b.name!r}")
         local = validate_annotations(OntologyAnnotations((), groups), pair)
         parts.append(emit_contextual_schema(local).rstrip("\n"))
     parts.append(INTEGRATION_TASK_TEMPLATE.format(a=table_a.name, b=table_b.name))
@@ -191,7 +189,7 @@ def build_join_prompt(schema: ValidatedSchema, ann: ValidatedAnnotations | None,
     if ann is not None:
         context_text = emit_contextual_schema(ann).rstrip("\n")
         if not context_text:
-            raise MissingAnnotations("the annotations hold no context sentence")
+            raise ConfigError("the annotations hold no context sentence")
         parts.append(context_text)
     parts.append(goal)
     parts.append(SQL_DIRECTIVE)
@@ -264,7 +262,7 @@ class HttpChatClient:
             return None
         key = os.environ.get(source)
         if key is None:
-            raise MissingCredentials(source)
+            raise ConfigError(f"environment variable {source} is not set")
         return key
 
     def complete(self, bundle: PromptBundle, *, repetition: int = 0) -> str:

@@ -18,18 +18,7 @@ threads.
 
 from __future__ import annotations
 
-from .errors import (
-    DuplicateHeader,
-    DuplicateTable,
-    EmptySchema,
-    EmptySide,
-    EmptyTable,
-    InvalidGroup,
-    InvalidName,
-    SelfContext,
-    UnknownHeader,
-    UnknownTable,
-)
+from .errors import ConfigError
 from .mapping import normalize_header, normalize_headers
 from .value import Value
 
@@ -151,31 +140,32 @@ class ValidatedAnnotations(Value):
 def _check_name(kind: str, name: str):
     if (not name or "\n" in name or "\r" in name or "," in name
             or (kind == "table" and "." in name)):
-        raise InvalidName(kind, name)
+        raise ConfigError(f"invalid {kind} name {name!r}")
 
 
 def validate_schema(schema: DatabaseSchema) -> ValidatedSchema:
     """Check every schema invariant and return the validation witness.
 
-    Raises EmptySchema, EmptyTable, DuplicateTable, DuplicateHeader or
-    InvalidName; on success the returned wrapper vouches for all of them.
+    Raises ConfigError for an empty schema, a table with no headers, two
+    tables or two headers of one table whose names clash, or an invalid
+    name; on success the returned wrapper vouches that none of these holds.
     Two names clash when they are equal under normalize_header. A name is
     invalid when empty or holding a CR, an LF or a list-separating comma;
     a table name also when holding ".", which ends the table part of a
     table.header reference.
     """
     if not schema.tables:
-        raise EmptySchema()
+        raise ConfigError("schema contains no tables")
     seen_tables = set()
     for table in schema.tables:
         _check_name("table", table.name)
         key = normalize_header(table.name)
         if key in seen_tables:
-            raise DuplicateTable(table.name)
+            raise ConfigError(f"duplicate table name {table.name!r}")
         seen_tables.add(key)
         headers = table.headers
         if not headers:
-            raise EmptyTable(table.name)
+            raise ConfigError(f"table {table.name!r} has no headers")
         # One test over all headers; only a table that fails it is walked
         # header by header, to name the first offender.
         joined = "".join(headers)
@@ -186,7 +176,7 @@ def validate_schema(schema: DatabaseSchema) -> ValidatedSchema:
                 _check_name("header", header)
                 key = normalize_header(header)
                 if key in seen_headers:
-                    raise DuplicateHeader(table.name, header)
+                    raise ConfigError(f"duplicate header {header!r} in table {table.name!r}")
                 seen_headers.add(key)
     return ValidatedSchema(schema)
 
@@ -197,12 +187,14 @@ def validate_annotations(ann: OntologyAnnotations,
 
     Rejects unknown tables/headers, empty or duplicated relation sides,
     self-referential relations, and header groups of fewer than two
-    headers or with an empty concept.
+    headers or with an empty concept, each as a ConfigError.
     """
+    unknown_table = "annotation references unknown table {!r}".format
+    bad_group = "bad header group on table {!r}: {}".format
     known = schema._by_name.keys()
     for i, rel in enumerate(ann.table_relations):
         if not rel.subjects or not rel.objects:
-            raise EmptySide(i)
+            raise ConfigError(f"relation {i} has an empty subject or object list")
         # Set operations accept a relation with no repeat, no overlap and only
         # known tables. Any other is walked to name its first fault; when the
         # walk finds no repeat and no unknown table, the fault is an overlap.
@@ -213,26 +205,27 @@ def validate_annotations(ann: OntologyAnnotations,
             seen = set()
             for name in side:
                 if name in seen:
-                    raise InvalidGroup(name, f"table {name!r} repeated within relation {i}")
+                    raise ConfigError(f"table {name!r} repeated within relation {i}")
                 seen.add(name)
                 if not schema.has_table(name):
-                    raise UnknownTable(name)
-        raise SelfContext(min(set(rel.subjects) & set(rel.objects)))
+                    raise ConfigError(unknown_table(name))
+        overlap = min(set(rel.subjects) & set(rel.objects))
+        raise ConfigError(f"table {overlap!r} appears on both sides of one relation")
     for group in ann.header_groups:
         if not schema.has_table(group.table):
-            raise UnknownTable(group.table)
+            raise ConfigError(unknown_table(group.table))
         if len(group.headers) < 2:
-            raise InvalidGroup(group.table, "a header group needs at least two headers")
+            raise ConfigError(bad_group(group.table, "a header group needs at least two headers"))
         if not group.concept or "\n" in group.concept:
-            raise InvalidGroup(group.table, "concept must be a nonempty single line")
+            raise ConfigError(bad_group(group.table, "concept must be a nonempty single line"))
         table = schema.table(group.table)
         seen = set()
         for header in group.headers:
             if header in seen:
-                raise InvalidGroup(group.table, f"header {header!r} repeated")
+                raise ConfigError(bad_group(group.table, f"header {header!r} repeated"))
             seen.add(header)
             if header not in table.headers:
-                raise UnknownHeader(group.table, header)
+                raise ConfigError(f"table {group.table!r} has no header {header!r}")
     return ValidatedAnnotations(ann, schema)
 
 

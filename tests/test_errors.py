@@ -134,7 +134,7 @@ def empty_side(tmp):
 @case
 def repeated_table_in_relation(tmp):
     return (_emit(tmp, "a, a => b\n"),
-            "bad header group on table 'a': table 'a' repeated within relation 0")
+            "table 'a' repeated within relation 0")
 
 
 @case

@@ -20,12 +20,9 @@ from hypothesis import given, settings, strategies as st
 from comdb import evaluate, fixtures as bundled, llm
 from comdb.errors import (
     ConfigError,
-    FixtureMissing,
-    MissingAnnotations,
     NoMappingFound,
     NoSqlFound,
     ParseError,
-    TableMismatch,
     WriteAttempt,
 )
 from comdb.evaluate import (
@@ -128,8 +125,10 @@ def test_score_does_not_stem(gold_mapping):
 
 def test_score_table_mismatch(gold_mapping):
     predicted = HeaderMapping((entry(["Gender"], ["GENDER"]),), "other_A", "other_B")
-    with pytest.raises(TableMismatch):
+    with pytest.raises(ConfigError) as excinfo:
         score_mapping(predicted, gold_mapping)
+    assert str(excinfo.value) == ("mappings cover different table pairs: "
+                                  "('other_A', 'other_B') vs ('patients_A', 'patients_B')")
 
 
 def test_mapping_invariant_duplicate_source():
@@ -506,20 +505,22 @@ def test_run_unknown_arm(patient_tables, patient_annotations, gold_mapping):
 def test_run_with_context_without_annotations(task, patient_tables, gold_mapping,
                                               synthea_schema, fixture_db):
     table_a, table_b = patient_tables
-    with pytest.raises(MissingAnnotations):
+    with pytest.raises(ConfigError) as excinfo:
         run_experiment(task, repetitions=1,
                        client_factory=lambda: pytest.fail("a repetition ran"),
                        table_a=table_a, table_b=table_b, gold=gold_mapping,
                        schema=synthea_schema, database=fixture_db, annotations=None)
+    assert str(excinfo.value) == "with-context prompt requested but no annotations given"
 
 
 def test_run_missing_gold(patient_tables, patient_annotations):
     table_a, table_b = patient_tables
-    with pytest.raises(FixtureMissing):
+    with pytest.raises(ConfigError) as excinfo:
         run_experiment(TASK_INTEGRATION, repetitions=1,
                        client_factory=lambda: None,
                        table_a=table_a, table_b=table_b,
                        annotations=patient_annotations, gold=None)
+    assert str(excinfo.value) == "required fixture missing: gold mapping for semantic integration"
 
 
 @pytest.mark.parametrize("task, missing, what", [
@@ -533,17 +534,18 @@ def test_run_without_a_fixture_the_task_needs(patient_tables, gold_mapping, synt
     fixtures = dict(table_a=table_a, table_b=table_b, gold=gold_mapping,
                     schema=synthea_schema, database=fixture_db)
     fixtures[missing] = None
-    with pytest.raises(FixtureMissing) as excinfo:
+    with pytest.raises(ConfigError) as excinfo:
         run_experiment(task, arms=(WITHOUT_CONTEXT,), repetitions=1,
                        client_factory=lambda: pytest.fail("a client was made"), **fixtures)
     assert str(excinfo.value) == f"required fixture missing: {what}"
 
 
 def test_run_missing_database(synthea_schema, synthea_annotations, tmp_path):
-    with pytest.raises(FixtureMissing):
+    with pytest.raises(ConfigError) as excinfo:
         run_experiment(TASK_JOINING, repetitions=1, client_factory=lambda: None,
                        schema=synthea_schema, annotations=synthea_annotations,
                        database=tmp_path / "gone.db")
+    assert str(excinfo.value) == f"required fixture missing: database file {tmp_path / 'gone.db'}"
 
 
 def test_run_failure_is_data(patient_tables, patient_annotations, gold_mapping):

@@ -20,8 +20,6 @@ from comdb.cli import main as cli_main
 from comdb.errors import (
     ApiError,
     ConfigError,
-    MissingAnnotations,
-    MissingCredentials,
     NoMappingFound,
     NoSqlFound,
     Timeout,
@@ -77,8 +75,9 @@ def test_integration_prompt_without_context(patient_tables, patient_annotations)
 
 def test_integration_prompt_requires_annotations(patient_tables):
     table_a, table_b = patient_tables
-    with pytest.raises(MissingAnnotations):
+    with pytest.raises(ConfigError) as excinfo:
         build_integration_prompt(table_a, table_b, None, WITH_CONTEXT)
+    assert str(excinfo.value) == "with-context prompt requested but no annotations given"
 
 
 def test_without_context_builders_ignore_the_annotations(patient_tables, patient_annotations,
@@ -186,8 +185,9 @@ def test_http_client_success(patient_tables, api_key):
 def test_http_client_missing_credentials(patient_tables, monkeypatch):
     monkeypatch.delenv("TEST_LLM_KEY", raising=False)
     client = HttpChatClient(make_config(), transport=_ok_transport())
-    with pytest.raises(MissingCredentials):
+    with pytest.raises(ConfigError) as excinfo:
         client.complete(simple_bundle(patient_tables))
+    assert str(excinfo.value) == "environment variable TEST_LLM_KEY is not set"
 
 
 def test_http_client_api_error(patient_tables, api_key):
