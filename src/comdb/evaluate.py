@@ -138,7 +138,9 @@ def _execute(sql: str, con: sqlite3.Connection) -> SqlValidationReport:
     con.set_progress_handler(past_deadline, _PROGRESS_STEPS)
     try:
         cursor = con.execute(sql)
-        columns = tuple(d[0] for d in cursor.description) if cursor.description else ()
+        # From a list: tuple() of a generator shrinks a guessed size, which
+        # piles tuples onto CPython's free lists, one per call.
+        columns = tuple([d[0] for d in cursor.description]) if cursor.description else ()
         row_count = sum(1 for _ in cursor)
         return SqlValidationReport(True, None, columns, row_count)
     except sqlite3.Error as exc:

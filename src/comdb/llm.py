@@ -166,8 +166,9 @@ def build_integration_prompt(table_a: TableSchema, table_b: TableSchema,
     pair = _pair_schema(table_a, table_b)
     parts = [emit_base_schema(pair, INPUT_ORDER).rstrip("\n")]
     if ann is not None:
-        groups = tuple(g for g in ann.header_groups
-                       if g.table in (table_a.name, table_b.name))
+        # From a list, for the reason evaluate._execute gives.
+        groups = tuple([g for g in ann.header_groups
+                        if g.table in (table_a.name, table_b.name)])
         if not groups:
             raise ConfigError("the annotations hold no header group of table "
                               f"{table_a.name!r} or {table_b.name!r}")
