@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import os
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -27,6 +28,11 @@ DATA_DIR = Path(__file__).parent / "data"
 
 def data_text(name: str) -> str:
     return (DATA_DIR / name).read_text(encoding="utf-8")
+
+
+def raises_exactly(error, message):
+    """pytest.raises for an error of class error whose whole message is message."""
+    return pytest.raises(error, match=rf"\A{re.escape(message)}\Z")
 
 
 def src_env() -> dict:

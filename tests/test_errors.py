@@ -36,7 +36,7 @@ from comdb.schema import (
     validate_schema,
 )
 
-# Read by no test run: each case deletes it from the environment first.
+# The credential variable of the missing-credentials case; the test unsets it.
 _UNSET_KEY = "COMDB_TEST_UNSET_API_KEY"
 
 _AB = "a: x, y\nb: z, w\n"

@@ -34,7 +34,7 @@ from comdb.schema import (
 )
 from comdb import fixtures as bundled
 
-from conftest import NOT_LINE_BREAKS, rand_annotations, rand_schema
+from conftest import NOT_LINE_BREAKS, raises_exactly, rand_annotations, rand_schema
 
 PROVIDERS_DDL = ("CREATE TABLE providers (Id TEXT, ORGANIZATION TEXT, NAME TEXT, "
                  "GENDER TEXT, SPECIALITY TEXT, ADDRESS TEXT, CITY TEXT, "
@@ -139,13 +139,8 @@ def test_parse_ddl_comments_and_quoting():
     assert schema.tables[0].headers == ("Date of Birth", "plain")
 
 
-def _raises(error, message):
-    """pytest.raises for an error of class error whose whole message is message."""
-    return pytest.raises(error, match=rf"\A{re.escape(message)}\Z")
-
-
 def test_parse_ddl_empty_input():
-    with _raises(ConfigError, "DDL text is empty"):
+    with raises_exactly(ConfigError, "DDL text is empty"):
         parse_ddl("   \n  ")
 
 
@@ -334,7 +329,7 @@ def test_ddl_doubled_semicolon_resumes_at_the_second_one():
 
 def test_ddl_fast_path_takes_no_statement_from_a_comment():
     text = "-- CREATE TABLE t (a INT);"
-    with _spy_token_parser() as spy, _raises(ConfigError, "DDL text is empty"):
+    with _spy_token_parser() as spy, raises_exactly(ConfigError, "DDL text is empty"):
         parse_ddl(text)
     spy.assert_called_once_with(text, 0)
     with _spy_token_parser() as spy:
@@ -448,7 +443,7 @@ def test_parse_fixture_empty_headers(text, error, message):
 
 
 def test_parse_fixture_duplicate_table_propagates():
-    with _raises(ConfigError, "duplicate table name 't'"):
+    with raises_exactly(ConfigError, "duplicate table name 't'"):
         parse_fixture("t: a\nt: b")
 
 
@@ -477,20 +472,20 @@ def test_introspect_matches_fixture(tmp_path, synthea_schema):
 def test_introspect_no_tables(tmp_path):
     path = tmp_path / "empty.db"
     sqlite3.connect(path).close()
-    with _raises(ConfigError, f"{path}: database contains no user tables"):
+    with raises_exactly(ConfigError, f"{path}: database contains no user tables"):
         introspect_database(path)
 
 
 def test_introspect_rejects_text_file(tmp_path):
     path = tmp_path / "fake.db"
     path.write_text("this is not a database at all, just plain text")
-    with _raises(ConfigError, f"{path}: not an SQLite database file"):
+    with raises_exactly(ConfigError, f"{path}: not an SQLite database file"):
         introspect_database(path)
     # The SQLite header alone does not make a database: SQLite's own error
     # on the first read gets the same message.
     path = tmp_path / "corrupt.db"
     path.write_bytes(b"SQLite format 3\x00" + b"\xff" * 84 + bytes(412))
-    with _raises(ConfigError, f"{path}: not an SQLite database file"):
+    with raises_exactly(ConfigError, f"{path}: not an SQLite database file"):
         introspect_database(path)
 
 
@@ -728,12 +723,13 @@ def test_parse_annotations_empty_subject(text, message):
 
 
 def test_parse_annotations_mixed_scope():
-    with _raises(ParseError, "line 1: header group spans tables 'patients_A' and 'patients_B'"):
+    with raises_exactly(ParseError,
+                        "line 1: header group spans tables 'patients_A' and 'patients_B'"):
         parse_annotations("patients_A.Name, patients_B.LAST => concept: names")
-    with _raises(ParseError, "line 1: table relation mixes in a table.header reference"):
+    with raises_exactly(ParseError, "line 1: table relation mixes in a table.header reference"):
         parse_annotations("patients, encounters.Id => patients")
-    with _raises(ParseError,
-                 "line 1: header group needs table.header references, got 'patients'"):
+    with raises_exactly(ParseError,
+                        "line 1: header group needs table.header references, got 'patients'"):
         parse_annotations("patients, encounters => concept: visits")
 
 
