@@ -60,13 +60,15 @@ _DDL_SUFFIXES = {".sql", ".ddl"}
 
 
 def _load_schema_file(path: str):
-    """Read path as SQLite, as DDL or as a .schema fixture, by its suffix alone."""
-    suffix = Path(path).suffix.lower()
+    """Read path as SQLite, as DDL or as a .schema fixture, by its suffix alone
+    (none when path ends in a separator)."""
+    stem, suffix = os.path.splitext(os.path.basename(path))
+    suffix = suffix.lower()
     if suffix in _DB_SUFFIXES:
         return introspect_database(path)
     if suffix in _DDL_SUFFIXES:
-        return parse_ddl(read_text(path), name=Path(path).stem)
-    return parse_fixture(read_text(path), name=Path(path).stem)
+        return parse_ddl(read_text(path), name=stem)
+    return parse_fixture(read_text(path), name=stem)
 
 
 def _check_output(out: str | None):
@@ -197,6 +199,8 @@ def cmd_run(args) -> int:
         args.parser.error("--gold is required for --task integration")
     if task == TASK_JOINING and not args.db:
         args.parser.error("--db is required for --task joining")
+    if isinstance(client, HttpChatClient):
+        client.api_key()  # an unset variable fails here, not in every repetition
     _check_output(args.out)
     inputs = _task_inputs(args)
     gold = None

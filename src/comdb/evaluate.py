@@ -99,8 +99,10 @@ def execute_sql(sql: str, database) -> SqlValidationReport:
     come back verbatim in error_text. Statements that open with a
     write/DDL keyword are rejected with WriteAttempt before they reach the
     engine; one that opens with no keyword is reported as failed there
-    too. PRAGMA query_only, set for the statement and restored after,
-    backstops anything sneakier, on any connection. A statement
+    too. PRAGMA query_only backstops anything sneakier, on any connection:
+    open_readonly sets it when the connection opens, and on a writable
+    connection that a caller passes in it is set for the statement and
+    restored after. A statement
     still running after SQL_TIME_LIMIT_S seconds is interrupted and
     reported as failed, and so is one that runs out of SQLite's heap
     (ingest.SQL_HEAP_LIMIT); the connection stays usable after either.
@@ -133,8 +135,9 @@ def _execute(sql: str, con: sqlite3.Connection) -> SqlValidationReport:
         timed_out = time.monotonic() > deadline
         return timed_out
 
-    query_only = con.execute("PRAGMA query_only").fetchone()[0]
-    con.execute("PRAGMA query_only = 1")
+    writable = not con.execute("PRAGMA query_only").fetchone()[0]
+    if writable:
+        con.execute("PRAGMA query_only = 1")
     con.set_progress_handler(past_deadline, _PROGRESS_STEPS)
     try:
         cursor = con.execute(sql)
@@ -155,7 +158,8 @@ def _execute(sql: str, con: sqlite3.Connection) -> SqlValidationReport:
         return SqlValidationReport(False, f"out of memory: statement exceeded {bound}", (), 0)
     finally:
         con.set_progress_handler(None, 0)
-        con.execute(f"PRAGMA query_only = {query_only}")
+        if writable:
+            con.execute("PRAGMA query_only = 0")
 
 
 def _sha256(text: str) -> str:

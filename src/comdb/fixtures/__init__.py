@@ -8,6 +8,7 @@ run offline and deterministically.
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 SYNTHEA_SCHEMA = "synthea.schema"
@@ -18,14 +19,15 @@ PATIENTS_CONTEXT = "patients_ab.ctx"
 PATIENTS_GOLD_MAP = "patients_ab_gold.map"
 INTEGRATION_MOCK = "mock_integration.mockjson"
 JOINING_MOCK = "mock_joining.mockjson"
+_DIR = os.path.dirname(__file__)
 
 
 def fixture_path(name: str) -> Path:
     """Filesystem path of a bundled fixture file."""
-    path = Path(__file__).with_name(name)
-    if not path.exists():
+    path = os.path.join(_DIR, name)
+    if not os.path.exists(path):
         raise FileNotFoundError(name)
-    return path
+    return Path(path)
 
 
 def fixture_text(name: str) -> str:

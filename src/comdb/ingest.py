@@ -40,7 +40,6 @@ import struct
 import sys
 from contextlib import closing, suppress
 from itertools import islice
-from pathlib import Path
 from urllib.parse import quote
 
 from .errors import ConfigError, ParseError
@@ -58,13 +57,14 @@ _SQLITE_MAGIC = b"SQLite format 3\x00"
 
 def read_text(path) -> str:
     """The UTF-8 text of the file at path, or of the bytes on standard
-    input when path is None, less a leading byte-order mark. A directory,
-    or bytes that are not UTF-8, is a ConfigError; a missing file stays
-    FileNotFoundError."""
+    input when path is None, less a leading byte-order mark, newlines
+    translated in a file. A directory, or bytes that are not UTF-8, is a
+    ConfigError; a missing file stays FileNotFoundError."""
     try:
         if path is None:
             return sys.stdin.buffer.read().decode("utf-8").removeprefix("\ufeff")
-        return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
+        with open(path, encoding="utf-8") as fh:
+            return fh.read().removeprefix("\ufeff")
     except IsADirectoryError:
         raise ConfigError(f"{path}: is a directory, not a file") from None
     except UnicodeDecodeError as exc:
@@ -378,8 +378,10 @@ def open_readonly(location, *, check_same_thread: bool = True) -> sqlite3.Connec
     """Connect read-only (``mode=ro``) to an existing SQLite file, with
     SQL_LENGTH_LIMIT set on Python 3.11+, and, where SQLite has
     hard_heap_limit, SQL_HEAP_LIMIT set for the whole process and temporary
-    b-trees kept in memory under it. check_sqlite_file's errors come before
-    SQLite is asked. check_same_thread goes to sqlite3.connect."""
+    b-trees kept in memory under it. PRAGMA query_only is set once here, so
+    evaluate.execute_sql need not set it per statement. check_sqlite_file's
+    errors come before SQLite is asked. check_same_thread goes to
+    sqlite3.connect."""
     path = os.fspath(location)
     check_sqlite_file(path)
     con = sqlite3.connect("file:" + quote(os.path.abspath(path)) + "?mode=ro", uri=True,
@@ -388,6 +390,7 @@ def open_readonly(location, *, check_same_thread: bool = True) -> sqlite3.Connec
         con.setlimit(sqlite3.SQLITE_LIMIT_LENGTH, SQL_LENGTH_LIMIT)
     if con.execute(f"PRAGMA hard_heap_limit = {SQL_HEAP_LIMIT}").fetchone():
         con.execute("PRAGMA temp_store = MEMORY")
+    con.execute("PRAGMA query_only = 1")
     return con
 
 
@@ -411,7 +414,7 @@ def introspect_database(location) -> DatabaseSchema:
         con.close()
     if not tables:
         raise ConfigError(f"{path}: database contains no user tables")
-    return DatabaseSchema(Path(path).stem, tuple(tables))
+    return DatabaseSchema(os.path.splitext(os.path.basename(path))[0], tuple(tables))
 
 
 def _quote_ident(name: str) -> str:

@@ -257,7 +257,9 @@ class HttpChatClient:
         if close is not None:
             close()
 
-    def _bearer(self) -> str | None:
+    def api_key(self) -> str | None:
+        """The key in the environment variable the config names, or None
+        when it names none. An unset variable is a ConfigError."""
         source = self.config.api_key_source
         if not source:
             return None
@@ -268,7 +270,7 @@ class HttpChatClient:
 
     def complete(self, bundle: PromptBundle, *, repetition: int = 0) -> str:
         headers = {"Content-Type": "application/json"}
-        key = self._bearer()
+        key = self.api_key()
         if key:
             if "\r" in key or "\n" in key:  # the key itself stays out of the message
                 raise TransportError("header Authorization contains CR or LF")

@@ -423,6 +423,37 @@ def test_run_endpoint_with_userinfo_is_usage_error(capsys, monkeypatch):
     assert "pw" not in err
 
 
+def test_run_with_an_unset_api_key_variable_fails_before_the_first_repetition(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("COMDB_TEST_UNSET_KEY", raising=False)
+    monkeypatch.setattr("comdb.evaluate._repetition",
+                        lambda *args: pytest.fail("a repetition ran"))
+    out = tmp_path / "r.json"
+    assert main(["run", "--task", "integration", "--n", "2",
+                 "--endpoint", "http://127.0.0.1:9/v1", "--api-key-env", "COMDB_TEST_UNSET_KEY",
+                 "--gold", fx(bundled.PATIENTS_GOLD_MAP), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: environment variable COMDB_TEST_UNSET_KEY is not set\n"
+    assert not out.exists()
+
+
+# pathlib would drop a trailing separator and read the file; open() does not.
+@pytest.mark.parametrize("name", [bundled.SYNTHEA_DDL, bundled.SYNTHEA_SCHEMA, "synthea.db"])
+def test_schema_path_with_a_trailing_separator_is_not_a_directory(tmp_path, capsys, name):
+    path = tmp_path / name
+    if name.endswith(".db"):
+        assert main(["ingest", fx(bundled.SYNTHEA_DDL), "--to", "db", "--out", str(path)]) == 0
+    else:
+        path.write_bytes(Path(fx(name)).read_bytes())
+    capsys.readouterr()
+    schema = str(path) + os.sep
+    assert main(["emit", schema]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: [Errno {errno.ENOTDIR}] Not a directory: {schema!r}\n"
+
+
 @pytest.mark.parametrize("task", ["integration", "joining"])
 def test_run_report_bytes_do_not_depend_on_workers(tmp_path, task):
     db = tmp_path / "synthea.db"

@@ -370,6 +370,22 @@ def test_open_readonly_sets_the_length_limit(fixture_db):
         con.close()
 
 
+def test_a_read_only_connection_costs_one_pragma_per_statement(fixture_db):
+    # open_readonly sets query_only once, so execute_sql only reads it.
+    con = open_readonly(fixture_db)
+    try:
+        assert con.execute("PRAGMA query_only").fetchone() == (1,)
+        traced = []
+        con.set_trace_callback(traced.append)
+        for _ in range(2):
+            assert execute_sql("SELECT Id FROM patients", con).success
+        con.set_trace_callback(None)
+        assert traced == ["PRAGMA query_only", "SELECT Id FROM patients"] * 2
+        assert con.execute("PRAGMA query_only").fetchone() == (1,)
+    finally:
+        con.close()
+
+
 def _sqlite_has_hard_heap_limit() -> bool:
     with closing(sqlite3.connect(":memory:")) as con:
         return bool(con.execute("PRAGMA hard_heap_limit").fetchall())

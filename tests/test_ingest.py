@@ -19,6 +19,7 @@ from comdb.ingest import (
     parse_annotations,
     parse_ddl,
     parse_fixture,
+    read_text,
     render_annotations,
     render_fixture,
 )
@@ -456,6 +457,32 @@ def test_parse_fixture_comments_and_blanks():
 def test_fixture_round_trip(seed):
     schema = rand_schema(random.Random(seed))
     assert parse_fixture(render_fixture(schema), name=schema.name) == schema
+
+
+@pytest.mark.parametrize("data", [
+    b"t: a, b\r\nu: c\r\n", b"t: a\ru: b", b"\xef\xbb\xbft: a\n", b"\xef\xbb\xbf",
+    "t: café, über, 数\n".encode(), b"",
+], ids=["crlf", "lone-cr", "bom", "bom-only", "non-ascii", "empty"])
+def test_read_text_reads_as_path_read_text(tmp_path, data):
+    path = tmp_path / "in.schema"
+    path.write_bytes(data)
+    assert read_text(str(path)) == path.read_text(encoding="utf-8").removeprefix("\ufeff")
+
+
+@pytest.mark.parametrize("data", [b"t: a\n\xff", b"\xef\xbb\xbft: caf\xc3", b"\xe9t"])
+def test_read_text_names_the_byte_path_read_text_names(tmp_path, data):
+    path = tmp_path / "in.ctx"
+    path.write_bytes(data)
+    with pytest.raises(UnicodeDecodeError) as expected:
+        path.read_text(encoding="utf-8")
+    exc = expected.value
+    with raises_exactly(ConfigError, f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"):
+        read_text(str(path))
+
+
+def test_read_text_of_a_directory_is_an_error(tmp_path):
+    with raises_exactly(ConfigError, f"{tmp_path}: is a directory, not a file"):
+        read_text(str(tmp_path))
 
 
 def test_introspect_matches_fixture(tmp_path, synthea_schema):
