@@ -200,7 +200,11 @@ def cmd_run(args) -> int:
     if task == TASK_JOINING and not args.db:
         args.parser.error("--db is required for --task joining")
     if isinstance(client, HttpChatClient):
-        client.api_key()  # an unset variable fails here, not in every repetition
+        # An unset variable, or a key no header can carry, fails here, not
+        # in every repetition; the key itself stays out of the message.
+        key = client.api_key()
+        if key and ("\r" in key or "\n" in key):
+            raise ConfigError(f"environment variable {args.api_key_env} holds a CR or LF")
     _check_output(args.out)
     inputs = _task_inputs(args)
     gold = None

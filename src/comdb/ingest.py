@@ -154,11 +154,15 @@ def _unquote(tok: str) -> str:
 # must run to the end of its line, so no backtracking can end it early and
 # start a statement inside it. A column name (_BARE_COLUMN) is a bare name
 # that is no table-constraint keyword and ends where its definition's first
-# run of non-space, non-comma characters ends. Group 2 is the first
-# definition's name, group 3 the rest of the list. _COLUMN_NAME_RE finds the
-# name after each comma; with fewer names than commas, the statement is not plain.
+# run of non-space, non-comma characters ends. Its keyword lookahead opens
+# with a first-letter guard, so most names leave it after one character.
+# Group 2 is the first definition's name, group 3 the rest of the list.
+# _COLUMN_NAME_RE finds the name after each comma; with fewer names than
+# commas, the statement is not plain.
 _SKIP = r"\s*(?:--[^\n]*(?![^\n])\s*)*"
-_BARE_COLUMN = (rf"(?!(?ai:{'|'.join(sorted(_TABLE_CONSTRAINT_KEYWORDS))})(?![A-Za-z0-9_]))"
+_KEYWORD_INITIALS = "".join(sorted({k[0] for k in _TABLE_CONSTRAINT_KEYWORDS}))
+_BARE_COLUMN = (rf"(?!(?=[{_KEYWORD_INITIALS}{_KEYWORD_INITIALS.lower()}])"
+                rf"(?ai:{'|'.join(sorted(_TABLE_CONSTRAINT_KEYWORDS))})(?![A-Za-z0-9_]))"
                 r"[A-Za-z_][A-Za-z0-9_]*(?![^\s,)])")
 _PLAIN_STATEMENT_RE = re.compile(
     rf"{_SKIP}(?ai:create)\s+(?ai:table)\s+([A-Za-z_][A-Za-z0-9_]*)\s*"
@@ -324,8 +328,8 @@ def parse_annotations(text: str) -> OntologyAnnotations:
                 headers.append(h)
             groups.append(HeaderContextGroup(table, tuple(headers), concept))
         else:
-            subjects = [p.strip() for p in left.split(",")]
-            objects = [p.strip() for p in right.split(",")]
+            subjects = list(map(str.strip, left.split(",")))
+            objects = list(map(str.strip, right.split(",")))
             if "" in subjects or "" in objects:
                 raise ParseError("empty table name in relation", lineno)
             if "." in left or "." in right:

@@ -64,13 +64,20 @@ def _header_list(headers, oxford_and: bool) -> str:
 
 def emit_base_schema(schema: ValidatedSchema, order: str = ALPHABETICAL) -> str:
     """One sentence per table; the first opens with "Given", the rest with
-    "And". Alphabetical order sorts tables by name bytewise ascending."""
-    if order == ALPHABETICAL:
-        tables = sorted(schema.tables, key=lambda t: t.name)
-    elif order == INPUT_ORDER:
-        tables = list(schema.tables)
-    else:
+    "And". Alphabetical order sorts tables by name bytewise ascending. The
+    alphabetical listing is rendered once per witness and kept in it, so
+    every later call returns that same string."""
+    if order == INPUT_ORDER:
+        return _listing(schema.tables)
+    if order != ALPHABETICAL:
         raise ValueError(f"unknown order {order!r}")
+    if schema._listing is None:
+        object.__setattr__(schema, "_listing",
+                           _listing(sorted(schema.tables, key=lambda t: t.name)))
+    return schema._listing
+
+
+def _listing(tables) -> str:
     lines = []
     for i, table in enumerate(tables):
         lead = "Given" if i == 0 else "And"

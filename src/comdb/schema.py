@@ -94,17 +94,20 @@ class ValidatedSchema(Value):
     Downstream operations (emission, prompt building, annotation checks)
     require this wrapper rather than a bare DatabaseSchema. The constructor
     builds an exact-match name index, so table() and has_table() cost O(1)
-    each. The index is derived state: it takes no part in ==, hash, repr or
-    pickling.
+    each. _listing holds the alphabetical base-schema listing once
+    comdb.nl.emit_base_schema has rendered it, so prompts built from one
+    witness share one rendering. Both are derived state: they take no part
+    in ==, hash, repr or pickling.
     """
 
-    __slots__ = ("schema", "_by_name")
+    __slots__ = ("schema", "_by_name", "_listing")
     _fields = ("schema",)
 
     def __init__(self, schema: DatabaseSchema):
         object.__setattr__(self, "schema", schema)
         # reversed, so the first table of a name wins, as a scan would
         object.__setattr__(self, "_by_name", {t.name: t for t in reversed(schema.tables)})
+        object.__setattr__(self, "_listing", None)
 
     def table(self, name: str) -> TableSchema:
         return self._by_name[name]
@@ -143,6 +146,15 @@ def _check_name(kind: str, name: str):
         raise ConfigError(f"invalid {kind} name {name!r}")
 
 
+def _names_pass(kind: str, names) -> bool:
+    """True when no name is invalid (as _check_name judges it) and no two
+    clash, tested in C-level passes over all names at once."""
+    joined = "".join(names)
+    return not ("" in names or "\n" in joined or "\r" in joined or "," in joined
+                or (kind == "table" and "." in joined)
+                or len(normalize_headers(names)) < len(names))
+
+
 def validate_schema(schema: DatabaseSchema) -> ValidatedSchema:
     """Check every schema invariant and return the validation witness.
 
@@ -156,21 +168,22 @@ def validate_schema(schema: DatabaseSchema) -> ValidatedSchema:
     """
     if not schema.tables:
         raise ConfigError("schema contains no tables")
+    # One test over all table names, and one over each table's headers. Only
+    # names whose test fails are walked one by one, in table order, so the
+    # first fault named is the one a walk of the whole schema meets first.
+    walk_tables = not _names_pass("table", [t.name for t in schema.tables])
     seen_tables = set()
     for table in schema.tables:
-        _check_name("table", table.name)
-        key = normalize_header(table.name)
-        if key in seen_tables:
-            raise ConfigError(f"duplicate table name {table.name!r}")
-        seen_tables.add(key)
+        if walk_tables:
+            _check_name("table", table.name)
+            key = normalize_header(table.name)
+            if key in seen_tables:
+                raise ConfigError(f"duplicate table name {table.name!r}")
+            seen_tables.add(key)
         headers = table.headers
         if not headers:
             raise ConfigError(f"table {table.name!r} has no headers")
-        # One test over all headers; only a table that fails it is walked
-        # header by header, to name the first offender.
-        joined = "".join(headers)
-        if ("" in headers or "\n" in joined or "\r" in joined or "," in joined
-                or len(normalize_headers(headers)) < len(headers)):
+        if not _names_pass("header", headers):
             seen_headers = set()
             for header in headers:
                 _check_name("header", header)

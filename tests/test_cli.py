@@ -438,6 +438,23 @@ def test_run_with_an_unset_api_key_variable_fails_before_the_first_repetition(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key", ["sk-secret\nx", "sk-secret\rx", "sk-secret\r\n"],
+                         ids=["LF", "CR", "CRLF"])
+def test_run_with_a_cr_or_lf_in_the_api_key_fails_before_the_first_repetition(
+        tmp_path, capsys, monkeypatch, key):
+    monkeypatch.setenv("COMDB_TEST_BAD_KEY", key)
+    monkeypatch.setattr("comdb.evaluate._repetition",
+                        lambda *args: pytest.fail("a repetition ran"))
+    out = tmp_path / "r.json"
+    assert main(["run", "--task", "integration", "--n", "2",
+                 "--endpoint", "http://127.0.0.1:9/v1", "--api-key-env", "COMDB_TEST_BAD_KEY",
+                 "--gold", fx(bundled.PATIENTS_GOLD_MAP), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: environment variable COMDB_TEST_BAD_KEY holds a CR or LF\n"
+    assert not out.exists()
+
+
 # pathlib would drop a trailing separator and read the file; open() does not.
 @pytest.mark.parametrize("name", [bundled.SYNTHEA_DDL, bundled.SYNTHEA_SCHEMA, "synthea.db"])
 def test_schema_path_with_a_trailing_separator_is_not_a_directory(tmp_path, capsys, name):

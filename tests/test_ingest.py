@@ -12,6 +12,7 @@ from hypothesis import example, given, strategies as st
 
 from comdb.errors import ConfigError, ParseError
 from comdb.ingest import (
+    _TABLE_CONSTRAINT_KEYWORDS,
     _parse_ddl_tokens,
     _tokenize_ddl,
     build_database,
@@ -319,6 +320,31 @@ def test_ddl_fast_path_declines_near_misses(text, headers):
     with _spy_token_parser() as spy:
         assert parse_ddl(text).tables == (TableSchema("t", headers),)
     spy.assert_called_once_with(text, 0)
+
+
+def _alternating_case(word):
+    return "".join(c.lower() if i % 2 else c for i, c in enumerate(word))
+
+
+# Each constraint keyword in four casings, keyword prefixes, and names that
+# open with a keyword's first letter but are no keyword.
+_KEYWORD_LIKE_NAMES = [
+    *(f(k) for k in sorted(_TABLE_CONSTRAINT_KEYWORDS)
+      for f in (str.upper, str.lower, str.capitalize, _alternating_case)),
+    "checks", "unique_id", "Primary1", "CONSTRAINTS", "foreign_", "PRIMAR", "chec",
+    "Fheck", "cnique", "ux", "C", "p", "Uniqu", "forEIGN2", "Id", "bcheck",
+]
+
+
+@pytest.mark.parametrize("template", ["CREATE TABLE t ({} INT, b INT);",
+                                      "CREATE TABLE t (a INT, {} TEXT, b INT);"])
+@pytest.mark.parametrize("name", _KEYWORD_LIKE_NAMES)
+def test_ddl_fast_path_takes_every_keyword_like_name_but_the_keywords(name, template):
+    text = template.format(name)
+    expected = _outcome(lambda t: _parse_ddl_tokens(t, 0), text)
+    with _spy_token_parser() as spy:
+        assert _outcome(lambda t: parse_ddl(t).tables, text) == expected
+    assert spy.called == (name.upper() in _TABLE_CONSTRAINT_KEYWORDS)
 
 
 def test_ddl_doubled_semicolon_resumes_at_the_second_one():

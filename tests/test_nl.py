@@ -1,9 +1,12 @@
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
 
+from comdb import nl
 from comdb.errors import ParseError
+from comdb.llm import ARMS, build_join_prompt
 from comdb.nl import (
     ALPHABETICAL,
     INPUT_ORDER,
@@ -55,6 +58,18 @@ def test_table_ordering():
         "Given a table 'b' with headers: x."
     assert emit_base_schema(schema, ALPHABETICAL).splitlines()[0] == \
         "Given a table 'a' with headers: y."
+
+
+def test_the_alphabetical_listing_is_rendered_once_per_witness(synthea_annotations):
+    schema = validate_schema(synthea_annotations.schema.schema)
+    ann = validate_annotations(synthea_annotations.annotations, schema)
+    with mock.patch("comdb.nl._listing", wraps=nl._listing) as render:
+        listing = emit_base_schema(schema)
+        assert emit_base_schema(schema) is listing
+        prompts = [build_join_prompt(schema, ann, arm=arm).user_text for arm in ARMS]
+    render.assert_called_once()
+    assert listing == data_text("synthea_base_schema.txt")
+    assert all(p.startswith(listing) for p in prompts)
 
 
 def test_unknown_order_rejected(synthea_schema):

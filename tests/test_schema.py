@@ -48,6 +48,17 @@ def test_validate_duplicate_header():
         validate_schema(DatabaseSchema("x", (table("t", "Id", "Id"),)))
 
 
+# The table names are tested in one pass, but a fault in an earlier table's
+# headers is still named before a later table's bad or clashing name.
+@pytest.mark.parametrize("later", ["b.c", "A", ""])
+def test_validate_names_an_earlier_header_fault_before_a_later_table_name(later):
+    schema = DatabaseSchema("x", (table("a", "Id", "ID"), table(later, "Id")))
+    with raises_exactly(ConfigError, "duplicate header 'ID' in table 'a'"):
+        validate_schema(schema)
+    with raises_exactly(ConfigError, "table 'a' has no headers"):
+        validate_schema(DatabaseSchema("x", (table("a"), table(later, "Id"))))
+
+
 def test_validate_empty_table():
     with raises_exactly(ConfigError, "table 't' has no headers"):
         validate_schema(DatabaseSchema("x", (TableSchema("t", ()),)))

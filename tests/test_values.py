@@ -12,7 +12,7 @@ from comdb.errors import ConfigError
 from comdb.evaluate import MappingScore, SqlValidationReport
 from comdb.llm import ClientConfig, PromptBundle
 from comdb.mapping import HeaderMapping, MappingEntry
-from comdb.nl import StyleFlags
+from comdb.nl import StyleFlags, emit_base_schema
 from comdb.schema import (
     ContextRelation,
     DatabaseSchema,
@@ -195,6 +195,18 @@ def test_validated_annotations_repr_hides_the_schema():
     ann = CASES["ValidatedAnnotations"][0]()
     assert "schema" not in repr(ann)
     assert ann.schema == validate_schema(_schema())
+
+
+def test_a_rendered_listing_changes_no_value_behaviour_of_the_witness():
+    fresh, rendered = validate_schema(_schema()), validate_schema(_schema())
+    listing = emit_base_schema(rendered)
+    assert rendered == fresh and hash(rendered) == hash(fresh)
+    assert repr(rendered) == repr(fresh) == CASES["ValidatedSchema"][2]
+    assert pickle.dumps(rendered) == pickle.dumps(fresh)
+    for clone in (copy.copy(rendered), copy.deepcopy(rendered),
+                  pickle.loads(pickle.dumps(rendered))):
+        assert clone == fresh and repr(clone) == repr(fresh)
+        assert emit_base_schema(clone) == listing
 
 
 def test_header_mapping_warnings_take_no_part_in_equality():
