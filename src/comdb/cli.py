@@ -48,6 +48,7 @@ from .llm import (
     MockChatClient,
     build_integration_prompt,
     build_join_prompt,
+    unsendable_key,
 )
 from .mapping import normalize_header, parse_map_text
 from .nl import ALPHABETICAL, INPUT_ORDER, emit_base_schema, emit_contextual_schema
@@ -203,8 +204,9 @@ def cmd_run(args) -> int:
         # An unset variable, or a key no header can carry, fails here, not
         # in every repetition; the key itself stays out of the message.
         key = client.api_key()
-        if key and ("\r" in key or "\n" in key):
-            raise ConfigError(f"environment variable {args.api_key_env} holds a CR or LF")
+        fault = key and unsendable_key(key)
+        if fault:
+            raise ConfigError(f"environment variable {args.api_key_env} contains {fault}")
     _check_output(args.out)
     inputs = _task_inputs(args)
     gold = None

@@ -328,8 +328,8 @@ def parse_annotations(text: str) -> OntologyAnnotations:
                 headers.append(h)
             groups.append(HeaderContextGroup(table, tuple(headers), concept))
         else:
-            subjects = list(map(str.strip, left.split(",")))
-            objects = list(map(str.strip, right.split(",")))
+            subjects = [p.strip() for p in left.split(",")]
+            objects = [p.strip() for p in right.split(",")]
             if "" in subjects or "" in objects:
                 raise ParseError("empty table name in relation", lineno)
             if "." in left or "." in right:

@@ -208,6 +208,20 @@ def _retry_after(status: int, headers, cap: float) -> float | None:
     return min(float(value), cap) if value.isascii() and value.isdigit() else None
 
 
+def unsendable_key(key: str) -> str | None:
+    """What in key no Authorization header can carry, or None when one can:
+    "CR or LF", which would end the header early, or "a character outside
+    Latin-1", which has no byte in the header's encoding. The answer never
+    shows the key."""
+    if "\r" in key or "\n" in key:
+        return "CR or LF"
+    try:
+        key.encode("latin-1")
+    except UnicodeEncodeError:
+        return "a character outside Latin-1"
+    return None
+
+
 class HttpChatClient:
     """Client for POST <endpoint>/chat/completions with bearer auth.
 
@@ -231,7 +245,7 @@ class HttpChatClient:
     server closed while it was idle goes once more on a new one, which is
     not an attempt, and TCP_QUICKACK keeps a reply written in two sends
     from waiting on a delayed ACK. close() closes the idle connections, as
-    does collecting the client. An API key with a CR or LF is a
+    does collecting the client. An API key that unsendable_key refuses is a
     TransportError before the first attempt, since no retry could send it.
     """
 
@@ -272,8 +286,9 @@ class HttpChatClient:
         headers = {"Content-Type": "application/json"}
         key = self.api_key()
         if key:
-            if "\r" in key or "\n" in key:  # the key itself stays out of the message
-                raise TransportError("header Authorization contains CR or LF")
+            fault = unsendable_key(key)
+            if fault:
+                raise TransportError(f"header Authorization contains {fault}")
             headers["Authorization"] = f"Bearer {key}"
         payload = {
             "model": self.config.model,

@@ -9,11 +9,13 @@ comdb.mapping.normalize_header (stripped and casefolded), the rule the
 response parser and the scorer match names by. Names keep their spelling,
 and annotation references must match it exactly.
 
-Every type here is a slotted comdb.value.Value: immutable after
-construction, equal and hashed by value, and with no room for an
-attribute beyond its fields, so nothing can attach row data later.
-Validation is a pure function, so values can be shared freely between
-threads.
+Every type here is a slotted comdb.value.Value: its fields are fixed at
+construction, it is equal and hashed by value, and it has no room for an
+attribute beyond its slots, so nothing can attach row data later. A derived
+slot, such as ValidatedSchema._listing, may be filled in lazily with a value
+that depends only on the fields; two threads that fill it at once store
+equal values. Validation is a pure function, so values can be shared freely
+between threads.
 """
 
 from __future__ import annotations
@@ -146,15 +148,6 @@ def _check_name(kind: str, name: str):
         raise ConfigError(f"invalid {kind} name {name!r}")
 
 
-def _names_pass(kind: str, names) -> bool:
-    """True when no name is invalid (as _check_name judges it) and no two
-    clash, tested in C-level passes over all names at once."""
-    joined = "".join(names)
-    return not ("" in names or "\n" in joined or "\r" in joined or "," in joined
-                or (kind == "table" and "." in joined)
-                or len(normalize_headers(names)) < len(names))
-
-
 def validate_schema(schema: DatabaseSchema) -> ValidatedSchema:
     """Check every schema invariant and return the validation witness.
 
@@ -168,22 +161,21 @@ def validate_schema(schema: DatabaseSchema) -> ValidatedSchema:
     """
     if not schema.tables:
         raise ConfigError("schema contains no tables")
-    # One test over all table names, and one over each table's headers. Only
-    # names whose test fails are walked one by one, in table order, so the
-    # first fault named is the one a walk of the whole schema meets first.
-    walk_tables = not _names_pass("table", [t.name for t in schema.tables])
     seen_tables = set()
     for table in schema.tables:
-        if walk_tables:
-            _check_name("table", table.name)
-            key = normalize_header(table.name)
-            if key in seen_tables:
-                raise ConfigError(f"duplicate table name {table.name!r}")
-            seen_tables.add(key)
+        _check_name("table", table.name)
+        key = normalize_header(table.name)
+        if key in seen_tables:
+            raise ConfigError(f"duplicate table name {table.name!r}")
+        seen_tables.add(key)
         headers = table.headers
         if not headers:
             raise ConfigError(f"table {table.name!r} has no headers")
-        if not _names_pass("header", headers):
+        # One test over all headers; only a table that fails it is walked
+        # header by header, to name the first offender.
+        joined = "".join(headers)
+        if ("" in headers or "\n" in joined or "\r" in joined or "," in joined
+                or len(normalize_headers(headers)) < len(headers)):
             seen_headers = set()
             for header in headers:
                 _check_name("header", header)

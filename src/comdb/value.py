@@ -3,12 +3,13 @@
 A value type lists its constructor fields, in order, in __slots__ (or in
 _fields, when __slots__ also holds derived state), and its __init__ sets
 each field once with object.__setattr__ after any coercion and
-validation. The base gives what a frozen dataclass would, without
-generating code at import: equality by value within one class, a hash
-over the compared fields, the dataclass repr text, AttributeError on
-assignment and deletion, and a __reduce__ that calls the constructor
-again, so copy and pickle work. Fields in _uncompared take no part in ==
-and hash; fields in _hidden are left out of repr.
+validation. A derived slot may be filled in later, lazily, with a value
+that depends only on the fields. The base gives what a frozen dataclass
+would, without generating code at import: equality by value within one
+class, a hash over the compared fields, the dataclass repr text,
+AttributeError on assignment and deletion, and a __reduce__ that calls
+the constructor again, so copy and pickle work. Fields in _uncompared take
+no part in == and hash; fields in _hidden are left out of repr.
 """
 
 

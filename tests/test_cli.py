@@ -438,10 +438,13 @@ def test_run_with_an_unset_api_key_variable_fails_before_the_first_repetition(
     assert not out.exists()
 
 
-@pytest.mark.parametrize("key", ["sk-secret\nx", "sk-secret\rx", "sk-secret\r\n"],
-                         ids=["LF", "CR", "CRLF"])
-def test_run_with_a_cr_or_lf_in_the_api_key_fails_before_the_first_repetition(
-        tmp_path, capsys, monkeypatch, key):
+@pytest.mark.parametrize("key, fault", [
+    ("sk-secret\nx", "CR or LF"), ("sk-secret\rx", "CR or LF"), ("sk-secret\r\n", "CR or LF"),
+    ("sk-secret\u2026", "a character outside Latin-1"),
+    ("sk-\u201csecret\u201d", "a character outside Latin-1"),
+], ids=["LF", "CR", "CRLF", "ellipsis", "curly-quotes"])
+def test_run_with_an_unsendable_api_key_fails_before_the_first_repetition(
+        tmp_path, capsys, monkeypatch, key, fault):
     monkeypatch.setenv("COMDB_TEST_BAD_KEY", key)
     monkeypatch.setattr("comdb.evaluate._repetition",
                         lambda *args: pytest.fail("a repetition ran"))
@@ -451,7 +454,7 @@ def test_run_with_a_cr_or_lf_in_the_api_key_fails_before_the_first_repetition(
                  "--gold", fx(bundled.PATIENTS_GOLD_MAP), "--out", str(out)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: environment variable COMDB_TEST_BAD_KEY holds a CR or LF\n"
+    assert captured.err == f"error: environment variable COMDB_TEST_BAD_KEY contains {fault}\n"
     assert not out.exists()
 
 

@@ -39,6 +39,7 @@ from comdb.llm import (
     build_join_prompt,
     extract_sql,
     parse_mapping_response,
+    unsendable_key,
 )
 from comdb.schema import TableSchema
 
@@ -1241,6 +1242,26 @@ def test_cr_or_lf_in_the_api_key_fails_before_any_attempt(patient_tables, keepal
         transport(keepalive.url, {}, {"Authorization": "Bearer sk-test\nX: 1"}, 5.0)
     assert "sk-" not in str(excinfo.value)
     assert delays == [] and keepalive.accepted == []
+
+
+@pytest.mark.parametrize("key", ["sk-test\u2026", "sk-\u201ctest\u201d"])
+def test_a_key_outside_latin_1_fails_before_any_attempt(patient_tables, keepalive,
+                                                         monkeypatch, key):
+    delays = []
+    monkeypatch.setattr("comdb.llm.time.sleep", delays.append)
+    monkeypatch.setenv("TEST_LLM_KEY", key)
+    client = HttpChatClient(make_config(endpoint_url=keepalive.url))
+    with pytest.raises(TransportError, match="header Authorization contains a character "
+                                             "outside Latin-1") as excinfo:
+        client.complete(simple_bundle(patient_tables))
+    assert "sk-" not in str(excinfo.value)
+    assert delays == [] and keepalive.accepted == []
+
+
+def test_unsendable_key_names_the_fault_and_takes_any_latin_1_key():
+    assert unsendable_key("sk-test\r\nX: 1") == unsendable_key("sk-\n") == "CR or LF"
+    assert unsendable_key("sk-\u20ac") == "a character outside Latin-1"
+    assert unsendable_key("sk-caf\xe9\xff") is None and unsendable_key("sk-test") is None
 
 
 def test_import_loads_no_third_party_module():

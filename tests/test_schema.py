@@ -48,8 +48,8 @@ def test_validate_duplicate_header():
         validate_schema(DatabaseSchema("x", (table("t", "Id", "Id"),)))
 
 
-# The table names are tested in one pass, but a fault in an earlier table's
-# headers is still named before a later table's bad or clashing name.
+# A fault in an earlier table's headers is named before a later table's bad
+# or clashing name.
 @pytest.mark.parametrize("later", ["b.c", "A", ""])
 def test_validate_names_an_earlier_header_fault_before_a_later_table_name(later):
     schema = DatabaseSchema("x", (table("a", "Id", "ID"), table(later, "Id")))
