@@ -302,7 +302,8 @@ def _add_run_args(p):
     p.add_argument("--max-retries", type=int, default=2)
     p.add_argument("--api-key-env", default="COMDB_API_KEY",
                    help="environment variable holding the API key")
-    p.add_argument("--db", help="SQLite fixture (required for joining)")
+    p.add_argument("--db", help="SQLite fixture (required for joining; checked, not read: "
+                                "answers are judged on --schema)")
     p.add_argument("--gold", help="gold mapping file (required for integration)")
     p.add_argument("--out", help="report path (default: stdout)")
     p.add_argument("--workers", type=int, default=1)

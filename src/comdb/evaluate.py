@@ -3,8 +3,9 @@
 An experiment runs one task over one or both arms, N repetitions each
 (the protocol default is 10). Every repetition asks the client for an
 answer; each distinct answer is parsed once, and its mapping is scored
-against gold (semantic integration) or its SQL executed against the
-fixture database (tables joining). Failed repetitions are recorded and score
+against gold (semantic integration) or its SQL executed on an in-memory,
+schema-only database of the tables it names (tables joining; see
+_SchemaJudge). Failed repetitions are recorded and score
 zero; they never abort the experiment, so aggregates stay comparable
 across arms. The runner returns the report's experiments as plain dicts,
 and each run is its finished report entry. render_report writes the bytes
@@ -27,7 +28,7 @@ from contextlib import closing
 
 from . import llm
 from .errors import ComdbError, ConfigError, WriteAttempt
-from .ingest import check_sqlite_file, open_readonly
+from .ingest import check_sqlite_file, create_table_sql, open_readonly, restrict
 from .mapping import HeaderMapping
 from .schema import TableSchema, ValidatedAnnotations, ValidatedSchema
 from .value import Value
@@ -95,14 +96,14 @@ def execute_sql(sql: str, database) -> SqlValidationReport:
 
     database is either the path of an SQLite file, which is opened with
     ingest.open_readonly for this call and closed again, or a connection
-    from open_readonly, which is used as it is and left open. Engine errors
-    come back verbatim in error_text. Statements that open with a
-    write/DDL keyword are rejected with WriteAttempt before they reach the
-    engine; one that opens with no keyword is reported as failed there
-    too. PRAGMA query_only backstops anything sneakier, on any connection:
-    open_readonly sets it when the connection opens, and on a writable
-    connection that a caller passes in it is set for the statement and
-    restored after. A statement
+    bounded by open_readonly or ingest.restrict, which is used as it is and
+    left open. Engine errors come back verbatim in error_text. Statements
+    that open with a write/DDL keyword are rejected with WriteAttempt
+    before they reach the engine; one that opens with no keyword is
+    reported as failed there too. PRAGMA query_only backstops anything
+    sneakier, on any connection: ingest.restrict sets it when the
+    connection opens, and on a writable connection that a caller passes in
+    it is set for the statement and restored after. A statement
     still running after SQL_TIME_LIMIT_S seconds is interrupted and
     reported as failed, and so is one that runs out of SQLite's heap
     (ingest.SQL_HEAP_LIMIT); the connection stays usable after either.
@@ -160,6 +161,98 @@ def _execute(sql: str, con: sqlite3.Connection) -> SqlValidationReport:
         con.set_progress_handler(None, 0)
         if writable:
             con.execute("PRAGMA query_only = 0")
+
+
+# The names an answer may give a table, found in its text in lower case
+# (SQLite folds only ASCII letters, so this can only find more). Every bare
+# word counts, in quotes and comments too: _NOT_IN_WORD maps each ASCII
+# character that cannot stand in one to a space. _QUOTED finds the inside
+# of each "…", […], `…` and '…' (SQLite reads a string as a name where a
+# name must stand), comments skipped. A quote never closed runs to the end,
+# as in SQLite's tokenizer, so the scan is linear in the text.
+_NOT_IN_WORD = {c: " " for c in range(128) if not chr(c).isalnum() and chr(c) not in "_$"}
+_QUOTED = re.compile(r"""--[^\n]*|/\*.*?(?:\*/|\Z)|"((?:[^"]|"")*)(?:"|\Z)
+    |\[([^\]]*)(?:\]|\Z)|`((?:[^`]|``)*)(?:`|\Z)|'((?:[^']|'')*)(?:'|\Z)""",
+                     re.DOTALL | re.VERBOSE)
+_NO_SUCH_TABLE = re.compile(r"no such table: (?:(?i:main)\.)?(.*)", re.DOTALL)
+_CATALOGUE = {"sqlite_master", "sqlite_schema", "sqlite_temp_master", "sqlite_temp_schema"}
+_JSON_FUNCTIONS = {f: f"SELECT * FROM {f}('[]')" for f in ("json_each", "json_tree")}
+
+
+class _SchemaJudge:
+    """The joining judge: an in-memory database, bounded by ingest.restrict,
+    holding with no rows the schema tables that answers judged so far name.
+    judge(sql) creates the tables sql names and runs it through execute_sql;
+    on "no such table" for a schema table still missing, it adds that table
+    and runs sql again. So the verdict is the one the whole schema gives.
+
+    The catalogue would show what earlier answers named, so an authorizer,
+    idle while tables are made, denies reads of sqlite_master and
+    sqlite_temp_master (and so of pragma_ table functions and dbstat), and
+    every PRAGMA but _execute's two reads: under EXPLAIN, query_only = 0
+    would take effect as SQLite prepares it. Table functions read the
+    catalogue on first use, so json_each and json_tree are set up as tables
+    are. A verdict depends on its answer alone.
+    """
+
+    def __init__(self, schema: ValidatedSchema):
+        self.tables = {t.name.lower(): t for t in schema.tables}
+        self.made, self.creating, self.con = set(), False, None
+
+    def _authorize(self, action, arg1, arg2, *_):
+        if self.creating:
+            return sqlite3.SQLITE_OK
+        if action == sqlite3.SQLITE_PRAGMA:
+            allowed = arg2 is None and arg1.lower() in ("query_only", "hard_heap_limit")
+        else:
+            allowed = action != sqlite3.SQLITE_READ or arg1.lower() not in _CATALOGUE
+        return sqlite3.SQLITE_OK if allowed else sqlite3.SQLITE_DENY
+
+    def _add(self, names) -> None:
+        """Create, in one transaction, what names holds and the database lacks."""
+        names = names - self.made
+        if not names:
+            return
+        script = [create_table_sql(self.tables[name]) if name in self.tables
+                  else _JSON_FUNCTIONS[name] for name in names]
+        self.creating = True
+        try:
+            self.con.executescript(";".join(["PRAGMA query_only = 0; BEGIN", *script, "COMMIT"]))
+            self.made |= names
+        finally:
+            if self.con.in_transaction:
+                self.con.rollback()
+            self.con.execute("PRAGMA query_only = 1")
+            self.creating = False
+
+    def judge(self, sql: str) -> SqlValidationReport:
+        text = sql.lower()
+        names = text.translate(_NOT_IN_WORD).split(" ")
+        names += [d.replace('""', '"') or b or t.replace("``", "`") or q.replace("''", "'")
+                  for d, b, t, q in _QUOTED.findall(text)]
+        wanted = self.tables.keys() & names | _JSON_FUNCTIONS.keys() & names
+        if self.con is None:
+            # The first tables are made before the authorizer, which SQLite
+            # would call at each step of making them, is installed.
+            try:
+                self.con = sqlite3.connect(":memory:", check_same_thread=False)
+                self._add(wanted)
+                restrict(self.con).set_authorizer(self._authorize)
+            except BaseException:
+                self.close()
+                raise
+        while True:
+            self._add(wanted)
+            report = execute_sql(sql, self.con)  # the module global, which a tracer may wrap
+            missing = _NO_SUCH_TABLE.fullmatch(report.error_text or "")
+            wanted = self.tables.keys() & {missing[1].lower()} - self.made if missing else ()
+            if not wanted:
+                return report
+
+    def close(self) -> None:
+        if self.con is not None:
+            self.con.close()
+        self.con, self.made = None, set()
 
 
 def _sha256(text: str) -> str:
@@ -227,9 +320,11 @@ def run_experiment(task: str, *,
     so workers=1 starts no thread. Every run keeps its position, so the
     report does not depend on workers. An exception that escapes a
     repetition (from client_factory, say) stops every loop and reaches
-    the caller once all threads have ended. For tables joining the judge
-    opens one read-only connection on its first call; it is closed before
-    this function returns or raises.
+    the caller once all threads have ended. For tables joining, database
+    must name an SQLite file, but the judge never opens it: it runs each
+    answer on an in-memory database of the schema tables it names (see
+    _SchemaJudge), whose connection opens on its first call and is closed
+    before this function returns or raises.
 
     Each distinct answer text is hashed and judged once per call, for both
     arms and any workers: the judges read only the text and inputs fixed
@@ -244,7 +339,7 @@ def run_experiment(task: str, *,
     if workers < 1:
         raise ConfigError("workers must be >= 1")
     missing = "required fixture missing: {}".format
-    con = None
+    sql_judge = None
     if task == llm.TASK_INTEGRATION:
         if table_a is None or table_b is None:
             raise ConfigError(missing("both tables for semantic integration"))
@@ -269,13 +364,11 @@ def run_experiment(task: str, *,
         check_sqlite_file(database)
         failed, means = {"sqlSuccess": False}, {}
         build = lambda arm: llm.build_join_prompt(schema, annotations, goal, arm)
+        sql_judge = _SchemaJudge(schema)
 
         def judge(text):
-            nonlocal con
-            sql = llm.extract_sql(text)
-            con = con or open_readonly(database, check_same_thread=False)
             try:
-                report = execute_sql(sql, con)
+                report = sql_judge.judge(llm.extract_sql(text))
             except WriteAttempt as exc:
                 return False, str(exc), failed
             return report.success, report.error_text, {"sqlSuccess": report.success}
@@ -313,8 +406,8 @@ def run_experiment(task: str, *,
     finally:
         for thread in threads:
             thread.join()
-        if con is not None:
-            con.close()
+        if sql_judge is not None:
+            sql_judge.close()
     if escaped:
         raise escaped[0]
 

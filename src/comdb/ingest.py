@@ -378,18 +378,20 @@ SQL_LENGTH_LIMIT = 16 * 1024 * 1024
 SQL_HEAP_LIMIT = 64 * 1024 * 1024
 
 
-def open_readonly(location, *, check_same_thread: bool = True) -> sqlite3.Connection:
-    """Connect read-only (``mode=ro``) to an existing SQLite file, with
-    SQL_LENGTH_LIMIT set on Python 3.11+, and, where SQLite has
-    hard_heap_limit, SQL_HEAP_LIMIT set for the whole process and temporary
-    b-trees kept in memory under it. PRAGMA query_only is set once here, so
-    evaluate.execute_sql need not set it per statement. check_sqlite_file's
-    errors come before SQLite is asked. check_same_thread goes to
-    sqlite3.connect."""
+def open_readonly(location) -> sqlite3.Connection:
+    """Connect read-only (``mode=ro``) to an existing SQLite file, bounded by
+    restrict. check_sqlite_file's errors come before SQLite is asked."""
     path = os.fspath(location)
     check_sqlite_file(path)
-    con = sqlite3.connect("file:" + quote(os.path.abspath(path)) + "?mode=ro", uri=True,
-                          check_same_thread=check_same_thread)
+    return restrict(sqlite3.connect("file:" + quote(os.path.abspath(path)) + "?mode=ro", uri=True))
+
+
+def restrict(con: sqlite3.Connection) -> sqlite3.Connection:
+    """Bound con for untrusted SQL and return it: SQL_LENGTH_LIMIT on Python
+    3.11+, and, where SQLite has hard_heap_limit, SQL_HEAP_LIMIT set for the
+    whole process and temporary b-trees kept in memory under it. PRAGMA
+    query_only is set last, once, so evaluate.execute_sql need not set it
+    per statement."""
     if hasattr(con, "setlimit"):
         con.setlimit(sqlite3.SQLITE_LIMIT_LENGTH, SQL_LENGTH_LIMIT)
     if con.execute(f"PRAGMA hard_heap_limit = {SQL_HEAP_LIMIT}").fetchone():
@@ -436,6 +438,12 @@ _PAGE = 4096
 _EMPTY_LEAF = struct.pack(">BHHHB", 0x0D, 0, 0, _PAGE, 0).ljust(_PAGE, b"\0")
 
 
+def create_table_sql(table: TableSchema) -> str:
+    """CREATE TABLE "t" ("h" TEXT, ...) for table, as SQLite stores it."""
+    cols = '" TEXT, "'.join([h.replace('"', '""') for h in table.headers])
+    return f'CREATE TABLE {_quote_ident(table.name)} ("{cols}" TEXT)'
+
+
 def build_database(schema: DatabaseSchema, location) -> None:
     """Create an empty SQLite database with one TEXT column per header.
 
@@ -467,9 +475,7 @@ def build_database(schema: DatabaseSchema, location) -> None:
     rows = []
     try:
         for root, table in enumerate(schema.tables, 2):
-            # The text of CREATE TABLE "t" ("h" TEXT, ...), as SQLite stores it.
-            cols = '" TEXT, "'.join([h.replace('"', '""') for h in table.headers])
-            sql = f'CREATE TABLE {_quote_ident(table.name)} ("{cols}" TEXT)'
+            sql = create_table_sql(table)
             sql.encode()  # a lone surrogate fails here, at its position in sql
             rows.append((table.name, table.name, root, sql))
     except UnicodeEncodeError as exc:

@@ -3,6 +3,7 @@ database, and seeded random generators for round-trip properties."""
 
 from __future__ import annotations
 
+import importlib.util
 import os
 import random
 import re
@@ -40,6 +41,15 @@ def src_env() -> dict:
     src = str(Path(__file__).resolve().parents[1] / "src")
     return dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+def scale_ddl(seed: int) -> str:
+    """The DDL of perfbench's seeded 1000-table x 30-header scale schema."""
+    path = Path(__file__).parents[1] / "perfbench" / "scale_gen.py"
+    spec = importlib.util.spec_from_file_location("scale_gen", path)
+    scale_gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(scale_gen)
+    return scale_gen.generate(seed)["sql"]
 
 
 # Every character but LF and CR at which str.splitlines() ends a line. A

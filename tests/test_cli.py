@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import sqlite3
 import subprocess
 import sys
@@ -16,7 +17,7 @@ from comdb import fixtures as bundled
 from comdb.cli import build_parser, main
 from comdb.ingest import introspect_database
 
-from conftest import data_text, src_env
+from conftest import DATA_DIR, data_text, scale_ddl, src_env
 
 
 def fx(name):
@@ -671,11 +672,73 @@ def test_sqlite_path_that_is_no_sqlite_file_is_an_error(tmp_path, capsys, monkey
 
 
 def test_run_joining_accepts_an_empty_database_file(tmp_path, capsys):
+    # The verdicts come from --schema (the bundled synthea fixture), not
+    # from the empty file.
     empty = tmp_path / "empty.db"
     empty.touch()
     assert main(_joining_on(str(empty)) + ["--n", "1"]) == 0
     experiments = json.loads(capsys.readouterr().out)["experiments"]
-    assert [e["runs"][0]["error"] for e in experiments] == ["no such table: careplans"] * 2
+    assert [e["runs"][0].get("error") for e in experiments] == [
+        None, "no such column: careplans.PROVIDER"]
+
+
+def test_run_joining_writes_no_row_value_into_the_report(tmp_path):
+    # SQLite's error text can carry a row value: on a database holding this
+    # row, the mock's answer, SELECT json_extract('{}', (SELECT SSN FROM
+    # patients)), fails with "JSON path error near '000-12-3456'". The judge
+    # runs it on the schema alone, where the subquery yields NULL.
+    db = tmp_path / "synthea.db"
+    assert main(["ingest", fx(bundled.SYNTHEA_DDL), "--to", "db", "--out", str(db)]) == 0
+    with closing(sqlite3.connect(db)) as con, con:
+        con.execute("INSERT INTO patients (Id, SSN) VALUES ('p1', '000-12-3456')")
+    out = tmp_path / "report.json"
+    assert main(["run", "--task", "joining", "--mock", str(DATA_DIR / "mock_row_leak.mockjson"),
+                 "--db", str(db), "--n", "2", "--out", str(out)]) == 0
+    report = out.read_text()
+    assert "000-12-3456" not in report
+    runs = [run for e in json.loads(report)["experiments"] for run in e["runs"]]
+    assert [run["ok"] for run in runs] == [True] * 4
+
+
+def test_run_joining_judges_by_the_schema_not_the_database(tmp_path, capsys):
+    # --db holds the seed-5 scale schema, which has no synthea table. The
+    # prompts come from --schema (the bundled synthea fixture), and so do
+    # the verdicts.
+    ddl = tmp_path / "scale.sql"
+    ddl.write_text(scale_ddl(5))
+    db = tmp_path / "scale.db"
+    assert main(["ingest", str(ddl), "--to", "db", "--out", str(db)]) == 0
+    capsys.readouterr()
+    assert main(_joining_on(str(db)) + ["--n", "1"]) == 0
+    experiments = json.loads(capsys.readouterr().out)["experiments"]
+    assert [(e["arm"], e["runs"][0]["ok"], e["runs"][0].get("error")) for e in experiments] == [
+        ("with-context", True, None),
+        ("without-context", False, "no such column: careplans.PROVIDER")]
+
+
+def test_run_joining_denies_every_catalogue_read_alike(tmp_path):
+    # The judge's database holds only the tables earlier answers named, so
+    # a read of the catalogue would tell answers apart by what came before
+    # them. Each reader fails alike before and after the join makes its
+    # tables (with-context runs first at --workers 1), and at any --workers.
+    db = tmp_path / "synthea.db"
+    assert main(["ingest", fx(bundled.SYNTHEA_DDL), "--to", "db", "--out", str(db)]) == 0
+    reports = []
+    for workers in ("1", "4"):
+        out = tmp_path / f"report-{workers}.json"
+        assert main(["run", "--task", "joining", "--mock",
+                     str(DATA_DIR / "mock_catalogue.mockjson"), "--db", str(db), "--n", "4",
+                     "--workers", workers, "--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+    errors = [[run.get("error") for run in e["runs"]]
+              for e in json.loads(reports[0])["experiments"]]
+    assert (errors[0][3], errors[1][0]) == (None, None)  # the join
+    assert errors[0][:3] == errors[1][1:]
+    # The texts of a denied read differ between SQLite versions: 3.40 names
+    # the column or the table function whose set-up read the catalogue.
+    denied = "prohibited|not authorized|authorization denied|vtable constructor failed"
+    assert all(re.search(denied, e) for e in errors[0][:3])
 
 
 def test_validate_sql_flawed(tmp_path, capsys):

@@ -48,11 +48,12 @@ from comdb.ingest import (
     parse_annotations,
     parse_ddl,
     parse_fixture,
+    restrict,
 )
 from comdb.mapping import HeaderMapping, MappingEntry, parse_map_text, split_reused
-from comdb.schema import DatabaseSchema, validate_annotations, validate_schema
+from comdb.schema import DatabaseSchema, TableSchema, validate_annotations, validate_schema
 
-from conftest import data_text, rand_annotations, rand_schema, src_env
+from conftest import data_text, rand_annotations, rand_schema, scale_ddl, src_env
 
 FLAWED_JOIN = """\
 SELECT careplans.Id, providers.NAME
@@ -682,20 +683,28 @@ def _slow_judge(monkeypatch) -> list:
     return statements
 
 
+def _record_judge_connections(monkeypatch) -> list:
+    """Record every connection the joining judge bounds with
+    ingest.restrict, and fail the test if anything opens --db."""
+    opened = []
+
+    def recording_restrict(con):
+        opened.append(con)
+        return restrict(con)
+
+    monkeypatch.setattr(evaluate, "restrict", recording_restrict)
+    monkeypatch.setattr(evaluate, "open_readonly",
+                        lambda *args, **kwargs: pytest.fail("the judge opened --db"))
+    return opened
+
+
 @pytest.mark.parametrize("workers", [1, 8])
 def test_run_joining_opens_one_connection(synthea_schema, synthea_annotations,
                                           fixture_db, monkeypatch, workers):
     # More workers than cores, a short switch interval and a slow judge, so
     # that each worker has an answer to judge while the first one is judged,
     # and a connection left unclosed would show up.
-    opened = []
-
-    def recording_open(location, **kwargs):
-        con = open_readonly(location, **kwargs)
-        opened.append(con)
-        return con
-
-    monkeypatch.setattr(evaluate, "open_readonly", recording_open)
+    opened = _record_judge_connections(monkeypatch)
     _slow_judge(monkeypatch)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -731,13 +740,9 @@ def test_run_judges_one_answer_once_whatever_the_workers(synthea_schema, fixture
 def test_run_exception_outside_a_repetition_reaches_the_caller(
         synthea_schema, synthea_annotations, fixture_db, monkeypatch, workers):
     # client_factory runs outside the per-repetition guard; what it raises
-    # on the fifth call leaves run_experiment, and every connection closes.
-    opened, calls = [], []
-
-    def recording_open(location, **kwargs):
-        con = open_readonly(location, **kwargs)
-        opened.append(con)
-        return con
+    # on the fifth call leaves run_experiment, and the judge's connection,
+    # opened by the answers judged before it, closes.
+    opened, calls = _record_judge_connections(monkeypatch), []
 
     def factory():
         calls.append(1)
@@ -745,12 +750,11 @@ def test_run_exception_outside_a_repetition_reaches_the_caller(
             raise RuntimeError("factory broke")
         return _mock_factory(bundled.JOINING_MOCK)()
 
-    monkeypatch.setattr(evaluate, "open_readonly", recording_open)
     with pytest.raises(RuntimeError, match="factory broke"):
         run_experiment(TASK_JOINING, repetitions=10, workers=workers,
                        client_factory=factory, schema=synthea_schema,
                        annotations=synthea_annotations, database=fixture_db)
-    assert opened
+    assert len(opened) == 1
     for con in opened:
         with pytest.raises(sqlite3.ProgrammingError, match="closed"):
             con.execute("SELECT 1")
@@ -771,6 +775,162 @@ def test_run_keeps_the_database_read_only(synthea_schema, fixture_db, workers):
         (False, "refusing non-read-only statement (DROP)"),
         (False, "attempt to write a readonly database")]
     assert hashlib.sha256(fixture_db.read_bytes()).hexdigest() == before
+
+
+def test_judge_keeps_its_bounds_whatever_an_answer_sets(synthea_schema):
+    # EXPLAIN PRAGMA sets a flag when SQLite prepares it, so it would turn
+    # query_only off for every later answer; the judge denies it. The JSON
+    # table functions work on first use and after other answers alike.
+    judge = evaluate._SchemaJudge(synthea_schema)
+    json_rows = "SELECT value FROM json_each('[1, 2]');"
+    try:
+        first = judge.judge(json_rows)
+        for sql in ("EXPLAIN PRAGMA query_only = 0;", "EXPLAIN PRAGMA temp_store = FILE;"):
+            assert judge.judge(sql) == SqlValidationReport(False, "not authorized", (), 0)
+        write = judge.judge("WITH t AS (SELECT 1) INSERT INTO patients (Id) SELECT 1 FROM t;")
+        assert write.error_text == "attempt to write a readonly database"
+        assert judge.judge("SELECT * FROM patients;").row_count == 0
+        assert judge.judge(json_rows.lower()) == first == SqlValidationReport(
+            True, None, ("value",), 2)
+        assert judge.judge("SELECT * FROM json_tree('[1]');").success
+    finally:
+        judge.close()
+
+
+def test_judge_adds_each_table_sqlite_finds_missing(synthea_schema, fixture_db, monkeypatch):
+    # With a scan that finds no name, each table comes from SQLite's "no
+    # such table", main.-qualified or not, at one more run of the answer.
+    monkeypatch.setattr(evaluate, "_NOT_IN_WORD", dict.fromkeys(range(128), " "))
+    monkeypatch.setattr(evaluate, "_QUOTED", re.compile("(a)(b)(c)(d)(?!)"))
+    calls = _count_calls(monkeypatch, evaluate, "execute_sql")
+    judge = evaluate._SchemaJudge(synthea_schema)
+    try:
+        sql = "SELECT * FROM main.careplans JOIN PATIENTS;"
+        assert judge.judge(sql) == execute_sql(sql, fixture_db)
+        assert len(calls) == 3
+        # A table the answer reads but does not join (so SQLite finds it
+        # missing in the full schema too) is added once, and a name no
+        # table has is not retried.
+        for sql, runs in (("SELECT providers.* FROM careplans;", 2),
+                          ("SELECT * FROM nowhere;", 1)):
+            del calls[:]
+            assert judge.judge(sql) == execute_sql(sql, fixture_db)
+            assert len(calls) == runs
+    finally:
+        judge.close()
+
+
+@pytest.mark.parametrize("sql", ['SELECT * FROM "Care Plans";', "SELECT * FROM [care plans];",
+                                 "SELECT * FROM `CARE PLANS`;", "SELECT * FROM 'care plans';",
+                                 'SELECT * FROM "it\'s ""x""";', "SELECT * FROM 'IT''S \"X\"';",
+                                 "SELECT * FROM main.`a``b`;"])
+def test_judge_finds_a_quoted_name_before_the_first_run(sql, monkeypatch):
+    # Names that no bare word spells come from the quotes, in any ASCII
+    # case, so the answer runs once, without a "no such table" retry.
+    schema = validate_schema(DatabaseSchema("odd", (
+        TableSchema("care plans", ("Id",)), TableSchema("it's \"x\"", ("Id",)),
+        TableSchema("a`b", ("Id",)))))
+    calls = _count_calls(monkeypatch, evaluate, "execute_sql")
+    judge = evaluate._SchemaJudge(schema)
+    try:
+        assert judge.judge(sql) == SqlValidationReport(True, None, ("Id",), 0)
+    finally:
+        judge.close()
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("text", ["[" * 400_000, "'" * 400_001, "/*" * 200_000,
+                                  '"a""' * 100_000])
+def test_judge_scans_an_answer_in_linear_time(synthea_schema, text):
+    # A quote never closed runs to the end of the text, as in SQLite's
+    # tokenizer, so the scan for table names does not restart at each quote.
+    judge = evaluate._SchemaJudge(synthea_schema)
+    start = time.monotonic()
+    try:
+        report = judge.judge("SELECT " + text)
+    finally:
+        judge.close()
+    assert not report.success
+    assert time.monotonic() - start < 5
+
+
+# --- the schema-only judge against a database of the whole schema ---
+
+_WRONG_NAME = "no_such_name"
+# Ways to write a name that SQLite resolves alike, and ways it does not.
+_SPELLINGS = [str, str.upper, str.lower, lambda n: '"' + n.replace('"', '""') + '"',
+              lambda n: f"[{n}]", lambda n: f"`{n}`", lambda n: f"main.{n}",
+              lambda n: f'MAIN."{n}"', lambda n: f"'{n}'", lambda n: n[:-1]]
+
+
+@st.composite
+def _selects(draw, tables, depth=0):
+    """A SELECT over one or two of tables (or a name no table has), with
+    right and wrong columns and, at depth 0, maybe a subquery."""
+    def table():
+        return draw(st.sampled_from([*tables, None]))
+
+    def name(text):
+        return draw(st.sampled_from(_SPELLINGS))(text)
+
+    def column(t, alias):
+        header = draw(st.sampled_from([*t.headers, _WRONG_NAME] if t else [_WRONG_NAME]))
+        return f"{alias}.{name(header)}" if draw(st.booleans()) else name(header)
+
+    first = table()
+    columns = [column(first, "a")]
+    sql = f" FROM {name(first.name if first else _WRONG_NAME)} AS a"
+    if draw(st.booleans()):
+        second = table()
+        sql += (f" JOIN {name(second.name if second else _WRONG_NAME)} AS b"
+                f" ON {column(first, 'a')} = {column(second, 'b')}")
+        columns.append(column(second, "b"))
+    sql = f"SELECT {', '.join(columns)}{sql}"
+    if depth == 0 and draw(st.booleans()):
+        sql += f" WHERE {columns[0]} IN ({draw(_selects(tables, 1))})"
+    return sql
+
+
+@st.composite
+def _statements(draw, tables):
+    body = draw(_selects(tables))
+    kind = draw(st.sampled_from(["plain", "cte", "union"]))
+    if kind == "cte":
+        return f"WITH x AS ({body}) SELECT * FROM x"
+    if kind == "union":
+        return f"{body} UNION {draw(_selects(tables))}"
+    return body
+
+
+@pytest.fixture(scope="module")
+def full_schema_databases(tmp_path_factory):
+    """Per schema name, the validated schema and its build_database copy:
+    the bundled synthea DDL and 30 tables of the seed-5 scale schema."""
+    schemas = {"synthea": parse_ddl(bundled.fixture_text(bundled.SYNTHEA_DDL)),
+               "scale": DatabaseSchema("scale", parse_ddl(scale_ddl(5)).tables[:30])}
+    databases = {}
+    for name, schema in schemas.items():
+        path = tmp_path_factory.mktemp(name) / "full.db"
+        build_database(schema, path)
+        databases[name] = validate_schema(schema), path
+    return databases
+
+
+@pytest.mark.parametrize("name", ["synthea", "scale"])
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(data=st.data())
+def test_schema_judge_gives_the_full_schema_verdict(full_schema_databases, name, data):
+    # Several statements share one judge, so each also meets the tables the
+    # ones before it made. The generator reads no catalogue, whose reads the
+    # judge denies.
+    schema, full = full_schema_databases[name]
+    statements = data.draw(st.lists(_statements(schema.tables), min_size=1, max_size=4))
+    judge = evaluate._SchemaJudge(schema)
+    try:
+        for sql in statements:
+            assert judge.judge(sql) == execute_sql(sql, full), sql
+    finally:
+        judge.close()
 
 
 def _count_calls(monkeypatch, owner, name):
@@ -891,8 +1051,10 @@ def test_run_records_any_exception_as_failure(patient_tables, patient_annotation
         assert run["recall"] == 0.0
 
 
-def test_run_records_database_removed_mid_run(synthea_schema, synthea_annotations,
-                                              fixture_db):
+def test_run_judges_on_when_the_database_is_removed_mid_run(synthea_schema,
+                                                           synthea_annotations, fixture_db):
+    # The judge reads the schema, not --db, so the verdicts stay those of
+    # the bundled answers.
     inner = _mock_factory(bundled.JOINING_MOCK)()
 
     class RemovingClient:
@@ -905,9 +1067,9 @@ def test_run_records_database_removed_mid_run(synthea_schema, synthea_annotation
         TASK_JOINING, repetitions=2, client_factory=RemovingClient,
         schema=synthea_schema, annotations=synthea_annotations,
         database=fixture_db)
-    runs = [run for r in reports for run in r["runs"]]
-    assert len(runs) == 4 and not any(run["ok"] for run in runs)
-    assert all(run["error"].startswith("FileNotFoundError: ") for run in runs)
+    assert not os.path.exists(fixture_db)
+    assert [[run.get("error") for run in r["runs"]] for r in reports] == [
+        [None, None], ["no such column: careplans.PROVIDER"] * 2]
 
 
 def test_experiment_report_invariant(task_inputs):

@@ -1,4 +1,3 @@
-import importlib.util
 import random
 import re
 import sqlite3
@@ -36,7 +35,13 @@ from comdb.schema import (
 )
 from comdb import fixtures as bundled
 
-from conftest import NOT_LINE_BREAKS, raises_exactly, rand_annotations, rand_schema
+from conftest import (
+    NOT_LINE_BREAKS,
+    raises_exactly,
+    rand_annotations,
+    rand_schema,
+    scale_ddl,
+)
 
 PROVIDERS_DDL = ("CREATE TABLE providers (Id TEXT, ORGANIZATION TEXT, NAME TEXT, "
                  "GENDER TEXT, SPECIALITY TEXT, ADDRESS TEXT, CITY TEXT, "
@@ -374,17 +379,8 @@ def test_late_non_plain_statement_starts_the_token_parser_there():
     spy.assert_called_once_with(text, text.index("CREATE TABLE c"))
 
 
-def _scale_ddl(seed):
-    """The DDL of perfbench's seeded 1000-table x 30-header scale schema."""
-    path = Path(__file__).parents[1] / "perfbench" / "scale_gen.py"
-    spec = importlib.util.spec_from_file_location("scale_gen", path)
-    scale_gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(scale_gen)
-    return scale_gen.generate(seed)["sql"]
-
-
 def test_only_the_late_non_plain_statement_is_tokenized():
-    text = _scale_ddl(5).rstrip().removesuffix(");") + ", PRIMARY KEY (Id));\n"
+    text = scale_ddl(5).rstrip().removesuffix(");") + ", PRIMARY KEY (Id));\n"
     last = text.rindex("CREATE TABLE")
     with mock.patch("comdb.ingest._tokenize_ddl", wraps=_tokenize_ddl) as spy:
         tables = parse_ddl(text).tables
