@@ -28,7 +28,8 @@ from contextlib import closing
 
 from . import llm
 from .errors import ComdbError, ConfigError, WriteAttempt
-from .ingest import check_sqlite_file, create_table_sql, open_readonly, restrict
+from .ingest import (check_sqlite_file, create_table_sql, open_readonly, reserved_name,
+                     restrict)
 from .mapping import HeaderMapping
 from .schema import TableSchema, ValidatedAnnotations, ValidatedSchema
 from .value import Value
@@ -102,8 +103,9 @@ def execute_sql(sql: str, database) -> SqlValidationReport:
     before they reach the engine; one that opens with no keyword is
     reported as failed there too. PRAGMA query_only backstops anything
     sneakier, on any connection: ingest.restrict sets it when the
-    connection opens, and on a writable connection that a caller passes in
-    it is set for the statement and restored after. A statement
+    connection opens and refuses a statement that sets it again, and on a
+    writable connection that a caller passes in it is set for the
+    statement and restored after. A statement
     still running after SQL_TIME_LIMIT_S seconds is interrupted and
     reported as failed, and so is one that runs out of SQLite's heap
     (ingest.SQL_HEAP_LIMIT); the connection stays usable after either.
@@ -179,6 +181,20 @@ _CATALOGUE = {"sqlite_master", "sqlite_schema", "sqlite_temp_master", "sqlite_te
 _JSON_FUNCTIONS = {f: f"SELECT * FROM {f}('[]')" for f in ("json_each", "json_tree")}
 
 
+_UNJUDGED = "cannot judge answers on this schema: "
+
+
+@functools.cache
+def _max_columns() -> int:
+    """The most columns SQLite lets a table have: SQLITE_LIMIT_COLUMN, as a
+    new connection reads it on Python 3.11+. Python 3.10 cannot read it,
+    and takes SQLite's default, 2000."""
+    if not hasattr(sqlite3.Connection, "getlimit"):
+        return 2000
+    with closing(sqlite3.connect(":memory:")) as con:
+        return con.getlimit(sqlite3.SQLITE_LIMIT_COLUMN)
+
+
 class _SchemaJudge:
     """The joining judge: an in-memory database, bounded by ingest.restrict,
     holding with no rows the schema tables that answers judged so far name.
@@ -192,11 +208,23 @@ class _SchemaJudge:
     every PRAGMA but _execute's two reads: under EXPLAIN, query_only = 0
     would take effect as SQLite prepares it. Table functions read the
     catalogue on first use, so json_each and json_tree are set up as tables
-    are. A verdict depends on its answer alone.
+    are. A verdict depends on its answer alone. A schema table SQLite will
+    not create is a ConfigError when the judge is made.
     """
 
     def __init__(self, schema: ValidatedSchema):
-        self.tables = {t.name.lower(): t for t in schema.tables}
+        # A table SQLite will not create has no full-schema verdict, so it is
+        # refused here, before the first answer, as build_database refuses it.
+        limit, self.tables = _max_columns(), {}
+        for table in schema.tables:
+            key = table.name.lower()  # reserved_name needs sqlite_ here too
+            if key[:7] == "sqlite_" and reserved_name(table.name):
+                raise ConfigError(f"{_UNJUDGED}object name reserved for internal use: "
+                                  f"{table.name}")
+            if len(table.headers) > limit:
+                raise ConfigError(f"{_UNJUDGED}too many columns on {table.name}: "
+                                  f"{len(table.headers)}, SQLite allows {limit}")
+            self.tables[key] = table
         self.made, self.creating, self.con = set(), False, None
 
     def _authorize(self, action, arg1, arg2, *_):

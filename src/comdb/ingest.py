@@ -386,17 +386,32 @@ def open_readonly(location) -> sqlite3.Connection:
     return restrict(sqlite3.connect("file:" + quote(os.path.abspath(path)) + "?mode=ro", uri=True))
 
 
+_BOUND_PRAGMAS = ("query_only", "temp_store", "hard_heap_limit")
+
+
+def _keep_bounds(action, arg1, arg2, *_):
+    """restrict's authorizer: refuse a statement that sets one of
+    _BOUND_PRAGMAS. SQLite applies such a pragma as it prepares it, so even
+    under EXPLAIN it would lift the bound for every later statement."""
+    if action == sqlite3.SQLITE_PRAGMA and arg2 is not None and arg1.lower() in _BOUND_PRAGMAS:
+        return sqlite3.SQLITE_DENY
+    return sqlite3.SQLITE_OK
+
+
 def restrict(con: sqlite3.Connection) -> sqlite3.Connection:
     """Bound con for untrusted SQL and return it: SQL_LENGTH_LIMIT on Python
     3.11+, and, where SQLite has hard_heap_limit, SQL_HEAP_LIMIT set for the
     whole process and temporary b-trees kept in memory under it. PRAGMA
     query_only is set last, once, so evaluate.execute_sql need not set it
-    per statement."""
+    per statement. Then an authorizer refuses any statement that sets one
+    of these three pragmas again; reading them, and any other pragma, stays
+    allowed."""
     if hasattr(con, "setlimit"):
         con.setlimit(sqlite3.SQLITE_LIMIT_LENGTH, SQL_LENGTH_LIMIT)
     if con.execute(f"PRAGMA hard_heap_limit = {SQL_HEAP_LIMIT}").fetchone():
         con.execute("PRAGMA temp_store = MEMORY")
     con.execute("PRAGMA query_only = 1")
+    con.set_authorizer(_keep_bounds)
     return con
 
 
@@ -438,6 +453,12 @@ _PAGE = 4096
 _EMPTY_LEAF = struct.pack(">BHHHB", 0x0D, 0, 0, _PAGE, 0).ljust(_PAGE, b"\0")
 
 
+def reserved_name(name: str) -> bool:
+    """Whether SQLite refuses to create a table of this name: one that
+    starts with the prefix it reserves, sqlite_, in any ASCII case."""
+    return name[:7].isascii() and name[:7].lower() == "sqlite_"
+
+
 def create_table_sql(table: TableSchema) -> str:
     """CREATE TABLE "t" ("h" TEXT, ...) for table, as SQLite stores it."""
     cols = '" TEXT, "'.join([h.replace('"', '""') for h in table.headers])
@@ -470,7 +491,7 @@ def build_database(schema: DatabaseSchema, location) -> None:
         raise FileExistsError(path)
     failed = f"{path}: cannot build database: "
     for table in schema.tables:
-        if table.name[:7].isascii() and table.name[:7].lower() == "sqlite_":
+        if reserved_name(table.name):
             raise ConfigError(f"{failed}object name reserved for internal use: {table.name}")
     rows = []
     try:

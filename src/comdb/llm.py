@@ -12,13 +12,14 @@ annotations + fixed task text, so they can never leak row data.
 
 Clients are pluggable: a client is any object with
 complete(bundle, *, repetition) -> str, which returns the answer text.
-HttpChatClient speaks the common JSON chat-completions protocol over
-comdb.wire (loaded on first live use), which keeps connections open and
-reuses them across requests, through the proxy that http_proxy or
-https_proxy names unless no_proxy lists the host. comdb.wire loads ssl
-only for an https endpoint or proxy, and urllib.request only to read
-proxy settings where one may be set, so a live run against a plain
-http:// server on localhost loads neither. The client retries 429 and 5xx
+HttpChatClient speaks the common JSON chat-completions protocol: it
+encodes each arm's request body once, here and nowhere else, and hands
+the bytes to comdb.wire (loaded on first live use), which keeps
+connections open and reuses them across requests, through the proxy that
+http_proxy or https_proxy names unless no_proxy lists the host.
+comdb.wire loads ssl only for an https endpoint or proxy, and
+urllib.request only to read proxy settings where one may be set, so a
+live run against a plain http:// server on localhost loads neither. The client retries 429 and 5xx
 replies, waiting as long as a 429 or 503 reply's Retry-After asks
 (delta-seconds only, capped). Its close() closes the idle connections.
 MockChatClient replays a scripted response per (task, arm, repetition)
@@ -32,6 +33,7 @@ import json
 import math
 import os
 import re
+import threading
 import time
 import weakref
 from collections.abc import Callable
@@ -233,15 +235,18 @@ class HttpChatClient:
     Other error statuses are not retried, and a reply without string
     content, or one nested too deeply to read, is an ApiError. The
     credential is read from the environment variable named by the config
-    and never logged.
+    when an arm's request is made, and never logged.
 
     complete() returns the reply's message content. The request goes to
     the endpoint's path joined with /chat/completions, and the endpoint's
     query, if any, follows it.
 
-    transport(url, payload, headers, timeout) -> (status, headers, body)
-    sends one request. The default, comdb.wire.HttpTransport, keeps its
-    connections open for later requests. A request on a connection the
+    transport(url, data, headers, timeout) -> (status, headers, body)
+    sends one request whose body is data, the encoded JSON. An arm's
+    request (body and header fields) is made once and sent as the same
+    bytes on every repetition and retry of that arm, until the arm's prompt
+    changes. The default, comdb.wire.HttpTransport, keeps its connections
+    open for later requests. A request on a connection the
     server closed while it was idle goes once more on a new one, which is
     not an attempt, and TCP_QUICKACK keeps a reply written in two sends
     from waiting on a delayed ACK. close() closes the idle connections, as
@@ -263,6 +268,8 @@ class HttpChatClient:
             transport = HttpTransport(config.endpoint_url)
             weakref.finalize(self, transport.close)
         self._transport = transport
+        self._requests: dict[tuple[str, str], tuple[str, bytes, dict]] = {}
+        self._lock = threading.Lock()
 
     def close(self) -> None:
         """Close the idle connections of the transport, if it has a close().
@@ -282,19 +289,32 @@ class HttpChatClient:
             raise ConfigError(f"environment variable {source} is not set")
         return key
 
+    def _request(self, bundle: PromptBundle) -> tuple[str, bytes, dict]:
+        """(prompt text, encoded body, header fields) for bundle's task and
+        arm: made once, under the lock so that workers share it, and made
+        again when the arm's prompt changes. Making it reads the API key."""
+        with self._lock:
+            request = self._requests.get((bundle.task, bundle.arm))
+            if request is None or request[0] != bundle.user_text:
+                headers = {"Content-Type": "application/json"}
+                key = self.api_key()
+                if key:
+                    fault = unsendable_key(key)
+                    if fault:
+                        raise TransportError(f"header Authorization contains {fault}")
+                    headers["Authorization"] = f"Bearer {key}"
+                body = json.dumps({"model": self.config.model, "messages": [
+                    {"role": "user", "content": bundle.user_text}],
+                    "temperature": self.config.temperature}).encode("utf-8")
+                request = self._requests[bundle.task, bundle.arm] = (bundle.user_text, body,
+                                                                     headers)
+            return request
+
     def complete(self, bundle: PromptBundle, *, repetition: int = 0) -> str:
-        headers = {"Content-Type": "application/json"}
-        key = self.api_key()
-        if key:
-            fault = unsendable_key(key)
-            if fault:
-                raise TransportError(f"header Authorization contains {fault}")
-            headers["Authorization"] = f"Bearer {key}"
-        payload = {
-            "model": self.config.model,
-            "messages": [{"role": "user", "content": bundle.user_text}],
-            "temperature": self.config.temperature,
-        }
+        request = self._requests.get((bundle.task, bundle.arm))
+        if request is None or request[0] != bundle.user_text:
+            request = self._request(bundle)
+        _, data, headers = request
         attempts = self.config.max_retries + 1
         wait = None
         for attempt in range(attempts):
@@ -307,7 +327,7 @@ class HttpChatClient:
                 time.sleep(wait)
             wait = None
             try:
-                status, reply_headers, body = self._transport(self._url, payload, headers,
+                status, reply_headers, body = self._transport(self._url, data, headers,
                                                               self.config.timeout)
             except (TransportError, Timeout):
                 if attempt + 1 >= attempts:

@@ -1,5 +1,6 @@
 """HTTP/1.1 for live runs: POSTs on kept-alive plain or TLS sockets.
 
+A request's body comes encoded (comdb.llm encodes each arm's JSON once).
 An exchange writes the request head and body in one sendall and reads one
 reply with http.client's bounds: a status line, then at most 100 header
 lines of at most 65 536 bytes each; repeated lines of one field are
@@ -39,7 +40,6 @@ and email) only where a proxy may be set (see _proxy).
 from __future__ import annotations
 
 import base64
-import json
 import os
 import re
 import socket
@@ -65,10 +65,12 @@ def _line(reader, what: str) -> bytes:
 def _fields(reader) -> dict:
     """The fields of a header or trailer section, up to its blank line,
     under their lower-cased names."""
-    headers = {}
+    headers, readline = {}, reader.readline
     for _ in range(MAX_HEADERS + 1):
-        line = _line(reader, "header line")
-        if line in (b"\r\n", b"\n"):
+        line = readline(MAX_LINE + 1)  # _line's check, inline: this runs per field
+        if len(line) > MAX_LINE:
+            raise ValueError(f"header line longer than {MAX_LINE} bytes")
+        if line == b"\r\n" or line == b"\n":
             return headers
         if not line:
             raise ValueError("incomplete read: the stream ended inside a header section")
@@ -94,12 +96,14 @@ def read_head(reader) -> tuple[str, int, str, dict]:
 def _exactly(reader, n: int) -> bytes:
     if n > sys.maxsize:  # more than any read can ask for
         raise ValueError(f"length {n} is too large")
-    # In pieces: a length the stream does not hold allocates only what it sent.
-    data = bytearray()
-    while len(data) < n and (piece := reader.read(min(n - len(data), 1 << 20))):
-        data += piece
+    data = reader.read(min(n, 1 << 20))
     if len(data) < n:
-        raise ValueError(f"incomplete read: {len(data)} of {n} bytes")
+        # In pieces: a length the stream does not hold allocates only what it sent.
+        data = bytearray(data)
+        while len(data) < n and (piece := reader.read(min(n - len(data), 1 << 20))):
+            data += piece
+        if len(data) < n:
+            raise ValueError(f"incomplete read: {len(data)} of {n} bytes")
     return bytes(data)
 
 
@@ -127,8 +131,9 @@ def read_reply(reader) -> tuple[int, dict, bytes, bool]:
         if status == 101:
             raise ValueError("unrequested 101 Switching Protocols")
         version, status, _, headers = read_head(reader)
-    keep = version == "HTTP/1.1" and "close" not in (
-        token.strip() for token in (headers.get("connection") or "").lower().split(","))
+    connection = headers.get("connection")
+    keep = version == "HTTP/1.1" and (connection is None or "close" not in [
+        token.strip() for token in connection.lower().split(",")])
     if status in (204, 304):  # no body, whatever the headers say (RFC 9112 §6.3)
         return status, headers, b"", keep
     coding = headers.get("transfer-encoding")
@@ -139,10 +144,12 @@ def read_reply(reader) -> tuple[int, dict, bytes, bool]:
         return status, headers, _chunked(reader), keep and field is None
     if field is None:  # the body ends with the stream
         return status, headers, reader.read(), False
-    values = {value.strip() for value in field.split(",")}
-    if not all(v.isascii() and v.isdigit() for v in values) or len(set(map(int, values))) > 1:
-        raise ValueError(f"bad Content-Length {field!r}")
-    return status, headers, _exactly(reader, int(values.pop())), keep
+    if not (field.isascii() and field.isdigit()):  # a list, else refused
+        values = {value.strip() for value in field.split(",")}
+        if not all(v.isascii() and v.isdigit() for v in values) or len(set(map(int, values))) > 1:
+            raise ValueError(f"bad Content-Length {field!r}")
+        field = values.pop()
+    return status, headers, _exactly(reader, int(field)), keep
 
 
 def _host_port(netloc: str, default_port: int) -> tuple[str, int]:
@@ -201,12 +208,13 @@ def _proxy(scheme: str, netloc: str) -> str | None:
 
 
 class HttpTransport:
-    """The default transport for endpoint_url: called as (url, payload,
-    headers, timeout), it POSTs payload as JSON and returns (status,
-    headers, body text) for any HTTP reply, error statuses included, so
-    that ApiError can carry the body. The request is the one
+    """The default transport for endpoint_url: called as (url, data,
+    headers, timeout), it POSTs data, the encoded JSON body, and returns
+    (status, headers, body text) for any HTTP reply, error statuses
+    included, so that ApiError can carry the body. The request is the one
     urllib.request sends, byte for byte, User-Agent included, except that
-    it does not ask for Connection: close.
+    it does not ask for Connection: close. The head of the last request is
+    kept for the next one of the same length, URL and header fields.
 
     Idle connections wait on a stack guarded by a lock: a request takes
     the most recently used one, or opens a new one, and puts it back once
@@ -250,20 +258,24 @@ class HttpTransport:
         self._netloc, self._address, self._secure = netloc, address, secure
         self._tunnel, self._absolute, self._extra = tunnel, absolute, extra
         self._user_agent = "Python-urllib/%d.%d" % sys.version_info[:2]
+        self._last_head: tuple = (None, None, None, b"")
         self._idle: list[_Connection] = []
         self._lock = threading.Lock()
 
-    def __call__(self, url, payload, headers, timeout):
-        data = json.dumps(payload).encode("utf-8")
-        path, query = urlsplit(url)[2:4]
-        target = url if self._absolute else path + ("?" + query if query else "")
-        # urllib's order: its own headers, then the caller's.
-        fields = {"Accept-Encoding": "identity", "Content-Length": str(len(data)),
-                  "Host": self._netloc, "User-Agent": self._user_agent, **headers,
-                  **self._extra}
+    def __call__(self, url, data, headers, timeout):
         try:
-            status, reply_headers, body = self._exchange(
-                _head(f"POST {target} HTTP/1.1", fields) + data, timeout)
+            # The repetitions of an arm send one head, so the last is kept.
+            last = self._last_head
+            if last[0] != len(data) or last[1] != url or last[2] != headers:
+                path, query = urlsplit(url)[2:4]
+                target = url if self._absolute else path + ("?" + query if query else "")
+                # urllib's order: its own headers, then the caller's.
+                fields = {"Accept-Encoding": "identity", "Content-Length": str(len(data)),
+                          "Host": self._netloc, "User-Agent": self._user_agent, **headers,
+                          **self._extra}
+                last = self._last_head = (len(data), url, dict(headers),
+                                          _head(f"POST {target} HTTP/1.1", fields))
+            status, reply_headers, body = self._exchange(last[3] + data, timeout)
         except TimeoutError as exc:
             raise Timeout(timeout) from exc
         except (OSError, ValueError) as exc:
@@ -303,7 +315,8 @@ class HttpTransport:
         keep = False
         try:
             if con is not None:
-                con.sock.settimeout(timeout)
+                if con.sock.gettimeout() != timeout:  # each set is a system call
+                    con.sock.settimeout(timeout)
                 try:
                     con.send(request)
                     stale = not con.reader.peek(1)

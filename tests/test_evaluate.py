@@ -42,6 +42,7 @@ from comdb.llm import (
     MockChatClient,
 )
 from comdb.ingest import (
+    SQL_HEAP_LIMIT,
     SQL_LENGTH_LIMIT,
     build_database,
     open_readonly,
@@ -383,6 +384,29 @@ def test_a_read_only_connection_costs_one_pragma_per_statement(fixture_db):
         con.set_trace_callback(None)
         assert traced == ["PRAGMA query_only", "SELECT Id FROM patients"] * 2
         assert con.execute("PRAGMA query_only").fetchone() == (1,)
+    finally:
+        con.close()
+
+
+_BOUNDS = ("query_only", "temp_store", "hard_heap_limit")
+
+
+@pytest.mark.parametrize("pragma", [
+    "query_only = 0", "main.QUERY_ONLY = off", "temp_store = FILE",
+    f"hard_heap_limit = {SQL_HEAP_LIMIT}"])
+def test_a_statement_cannot_set_a_bound_of_a_kept_connection(fixture_db, pragma):
+    # SQLite applies these pragmas as it prepares them, EXPLAIN or not, so
+    # one statement would lift a bound for every later one on the connection.
+    con = open_readonly(fixture_db)
+    try:
+        before = [con.execute(f"PRAGMA {name}").fetchall() for name in _BOUNDS]
+        assert before[0] == [(1,)]
+        report = execute_sql(f"EXPLAIN PRAGMA {pragma}", con)
+        assert (report.success, report.error_text) == (False, "not authorized")
+        assert [con.execute(f"PRAGMA {name}").fetchall() for name in _BOUNDS] == before
+        # Reads of them, and other pragmas, still run.
+        assert execute_sql("SELECT Id FROM patients", con).success
+        assert execute_sql("EXPLAIN PRAGMA table_info(patients)", con).success
     finally:
         con.close()
 

@@ -145,8 +145,8 @@ def test_arm_discipline(patient_tables, patient_annotations, synthea_schema,
 def _ok_transport(content="hello"):
     body = json.dumps({"choices": [{"message": {"content": content}}]})
 
-    def transport(url, payload, headers, timeout):
-        transport.calls.append((url, payload, headers, timeout))
+    def transport(url, data, headers, timeout):
+        transport.calls.append((url, json.loads(data), headers, timeout))
         return 200, {}, body
 
     transport.calls = []
@@ -192,7 +192,7 @@ def test_http_client_missing_credentials(patient_tables, monkeypatch):
 
 
 def test_http_client_api_error(patient_tables, api_key):
-    def transport(url, payload, headers, timeout):
+    def transport(url, data, headers, timeout):
         return 401, {}, "unauthorized"
 
     client = HttpChatClient(make_config(), transport=transport)
@@ -206,7 +206,7 @@ def test_http_client_retries_then_fails(patient_tables, api_key, monkeypatch):
     monkeypatch.setattr("comdb.llm.time.sleep", lambda s: None)
     attempts = []
 
-    def transport(url, payload, headers, timeout):
+    def transport(url, data, headers, timeout):
         attempts.append(1)
         raise TransportError("connection refused")
 
@@ -221,11 +221,11 @@ def test_http_client_retry_then_success(patient_tables, api_key, monkeypatch):
     ok = _ok_transport("late but fine")
     attempts = []
 
-    def transport(url, payload, headers, timeout):
+    def transport(url, data, headers, timeout):
         attempts.append(1)
         if len(attempts) < 3:
             raise Timeout(1.0)
-        return ok(url, payload, headers, timeout)
+        return ok(url, data, headers, timeout)
 
     client = HttpChatClient(make_config(max_retries=3), transport=transport)
     assert client.complete(simple_bundle(patient_tables)) == "late but fine"
@@ -237,11 +237,11 @@ def _status_transport(*replies):
     ok = _ok_transport("recovered")
     calls = []
 
-    def transport(url, payload, headers, timeout):
+    def transport(url, data, headers, timeout):
         calls.append(1)
         if len(calls) <= len(replies):
             return replies[len(calls) - 1]
-        return ok(url, payload, headers, timeout)
+        return ok(url, data, headers, timeout)
 
     transport.calls = calls
     return transport
@@ -340,7 +340,7 @@ def test_http_client_latency_leaves_out_the_backoff(patient_tables, api_key, mon
 
 
 def test_http_client_malformed_body(patient_tables, api_key):
-    def transport(url, payload, headers, timeout):
+    def transport(url, data, headers, timeout):
         return 200, {}, "not json"
 
     client = HttpChatClient(make_config(), transport=transport)
@@ -351,7 +351,7 @@ def test_http_client_malformed_body(patient_tables, api_key):
 def test_http_client_body_nested_past_the_recursion_limit(patient_tables, api_key):
     body = "[" * 100000 + "]" * 100000
 
-    def transport(url, payload, headers, timeout):
+    def transport(url, data, headers, timeout):
         return 200, {}, body
 
     client = HttpChatClient(make_config(), transport=transport)
@@ -433,6 +433,23 @@ def test_default_transport_round_trip(patient_tables, loopback):
     assert authorization == "Bearer sk-test"
     assert payload["model"] == "m"
     assert payload["messages"] == [{"role": "user", "content": bundle.user_text}]
+
+
+def test_default_transport_sends_each_request_its_own_head(loopback):
+    # The last head is kept; a request with other header fields or another
+    # URL, of the same length, must not go out with it.
+    base = f"http://127.0.0.1:{loopback.server_address[1]}"
+    sent = [("/v1/x", "Bearer sk-a"), ("/v1/x", "Bearer sk-b"), ("/v2/x", "Bearer sk-b"),
+            ("/v2/x", "Bearer sk-b")]
+    transport = wire.HttpTransport(base)
+    try:
+        for path, authorization in sent:
+            status, _, _ = transport(base + path, b'{"messages": []}',
+                                     {"Authorization": authorization}, 5.0)
+            assert status == 200
+    finally:
+        transport.close()
+    assert [(path, authorization) for path, authorization, _ in loopback.seen] == sent
 
 
 def test_default_transport_server_error_keeps_body(patient_tables, loopback):
@@ -551,6 +568,74 @@ def test_default_transport_request_bytes(patient_tables, raw_server, api_key, mo
         b"Content-Type: application/json\r\n"
         b"Authorization: Bearer sk-test\r\n"
         b"\r\n" % (len(body), raw_server.port, *sys.version_info[:2]) + body]
+
+
+class _FirstTry503Handler(BaseHTTPRequestHandler):
+    """Keeps connections open, records each request's line, header fields
+    and body, and answers the first request of each body 503 with
+    Retry-After: 0 (so the client retries at once), every other one 200."""
+
+    protocol_version = "HTTP/1.1"
+    reply = json.dumps({"choices": [{"message": {"content": "hi"}}]}).encode()
+
+    def log_message(self, format, *args):
+        pass
+
+    def do_POST(self):
+        body = self.rfile.read(int(self.headers["Content-Length"]))
+        with self.server.lock:
+            first = all(seen[2] != body for seen in self.server.seen)
+            self.server.seen.append((self.requestline, tuple(self.headers.items()), body))
+        self.send_response(503 if first else 200)
+        if first:
+            self.send_header("Retry-After", "0")
+        self.send_header("Content-Length", str(len(self.reply)))
+        self.end_headers()
+        self.wfile.write(self.reply)
+
+
+@pytest.mark.parametrize("workers", ["1", "4"])
+def test_run_sends_one_arm_the_same_bytes_and_encodes_them_once(tmp_path, monkeypatch, api_key,
+                                                               workers):
+    monkeypatch.setenv("no_proxy", "*")
+    server = _Server(("127.0.0.1", 0), _FirstTry503Handler)
+    server.lock, server.seen = threading.Lock(), []
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+    thread.start()
+    dumps, encoded = json.dumps, []
+
+    def counting_dumps(obj, *args, **kwargs):
+        if isinstance(obj, dict) and "messages" in obj:
+            encoded.append(obj["messages"][0]["content"])
+            time.sleep(0.02)  # a worker that does not wait for this one encodes too
+        return dumps(obj, *args, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", counting_dumps)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        assert cli_main(["run", "--task", "integration", "--n", "3", "--workers", workers,
+                         "--endpoint", f"http://127.0.0.1:{server.server_address[1]}",
+                         "--model", "m", "--api-key-env", "TEST_LLM_KEY", "--max-retries", "1",
+                         "--gold", str(bundled.fixture_path(bundled.PATIENTS_GOLD_MAP)),
+                         "--out", str(tmp_path / "r.json")]) == 0
+    finally:
+        sys.setswitchinterval(interval)
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+    # Per arm, 3 repetitions and the retry of the first: 4 requests, one
+    # set of bytes, encoded once.
+    by_body = {}
+    for request in server.seen:
+        by_body.setdefault(request[2], []).append(request)
+    assert sorted(len(requests) for requests in by_body.values()) == [4, 4]
+    assert all(len(set(requests)) == 1 for requests in by_body.values())
+    assert sorted(encoded) == sorted(json.loads(body)["messages"][0]["content"]
+                                     for body in by_body)
+    runs = [run for e in json.loads((tmp_path / "r.json").read_text())["experiments"]
+            for run in e["runs"]]
+    assert [run["error"] for run in runs] == [NoMappingFound().args[0]] * 6
 
 
 def test_run_without_a_credential_sends_no_authorization(patient_tables, raw_server, tmp_path,
@@ -1239,7 +1324,7 @@ def test_cr_or_lf_in_the_api_key_fails_before_any_attempt(patient_tables, keepal
     # The transport itself refuses such a header before it connects.
     transport = wire.HttpTransport(keepalive.url)
     with pytest.raises(TransportError, match="header Authorization contains CR or LF") as excinfo:
-        transport(keepalive.url, {}, {"Authorization": "Bearer sk-test\nX: 1"}, 5.0)
+        transport(keepalive.url, b"{}", {"Authorization": "Bearer sk-test\nX: 1"}, 5.0)
     assert "sk-" not in str(excinfo.value)
     assert delays == [] and keepalive.accepted == []
 
